@@ -1,9 +1,11 @@
 """Axiom-profile checkers and derived-identity verifiers.
 
-Each profile is a list of labelled operator identities. An identity is
-decided by building both sides as canonical multidifferential operators
-and subtracting; a failing identity carries a concrete witness input
-whose residual is nonzero on re-evaluation.
+Each profile is a list of labelled operator identities, written as data
+in PROFILE_TABLE: profile -> (requirements, [(label, builder)]). Every
+checker here reads its axioms and requirements from that table. An
+identity is decided by building its defect (both sides subtracted) as a
+canonical multidifferential operator; a failing identity carries a
+concrete witness input whose residual is nonzero on re-evaluation.
 
 Profiles:
   lie            skew, P1 (jacobiator = 0), P2 (Leibniz anomaly = 0)
@@ -30,13 +32,8 @@ from .funmodel import (
     MultiDiffOp,
     Witness,
     find_witness,
-    section_inputs,
 )
 from . import structures as st
-
-PROFILES = ("lie", "kv", "cc", "courant", "nonasym-courant")
-
-DEFAULT_JACOBI_FACTOR = {"cc": 1, "courant": 3}
 
 
 @dataclass(frozen=True)
@@ -84,97 +81,115 @@ def _identity_entry(label: str, diff: MultiDiffOp, note: str = "") -> AxiomEntry
     return AxiomEntry(label, False, find_witness(diff, diff.order() + 1), note)
 
 
-def _require(S: AlgebroidStructure, profile: str, pairing: bool, d: bool, skew: bool):
-    if pairing and S.pairing is None:
-        raise ValueError(f"profile {profile!r} needs a pairing")
-    if d and S.d_cochain is None:
-        raise ValueError(f"profile {profile!r} needs a D cochain")
-    if skew and not S.mult.skew:
-        raise ValueError(f"profile {profile!r} needs a multiplication declared skew")
+# ---------------------------------------------------------------------------
+# The profile table.
+# ---------------------------------------------------------------------------
+
+# Every builder maps (structure, jacobi_factor) to the defect operator
+# whose vanishing is the axiom. Builders look the structures module up at
+# call time, so each operator is built through its *_op entry point.
+
+
+def _jacobi_defect(S: AlgebroidStructure, factor: int) -> MultiDiffOp:
+    """factor * J - D(T); slots (s, s', s'')."""
+    return st.jacobiator_op(S).scale(factor) - S.d_op().compose(0, st.courant_T_op(S))
+
+
+def _leibniz_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
+    """s(fs') - (rho(s)f)s' - f(ss') + <s,s'>D(f); slots (s, f, s')."""
+    return st.leibniz_anomaly_op(S) - st.leibniz_pairing_rhs_op(S)
+
+
+def _kv_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
+    """KV anomaly minus D of the pairing coboundary; slots (s, s', s'')."""
+    return st.kv_anomaly_op(S) - S.d_op().compose(0, st.pairing_coboundary_op(S))
+
+
+# profile -> (requirements, [(label, builder)]); the requirements are
+# keys of _REQUIREMENTS.
+PROFILE_TABLE = {
+    "lie": (("skew",), [
+        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
+        ("P1", lambda S, k: st.jacobiator_op(S)),
+        ("P2", lambda S, k: st.leibniz_anomaly_op(S)),
+    ]),
+    "kv": ((), [
+        ("3i", lambda S, k: st.kv_anomaly_op(S)),
+        ("3ii", lambda S, k: st.fs_linearity_defect_op(S)),
+        ("3iii", lambda S, k: st.leibniz_anomaly_op(S)),
+    ]),
+    "cc": (("pairing", "d", "skew"), [
+        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
+        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
+        ("r1", _jacobi_defect),
+        ("r2", lambda S, k: st.invariance_defect_op(S)),
+    ]),
+    "courant": (("pairing", "d", "skew"), [
+        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
+        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
+        ("Ax1", _jacobi_defect),
+        ("Ax2", lambda S, k: st.anchor_morphism_defect_op(S)),
+        ("Ax3", _leibniz_defect),
+        ("Ax4", lambda S, k: st.rho_d_op(S)),
+        ("Ax5", lambda S, k: st.invariance_defect_op(S)),
+    ]),
+    "nonasym-courant": (("pairing", "d"), [
+        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
+        ("R1", _kv_defect),
+        ("R2", lambda S, k: st.fs_linearity_defect_op(S)),
+        ("R3", lambda S, k: st.invariance_defect_op(S)),
+    ]),
+}
+
+PROFILES = tuple(PROFILE_TABLE)
+
+DEFAULT_JACOBI_FACTOR = {"cc": 1, "courant": 3}
+
+# requirement -> (test on the structure, what the message says is needed)
+_REQUIREMENTS = {
+    "pairing": (lambda S: S.pairing is not None, "a pairing"),
+    "d": (lambda S: S.d_cochain is not None, "a D cochain"),
+    "skew": (lambda S: S.mult.skew, "a multiplication declared skew"),
+}
+
+
+def missing_requirement(S: AlgebroidStructure, profile: str) -> Optional[str]:
+    """Why the structure cannot be checked against the profile, or None."""
+    for req in PROFILE_TABLE[profile][0]:
+        holds, needed = _REQUIREMENTS[req]
+        if not holds(S):
+            return f"profile {profile!r} needs {needed}"
+    return None
 
 
 def check_profile(
     S: AlgebroidStructure, profile: str, jacobi_factor: Optional[int] = None
 ) -> AxiomReport:
     """Run every axiom of the named profile as an operator identity."""
-    if profile not in PROFILES:
+    if profile not in PROFILE_TABLE:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    reason = missing_requirement(S, profile)
+    if reason is not None:
+        raise ValueError(reason)
+    factor = DEFAULT_JACOBI_FACTOR.get(profile) if jacobi_factor is None else jacobi_factor
     report = AxiomReport(profile)
-    ent = report.entries.append
-
-    if profile == "lie":
-        _require(S, profile, pairing=False, d=False, skew=True)
-        ent(_identity_entry("skew", st.mult_skew_defect_op(S)))
-        ent(_identity_entry("P1", st.jacobiator_op(S)))
-        ent(_identity_entry("P2", st.leibniz_anomaly_op(S)))
-        return report
-
-    if profile == "kv":
-        ent(_identity_entry("3i", st.kv_anomaly_op(S)))
-        ent(_identity_entry("3ii", st.fs_linearity_defect_op(S)))
-        ent(_identity_entry("3iii", st.leibniz_anomaly_op(S)))
-        return report
-
-    if profile == "cc":
-        _require(S, profile, pairing=True, d=True, skew=True)
-        factor = DEFAULT_JACOBI_FACTOR["cc"] if jacobi_factor is None else jacobi_factor
-        ent(_identity_entry("skew", st.mult_skew_defect_op(S)))
-        ent(_identity_entry("deltaD", st.d_cocycle_defect_op(S)))
-        dT = S.d_op().compose(0, st.courant_T_op(S))
-        ent(
-            _identity_entry(
-                "r1",
-                st.jacobiator_op(S).scale(factor) - dT,
-                note=f"jacobi_factor={factor}",
-            )
-        )
-        ent(_identity_entry("r2", st.invariance_defect_op(S)))
-        return report
-
-    if profile == "courant":
-        _require(S, profile, pairing=True, d=True, skew=True)
-        factor = (
-            DEFAULT_JACOBI_FACTOR["courant"] if jacobi_factor is None else jacobi_factor
-        )
-        ent(_identity_entry("skew", st.mult_skew_defect_op(S)))
-        ent(_identity_entry("deltaD", st.d_cocycle_defect_op(S)))
-        dT = S.d_op().compose(0, st.courant_T_op(S))
-        ent(
-            _identity_entry(
-                "Ax1",
-                st.jacobiator_op(S).scale(factor) - dT,
-                note=f"jacobi_factor={factor}",
-            )
-        )
-        ent(_identity_entry("Ax2", st.anchor_morphism_defect_op(S)))
-        ent(
-            _identity_entry(
-                "Ax3", st.leibniz_anomaly_op(S) - st.leibniz_pairing_rhs_op(S)
-            )
-        )
-        ent(_identity_entry("Ax4", st.rho_d_op(S)))
-        ent(_identity_entry("Ax5", st.invariance_defect_op(S)))
-        return report
-
-    # nonasym-courant
-    _require(S, profile, pairing=True, d=True, skew=False)
-    ent(_identity_entry("deltaD", st.d_cocycle_defect_op(S)))
-    d_delta = S.d_op().compose(0, st.pairing_coboundary_op(S))
-    ent(_identity_entry("R1", st.kv_anomaly_op(S) - d_delta))
-    ent(_identity_entry("R2", st.fs_linearity_defect_op(S)))
-    ent(_identity_entry("R3", st.invariance_defect_op(S)))
+    for label, build in PROFILE_TABLE[profile][1]:
+        note = f"jacobi_factor={factor}" if build is _jacobi_defect else ""
+        report.entries.append(_identity_entry(label, build(S, factor), note))
     return report
+
+
+def _axiom(profile: str, label: str):
+    """The builder of one labelled axiom in the table."""
+    return dict(PROFILE_TABLE[profile][1])[label]
 
 
 def check_all_profiles(S: AlgebroidStructure) -> dict:
     """Capability matrix: profile -> AxiomReport or precondition message."""
-    out = {}
-    for profile in PROFILES:
-        try:
-            out[profile] = check_profile(S, profile)
-        except ValueError as exc:
-            out[profile] = str(exc)
-    return out
+    return {
+        profile: missing_requirement(S, profile) or check_profile(S, profile)
+        for profile in PROFILES
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +208,11 @@ def verify_anchor_morphism(S: AlgebroidStructure) -> Optional[Witness]:
     defect = st.anchor_morphism_defect_op(S)  # slots (s, s', f)
     if defect.is_zero():
         return None
-    bound = defect.order() + 1
-    for s in section_inputs(S.rank, S.base_dim, bound):
-        for sp in section_inputs(S.rank, S.base_dim, bound):
-            residual = defect.bind(0, s).bind(0, sp)
-            if residual.is_zero():
-                continue
-            # one FUNCTION slot remains; read it off as a DiffOp
-            terms = {
-                skeys[0][1]: coeff for (_, skeys), coeff in residual.terms.items()
-            }
-            return Witness((s, sp), DiffOp(S.base_dim, terms))
-    raise AssertionError("nonzero defect operator with no section witness")
+    s, sp, _ = find_witness(defect, defect.order() + 1).inputs
+    # one FUNCTION slot remains; read it off as a DiffOp
+    residual = defect.bind(0, s).bind(0, sp)
+    terms = {skeys[0][1]: coeff for (_, skeys), coeff in residual.terms.items()}
+    return Witness((s, sp), DiffOp(S.base_dim, terms))
 
 
 @dataclass(frozen=True)
@@ -250,11 +258,11 @@ def verify_equivalence_A1_A2(
     S: AlgebroidStructure, jacobi_factor: Optional[int] = None
 ) -> EquivalenceReport:
     _cc_gate(S, jacobi_factor, "equivalence check")
-    morphism = st.anchor_morphism_defect_op(S)
-    a1_w = None if morphism.is_zero() else find_witness(morphism, morphism.order() + 1)
-    rho_d = st.rho_d_op(S)
-    a2_w = None if rho_d.is_zero() else find_witness(rho_d, rho_d.order() + 1)
-    return EquivalenceReport(a1_w is None, a2_w is None, a1_w, a2_w)
+    a1, a2 = (
+        _identity_entry(label, _axiom("courant", label)(S, None))
+        for label in ("Ax2", "Ax4")
+    )
+    return EquivalenceReport(a1.passed, a2.passed, a1.witness, a2.witness)
 
 
 def verify_prop_64(
@@ -272,13 +280,8 @@ def verify_prop_64(
         )
     _cc_gate(S, jacobi_factor, "consequence check")
     report = AxiomReport("prop-64-consequences")
-    checks = [
-        ("i", st.leibniz_anomaly_op(S) - st.leibniz_pairing_rhs_op(S)),
-        ("ii", st.anchor_morphism_defect_op(S)),
-        ("iii", st.rho_d_op(S)),
-    ]
-    for label, diff in checks:
-        entry = _identity_entry(label, diff)
+    for label, axiom in (("i", "Ax3"), ("ii", "Ax2"), ("iii", "Ax4")):
+        entry = _identity_entry(label, _axiom("courant", axiom)(S, None))
         if not entry.passed:
             entry = AxiomEntry(
                 label,
@@ -334,13 +337,11 @@ def derive_nonasym_consequences(S: AlgebroidStructure) -> NonasymReport:
     The profile verdict is included rather than gated on, so structures
     with an injected non-cocycle D still get a forcing-identity witness.
     """
-    if S.pairing is None or S.d_cochain is None:
+    if missing_requirement(S, "nonasym-courant") is not None:
         raise ValueError("consequence derivation needs a pairing and a D cochain")
     profile = check_profile(S, "nonasym-courant")
 
-    leibniz = _identity_entry(
-        "leibniz_identity", st.leibniz_anomaly_op(S) - st.leibniz_pairing_rhs_op(S)
-    )
+    leibniz = _identity_entry("leibniz_identity", _leibniz_defect(S, None))
     if S.rank > 2:
         anchor = _identity_entry(
             "anchor_identity", st.anchor_commutator_defect_op(S)

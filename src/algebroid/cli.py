@@ -21,6 +21,7 @@ from .checkers import (
     AxiomReport,
     check_all_profiles,
     check_profile,
+    missing_requirement,
 )
 from .exactmath import Poly, PolyParseError, parse_poly
 from .fileformat import (
@@ -71,11 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "machine"), default="text",
             help="output format (machine = JSON, stable key order)",
-        )
-        p.add_argument(
-            "--seed", type=int, default=42,
-            help="seed for randomized property sweeps; exhaustive verdicts "
-            "never depend on it",
         )
 
     p = sub.add_parser("check", help="run axiom-profile checks")
@@ -217,6 +213,9 @@ def _cmd_check(args, out: TextIO) -> int:
     if args.profile == "clan":
         raise UsageError("profile 'clan' applies to finite KV algebras")
     if args.profile:
+        reason = missing_requirement(S, args.profile)
+        if reason is not None:
+            raise UsageError(reason)
         report = check_profile(S, args.profile)
         _emit(args, out, _report_dict(report), str(report))
         return 0 if report.passed else 1

@@ -10,15 +10,15 @@ multidifferential operator: a sum of terms
 with polynomial coefficients. Every "for all sections / functions" axiom
 is decided by composing structure operators into this canonical form and
 subtracting: the canonical form of a nonzero operator is nonzero, and a
-witness input is then recovered by sweeping monomial test inputs in
-graded-lexicographic order. An operator of order m is determined by its
-action on monomials of degree <= m, so the sweep bound makes the witness
-search complete, never a sampling heuristic.
+witness input is then recovered from monomial test inputs in
+graded-lexicographic order, one slot at a time (see :func:`find_witness`).
+An operator of order m is determined by its action on monomials of
+degree <= m, so the sweep bound makes the witness search complete, never
+a sampling heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -217,9 +217,6 @@ class MultiDiffOp:
             (sum(sum(alpha) for _, alpha in skeys) for _, skeys in self.terms),
             default=0,
         )
-
-    def slot_order(self, pos: int) -> int:
-        return max((sum(skeys[pos][1]) for _, skeys in self.terms), default=0)
 
     def same_signature(self, other: "MultiDiffOp") -> bool:
         return (
@@ -466,9 +463,6 @@ class BiDiffOp:
                 merged[key] = coeff
         self.terms = tuple(sorted(merged.items()))
         self.skew = skew
-        self.slot_order = max(
-            (max(sum(a), sum(b)) for (_, _, _, a, b), _ in self.terms), default=0
-        )
         self._op = None
 
     def as_op(self) -> MultiDiffOp:
@@ -694,12 +688,6 @@ def apply_anchor(S: AlgebroidStructure, s: Section, f: Poly) -> Poly:
     return S.anchor_op().apply(s, f)
 
 
-def apply_d(S: AlgebroidStructure, f: Poly) -> Section:
-    if S.d_cochain is None:
-        raise ValueError("structure has no D cochain")
-    return S.d_cochain.apply(f)
-
-
 def pairing_value(S: AlgebroidStructure, s: Section, sp: Section) -> Poly:
     if S.pairing is None:
         raise ValueError("structure has no pairing")
@@ -740,21 +728,36 @@ class Witness:
 
 def find_witness(diff: MultiDiffOp, max_degree: int) -> Witness:
     """First input tuple (canonical order) on which a nonzero canonical
-    operator evaluates to a nonzero residual."""
-    pools = []
+    operator evaluates to a nonzero residual.
+
+    The search fixes one slot at a time: each slot takes the first test
+    input (monomials of degree <= max_degree, in the order of
+    function_inputs / section_inputs) whose bound operator is nonzero, and
+    the residual is diff applied to the chosen inputs. This is the first
+    witness in the product order of the test inputs: an input whose bound
+    operator is zero starts no witness, and a nonzero bound operator has
+    one among the remaining inputs, because binding a slot never raises
+    the order and a nonzero operator of order m is nonzero on monomials of
+    degree <= m (max_degree is at least diff.order()).
+    """
+    inputs, bound = [], diff
     for kind in diff.slots:
         if kind == FUNCTION:
-            pools.append(function_inputs(diff.base_dim, max_degree))
+            pool = function_inputs(diff.base_dim, max_degree)
         else:
-            pools.append(section_inputs(diff.rank, diff.base_dim, max_degree))
-    for combo in itertools.product(*pools):
-        residual = diff.apply(*combo)
-        nonzero = not residual.is_zero()
-        if nonzero:
-            return Witness(tuple(combo), residual)
-    raise AssertionError(
-        "nonzero canonical operator with no witness inside the degree bound"
-    )
+            pool = section_inputs(diff.rank, diff.base_dim, max_degree)
+        for value in pool:
+            rest = bound.bind(0, value)
+            if not rest.is_zero():
+                break
+        inputs.append(value)
+        bound = rest
+    residual = diff.apply(*inputs)
+    if residual.is_zero():
+        raise AssertionError(
+            "nonzero canonical operator with no witness inside the degree bound"
+        )
+    return Witness(tuple(inputs), residual)
 
 
 def operator_equal(

@@ -52,10 +52,6 @@ class FinKVAlgebra:
         z = Fraction(0)
         return FinKVAlgebra(dim, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
 
-    def basis_product(self, i: int, j: int):
-        """e_i e_j as a coefficient vector."""
-        return list(self.c[i][j])
-
     def product(self, u: Sequence[Rational], v: Sequence[Rational]):
         d = self.dim
         out = [Fraction(0)] * d

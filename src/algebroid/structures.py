@@ -19,7 +19,6 @@ from .funmodel import (
     MultiDiffOp,
     Section,
     apply_anchor,
-    apply_d,
     apply_mult,
     function_identity,
     function_product,

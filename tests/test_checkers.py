@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.catalog import catalog_get, tangent_lie, witt_line
+from algebroid.catalog import catalog_get, courant_standard, tangent_lie, witt_line
 from algebroid.checkers import (
     PROFILES,
     check_all_profiles,
@@ -22,7 +22,11 @@ from algebroid.funmodel import (
     DiffOp,
     Pairing,
     Section,
+    conjugate,
+    function_inputs,
+    section_inputs,
 )
+from algebroid import structures as st
 
 
 def constant_structure(rank, pairing_diag=None, d_first=0, skew=False):
@@ -120,6 +124,42 @@ def test_check_all_profiles_matrix():
     assert isinstance(matrix["cc"], str)  # missing pairing/D reported as message
 
 
+def _verdicts(matrix):
+    return {
+        p: r if isinstance(r, str) else r.failing_labels() for p, r in matrix.items()
+    }
+
+
+def test_check_all_profiles_courant_standard_4():
+    assert _verdicts(check_all_profiles(courant_standard(4))) == {
+        "lie": ["P1", "P2"],
+        "kv": ["3i", "3ii", "3iii"],
+        "cc": ["r1"],
+        "courant": [],
+        "nonasym-courant": ["R1", "R2"],
+    }
+
+
+def test_check_all_profiles_tangent_lie_5():
+    assert _verdicts(check_all_profiles(tangent_lie(5))) == {
+        "lie": [],
+        "kv": ["3i", "3ii"],
+        "cc": "profile 'cc' needs a pairing",
+        "courant": "profile 'courant' needs a pairing",
+        "nonasym-courant": "profile 'nonasym-courant' needs a pairing",
+    }
+
+
+def test_check_all_profiles_lets_builder_errors_through(monkeypatch):
+    # only a missing requirement means "not applicable"
+    def broken(S):
+        raise ValueError("builder failure")
+
+    monkeypatch.setattr(st, "kv_anomaly_op", broken)
+    with pytest.raises(ValueError, match="builder failure"):
+        check_all_profiles(tangent_lie(1))
+
+
 # --- anchor morphism -------------------------------------------------------
 
 
@@ -130,6 +170,32 @@ def test_anchor_morphism_witt_witness():
     x = Section([parse_poly("x1", 1)])
     assert w.inputs == (one, x)
     assert w.residual == DiffOp(1, {(1,): -2})
+
+
+def test_anchor_morphism_witness_is_first_in_product_order():
+    structures = [
+        witt_line(),
+        conjugate(witt_line(), [[-2]]),
+        catalog_get("poisson-cotangent-nonpoisson").structure,
+        conjugate(
+            catalog_get("poisson-cotangent-nonpoisson").structure,
+            [[0, 2, 0], [0, 0, -1], [Fraction(1, 2), 0, 0]],
+        ),
+    ]
+    for S in structures:
+        defect = st.anchor_morphism_defect_op(S)
+        pool = section_inputs(S.rank, S.base_dim, defect.order() + 1)
+        first = next(
+            (s, sp)
+            for s in pool
+            for sp in pool
+            if not defect.bind(0, s).bind(0, sp).is_zero()
+        )
+        w = verify_anchor_morphism(S)
+        assert w.inputs == first
+        assert not w.residual.is_zero()
+        for f in function_inputs(S.base_dim, defect.order() + 1):
+            assert w.residual.apply(f) == defect.apply(*first, f)
 
 
 def test_anchor_morphism_pass_on_lie():

@@ -44,6 +44,18 @@ def test_check_matrix_fails_when_nothing_passes(tmp_path):
     assert code == 1
 
 
+def test_check_missing_requirement_is_usage_error():
+    code, out, err = invoke("check", "--catalog", "tangent-lie-2", "--profile", "courant")
+    assert code == 2
+    assert out == ""
+    assert err == "error: profile 'courant' needs a pairing\n"
+
+
+def test_seed_option_removed():
+    code, _, err = invoke("check", "--catalog", "witt-line", "--seed", "1")
+    assert code == 2 and "--seed" in err
+
+
 def test_check_machine_output_is_sorted_json():
     code, out, _ = invoke(
         "check", "--catalog", "witt-line", "--profile", "cc", "--format", "machine"

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.catalog import catalog_get, tangent_lie, witt_line
+from algebroid.catalog import (
+    KIND_FUNCTION_MODEL,
+    catalog_get,
+    catalog_names,
+    tangent_lie,
+    witt_line,
+)
+from algebroid.checkers import DEFAULT_JACOBI_FACTOR, PROFILE_TABLE, missing_requirement
 from algebroid.exactmath import Poly, parse_poly
 from algebroid.funmodel import (
     FUNCTION,
@@ -18,6 +25,7 @@ from algebroid.funmodel import (
     Pairing,
     Section,
     conjugate,
+    find_witness,
     function_identity,
     function_inputs,
     function_product,
@@ -196,6 +204,85 @@ def test_witness_deterministic():
     w1 = operator_equal(defect, defect._like({}))
     w2 = operator_equal(defect, defect._like({}))
     assert w1.inputs == w2.inputs and w1.residual == w2.residual
+
+
+# --- the witness search against the product-order reference --------------
+
+
+def product_order_witness(diff, max_degree):
+    """Reference search: apply diff to every input tuple, in the order of
+    itertools.product over the per-slot test inputs, and return the first
+    tuple with a nonzero residual."""
+    pools = [
+        function_inputs(diff.base_dim, max_degree)
+        if kind == FUNCTION
+        else section_inputs(diff.rank, diff.base_dim, max_degree)
+        for kind in diff.slots
+    ]
+    for combo in itertools.product(*pools):
+        residual = diff.apply(*combo)
+        if not residual.is_zero():
+            return combo, residual
+    return None
+
+
+# Monomial frame changes e_i -> scale_i e_{i + shift}, applied to every
+# function-model catalog entry of rank <= 3.
+FRAME_CHANGES = ((1, (2, -1, Fraction(3, 2))), (2, (Fraction(-1, 2), 3, 1)))
+
+
+def monomial_frame_change(rank, shift, scales):
+    return [
+        [scales[i] if j == (i + shift) % rank else 0 for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+def _search_cases():
+    cases = []
+    for name in catalog_names():
+        entry = catalog_get(name)
+        if entry.kind != KIND_FUNCTION_MODEL:
+            continue
+        cases.append((name, None))
+        if entry.structure.rank <= 3:
+            cases.extend((name, change) for change in FRAME_CHANGES)
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+@pytest.mark.parametrize(
+    "name,change",
+    SEARCH_CASES,
+    ids=[f"{n}-shift{c[0]}" if c else n for n, c in SEARCH_CASES],
+)
+def test_find_witness_matches_product_order(name, change):
+    S = catalog_get(name).structure
+    if change is not None:
+        S = conjugate(S, monomial_frame_change(S.rank, *change))
+    searched = 0
+    for profile, (_, axioms) in PROFILE_TABLE.items():
+        if missing_requirement(S, profile) is not None:
+            continue
+        for label, build in axioms:
+            diff = build(S, DEFAULT_JACOBI_FACTOR.get(profile))
+            if diff.is_zero():
+                continue
+            bound = diff.order() + 1
+            w = find_witness(diff, bound)
+            inputs, residual = product_order_witness(diff, bound)
+            assert w.inputs == inputs, (profile, label)
+            assert str(w.residual) == str(residual), (profile, label)
+            searched += 1
+    assert searched > 0
+
+
+def test_find_witness_rejects_zero_operator():
+    zero = st.anchor_morphism_defect_op(witt_line())._like({})
+    with pytest.raises(AssertionError):
+        find_witness(zero, 2)
 
 
 # --- structure data -----------------------------------------------------
