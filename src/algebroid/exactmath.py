@@ -252,6 +252,7 @@ class Poly:
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
+        self.message = message
         self.position = position
 
 
@@ -399,9 +400,35 @@ def _row_echelon(m: list):
     return pivots
 
 
+def sparse_rank(rows: Iterable[dict]) -> int:
+    """Exact rank of a matrix given as sparse rows {column: value}.
+
+    Each row is reduced on its leading column against the pivot rows kept
+    so far, until it is zero or opens a new pivot column; only nonzero
+    entries are stored, so the work follows the nonzeros.
+    """
+    pivots = {}  # leading column -> row with that leading entry scaled to 1
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
 def rank(m: Sequence[Sequence]) -> int:
-    work = _as_matrix(m)
-    return len(_row_echelon(work))
+    return sparse_rank({c: v for c, v in enumerate(row) if v} for row in _as_matrix(m))
 
 
 def kernel_basis(m: Sequence[Sequence]) -> list:

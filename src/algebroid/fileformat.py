@@ -95,12 +95,13 @@ def _parse_multi_index(text: str, base_dim: int, lineno: int):
     return idx
 
 
-def _parse_coeff(text: str, base_dim: int, lineno: int, col0: int) -> Poly:
+def _parse_coeff(text: str, base_dim: int, lineno: int, end: int) -> Poly:
+    """Parse the coefficient that ends the line at raw column `end`."""
     try:
         return parse_poly(text, base_dim)
     except PolyParseError as exc:
-        col = col0 + exc.position + 1
-        raise FormatError(f"bad polynomial: {exc}", lineno, col) from None
+        col = end - len(text) + exc.position + 1
+        raise FormatError(f"bad polynomial: {exc.message}", lineno, col) from None
 
 
 def _parse_rational(text: str, lineno: int) -> Fraction:
@@ -130,12 +131,14 @@ def parse_document(text: str) -> ParsedDocument:
     d_entries = {}
     kv_entries = {}
     form_entries = {}
+    where = {}  # (section, entry key) -> line of the entry
     seen_head_keys = set()
 
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
+        end = len(raw) - len(raw.lstrip()) + len(line)  # raw column after the content
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if kind is None:
@@ -174,7 +177,8 @@ def parse_document(text: str) -> ParsedDocument:
             base_dim = _head_int(head, "base_dim", lineno)
             alpha = _parse_multi_index(parts[3], base_dim, lineno)
             beta = _parse_multi_index(parts[4], base_dim, lineno)
-            coeff = _parse_coeff(parts[5], base_dim, lineno, line.rfind(parts[5]))
+            coeff = _parse_coeff(parts[5], base_dim, lineno, end)
+            where[("mult", len(mult_terms))] = lineno
             mult_terms.append((k, i, j, alpha, beta, coeff))
         elif section == "anchor":
             parts = line.split(None, 2)
@@ -183,10 +187,11 @@ def parse_document(text: str) -> ParsedDocument:
             a = _parse_int_field(parts[0], "index", lineno)
             j = _parse_int_field(parts[1], "index", lineno)
             base_dim = _head_int(head, "base_dim", lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, line.rfind(parts[2]))
+            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
             if (a, j) in anchor_entries:
                 raise FormatError(f"duplicate anchor entry {a} {j}", lineno)
             anchor_entries[(a, j)] = coeff
+            where[("anchor", (a, j))] = lineno
         elif section == "pairing":
             parts = line.split(None, 2)
             if len(parts) != 3:
@@ -194,7 +199,7 @@ def parse_document(text: str) -> ParsedDocument:
             i = _parse_int_field(parts[0], "index", lineno)
             j = _parse_int_field(parts[1], "index", lineno)
             base_dim = _head_int(head, "base_dim", lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, line.rfind(parts[2]))
+            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
             key = (min(i, j), max(i, j))
             if key in pairing_entries:
                 if pairing_entries[key] != coeff:
@@ -203,6 +208,7 @@ def parse_document(text: str) -> ParsedDocument:
                     )
                 raise FormatError(f"duplicate pairing entry {i} {j}", lineno)
             pairing_entries[key] = coeff
+            where[("pairing", key)] = lineno
         elif section == "dcochain":
             parts = line.split(None, 2)
             if len(parts) != 3:
@@ -210,10 +216,11 @@ def parse_document(text: str) -> ParsedDocument:
             k = _parse_int_field(parts[0], "index", lineno)
             base_dim = _head_int(head, "base_dim", lineno)
             alpha = _parse_multi_index(parts[1], base_dim, lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, line.rfind(parts[2]))
+            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
             if (k, alpha) in d_entries:
                 raise FormatError(f"duplicate dcochain entry {k} {parts[1]}", lineno)
             d_entries[(k, alpha)] = coeff
+            where[("dcochain", (k, alpha))] = lineno
         elif section == "kvalgebra":
             if len(fields) != 4:
                 raise FormatError("expected: k i j value", lineno)
@@ -221,6 +228,7 @@ def parse_document(text: str) -> ParsedDocument:
             if (k, i, j) in kv_entries:
                 raise FormatError(f"duplicate product entry {k} {i} {j}", lineno)
             kv_entries[(k, i, j)] = _parse_rational(fields[3], lineno)
+            where[("kvalgebra", (k, i, j))] = lineno
         elif section == "form":
             if len(fields) != 3:
                 raise FormatError("expected: i j value", lineno)
@@ -233,6 +241,7 @@ def parse_document(text: str) -> ParsedDocument:
                     raise FormatError(f"conflicting form entries for ({i},{j})", lineno)
                 raise FormatError(f"duplicate form entry {i} {j}", lineno)
             form_entries[key] = value
+            where[("form", key)] = lineno
         else:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
 
@@ -247,7 +256,9 @@ def parse_document(text: str) -> ParsedDocument:
         skew_text, skew_line = head.get("skew", ("false", 0))
         if skew_text not in ("true", "false"):
             raise FormatError("skew must be true or false", skew_line)
-        _validate_indices(mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries)
+        _validate_indices(
+            mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries, where
+        )
         mult = BiDiffOp(rank, base_dim, mult_terms, skew=(skew_text == "true"))
         anchor_matrix = [
             [anchor_entries.get((a, j), Poly.zero(base_dim)) for j in range(rank)]
@@ -274,7 +285,9 @@ def parse_document(text: str) -> ParsedDocument:
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (k, i, j), value in kv_entries.items():
         if not all(0 <= t < dim for t in (k, i, j)):
-            raise FormatError(f"product index out of range: {k} {i} {j}", 1)
+            raise FormatError(
+                f"product index out of range: {k} {i} {j}", where[("kvalgebra", (k, i, j))]
+            )
         c[i][j][k] = value
     algebra = FinKVAlgebra(dim, c)
     form = None
@@ -282,7 +295,7 @@ def parse_document(text: str) -> ParsedDocument:
         m = [[Fraction(0)] * dim for _ in range(dim)]
         for (i, j), value in form_entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
-                raise FormatError(f"form index out of range: {i} {j}", 1)
+                raise FormatError(f"form index out of range: {i} {j}", where[("form", (i, j))])
             m[i][j] = value
             m[j][i] = value
         form = SymForm(m)
@@ -299,19 +312,21 @@ def _head_int(head: dict, key: str, lineno: int) -> int:
     return out
 
 
-def _validate_indices(mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries):
-    for k, i, j, alpha, beta, _ in mult_terms:
+def _validate_indices(mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries, where):
+    for n, (k, i, j, alpha, beta, _) in enumerate(mult_terms):
         if not all(0 <= t < rank for t in (k, i, j)):
-            raise FormatError(f"mult component index out of range: {k} {i} {j}", 1)
+            raise FormatError(f"mult component index out of range: {k} {i} {j}", where[("mult", n)])
     for a, j in anchor_entries:
         if not (0 <= a < base_dim and 0 <= j < rank):
-            raise FormatError(f"anchor index out of range: {a} {j}", 1)
+            raise FormatError(f"anchor index out of range: {a} {j}", where[("anchor", (a, j))])
     for i, j in pairing_entries:
         if not (0 <= i < rank and 0 <= j < rank):
-            raise FormatError(f"pairing index out of range: {i} {j}", 1)
+            raise FormatError(f"pairing index out of range: {i} {j}", where[("pairing", (i, j))])
     for k, alpha in d_entries:
         if not 0 <= k < rank:
-            raise FormatError(f"dcochain component out of range: {k}", 1)
+            raise FormatError(
+                f"dcochain component out of range: {k}", where[("dcochain", (k, alpha))]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,17 @@ right-multiplication trailing term. Trivial coefficients delete the two
 module-action terms. The convention is pinned by two properties checked
 in the tests: d(d Theta) = 0 over KV algebras, and the deformation
 calibration KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
+
+The formula is written once, in `coboundary_rows`: on basis inputs every
+term is a single structure constant c[i][j][k], so each row of the
+coboundary matrix is read straight off A.c and kept as a sparse dict
+{column: value}. With self coefficients a row has at most k(k+2)d
+entries out of d^{k+1} columns, and most structure constants of the
+algebras here vanish, so the matrices are mostly zero: the degree-2 self
+matrix of a 5-dimensional algebra is 625 x 125 with under 1% nonzeros.
+`fin_coboundary` multiplies these rows by the flattened cochain, and
+`cohomology_summary` ranks them with the sparse elimination
+`exactmath.sparse_rank`.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import Rational, rank as mat_rank, solve_linear
+from .exactmath import Rational, solve_linear, sparse_rank
 
 COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
@@ -272,6 +283,16 @@ class FinCochain:
                 out.append(value)
         return out
 
+    @classmethod
+    def from_flat(cls, dim: int, degree: int, coefficients: str, values) -> "FinCochain":
+        """Inverse of `flatten`."""
+        out = cls(dim, degree, coefficients)
+        width = dim if coefficients == COEFF_SELF else 1
+        for n, idx in enumerate(itertools.product(range(dim), repeat=degree)):
+            chunk = values[n * width : (n + 1) * width]
+            out.set(idx, chunk if coefficients == COEFF_SELF else chunk[0])
+        return out
+
 
 def product_cochain(A: FinKVAlgebra) -> FinCochain:
     """The multiplication of A as a degree-2 self-coefficient cochain."""
@@ -299,43 +320,10 @@ def fin_coboundary(A: FinKVAlgebra, coefficients: str, theta: FinCochain) -> Fin
         raise ValueError("cochain coefficient module does not match")
     if theta.dim != A.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    if theta.degree > 2:
-        raise ValueError("coboundary implemented for degree <= 2")
-    d = A.dim
-    k = theta.degree
-    out = FinCochain(d, k + 1, coefficients)
-    if k == 0:
-        return out
-    basis = [_basis_vec(d, t) for t in range(d)]
-    self_coeffs = coefficients == COEFF_SELF
-
-    for idx in itertools.product(range(d), repeat=k + 1):
-        args = [basis[i] for i in idx]
-        acc = out._zero_value()
-
-        def accumulate(sign, value):
-            nonlocal acc
-            if self_coeffs:
-                acc = [a + sign * v for a, v in zip(acc, value)]
-            else:
-                acc = acc + sign * value
-
-        for j in range(1, k + 1):
-            sign = Fraction(-1) ** j
-            sj = args[j - 1]
-            rest = args[: j - 1] + args[j:]  # the other k arguments
-            head, last = rest[:-1], rest[-1]
-            if self_coeffs:
-                # (s_j . Theta)(rest): left action minus action inside slots
-                accumulate(sign, A.product(sj, theta.value(*rest)))
-            for t in range(k):
-                moved = rest[:t] + [A.product(sj, rest[t])] + rest[t + 1 :]
-                accumulate(-sign, theta.value(*moved))
-            if self_coeffs:
-                # trailing right-multiplication term
-                accumulate(sign, A.product(theta.value(*(head + [sj])), last))
-        out.set(idx, acc)
-    return out
+    rows = coboundary_rows(A, coefficients, theta.degree)
+    flat = theta.flatten()
+    values = [sum(v * flat[col] for col, v in row.items()) for row in rows]
+    return FinCochain.from_flat(A.dim, theta.degree + 1, coefficients, values)
 
 
 def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
@@ -343,20 +331,62 @@ def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
     return base * dim if coefficients == COEFF_SELF else base
 
 
-def _coboundary_matrix(A: FinKVAlgebra, coefficients: str, degree: int):
-    """Matrix of the coboundary C^degree -> C^{degree+1} on the dense basis."""
+def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
+    """The coboundary C^k -> C^{k+1} as sparse rows {column: value}.
+
+    Rows and columns follow `FinCochain.flatten` order. Row
+    (i_1..i_{k+1}, m) collects, for each j with the sign (-1)^j and rest the
+    other k indices: the left action c[i_j][o][m] at column (rest, o); the
+    in-slot terms -c[i_j][rest[t]][a] at rest with a in slot t; and the
+    trailing right multiplication c[o][i_{k+1}][m] at (rest[:-1] + (i_j,), o).
+    Trivial coefficients keep only the in-slot terms.
+    """
+    if coefficients not in (COEFF_SELF, COEFF_TRIVIAL):
+        raise ValueError("coefficients must be 'self' or 'trivial'")
+    if k > 2:
+        raise ValueError("coboundary implemented for degree <= 2")
     d = A.dim
-    cols = []
-    for idx in itertools.product(range(d), repeat=degree):
-        if coefficients == COEFF_SELF:
-            for out_k in range(d):
-                theta = FinCochain(d, degree, coefficients, {idx: _basis_vec(d, out_k)})
-                cols.append(fin_coboundary(A, coefficients, theta).flatten())
-        else:
-            theta = FinCochain(d, degree, coefficients, {idx: Fraction(1)})
-            cols.append(fin_coboundary(A, coefficients, theta).flatten())
-    rows = cochain_space_dim(d, degree + 1, coefficients)
-    return [[cols[c][r] for c in range(len(cols))] for r in range(rows)]
+    self_coeffs = coefficients == COEFF_SELF
+    width = d if self_coeffs else 1
+    # nonzero structure constants: prod[i][j] = [(m, c[i][j][m]), ..]
+    prod = [[[(m, v) for m, v in enumerate(A.c[i][j]) if v] for j in range(d)] for i in range(d)]
+
+    def col(indices):  # first column of the basis cochains at indices
+        n = 0
+        for t in indices:
+            n = n * d + t
+        return n * width
+
+    rows = []
+    for idx in itertools.product(range(d), repeat=k + 1):
+        out = [{} for _ in range(width)]
+        for j in range(1, k + 1):
+            sign = -1 if j % 2 else 1
+            sj = idx[j - 1]
+            rest = idx[: j - 1] + idx[j:]  # the other k arguments
+            if self_coeffs:
+                # (s_j . Theta)(rest): the left action s_j Theta(rest) ...
+                base = col(rest)
+                for o in range(d):
+                    column = base + o
+                    for m, v in prod[sj][o]:
+                        out[m][column] = out[m].get(column, 0) + sign * v
+            # ... minus Theta(.., s_j rest[t], ..), in both modules
+            for t in range(k):
+                for a, v in prod[sj][rest[t]]:
+                    base = col(rest[:t] + (a,) + rest[t + 1 :])
+                    for m in range(width):
+                        column = base + m
+                        out[m][column] = out[m].get(column, 0) - sign * v
+            if self_coeffs:
+                # trailing right-multiplication term
+                base, last = col(rest[:-1] + (sj,)), rest[-1]
+                for o in range(d):
+                    column = base + o
+                    for m, v in prod[o][last]:
+                        out[m][column] = out[m].get(column, 0) + sign * v
+        rows.extend({c: v for c, v in row.items() if v} for row in out)
+    return rows
 
 
 def cohomology_summary(A: FinKVAlgebra, coefficients: str, k: int) -> dict:
@@ -365,11 +395,8 @@ def cohomology_summary(A: FinKVAlgebra, coefficients: str, k: int) -> dict:
     if k not in (0, 1, 2):
         raise ValueError("cohomology supported for k <= 2")
     dom = cochain_space_dim(A.dim, k, coefficients)
-    rank_k = mat_rank(_coboundary_matrix(A, coefficients, k))
-    kernel = dom - rank_k
-    image_prev = (
-        mat_rank(_coboundary_matrix(A, coefficients, k - 1)) if k > 0 else 0
-    )
+    kernel = dom - sparse_rank(coboundary_rows(A, coefficients, k))
+    image_prev = sparse_rank(coboundary_rows(A, coefficients, k - 1)) if k > 0 else 0
     return {
         "dim_cochains": dom,
         "dim_kernel": kernel,

@@ -17,6 +17,7 @@ from algebroid.exactmath import (
     poly_matrix_det,
     rank,
     solve_linear,
+    sparse_rank,
 )
 
 fractions = st.fractions(
@@ -110,6 +111,20 @@ def test_rank_and_kernel():
     assert len(kb) == 1
     v = kb[0]
     assert all(sum(row[i] * v[i] for i in range(3)) == 0 for row in m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), fractions), min_size=4, max_size=4),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_sparse_rank_is_columns_minus_kernel(m):
+    # kernel_basis runs the dense row echelon, a separate elimination
+    r = sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
+    assert r == rank(m) == 4 - len(kernel_basis(m))
 
 
 def test_solve_linear():

@@ -95,6 +95,46 @@ def test_error_positions():
     assert "line 7" in str(exc.value)
 
 
+def test_indented_coefficient_error_column():
+    bad = WITT.replace("0 0 0 0 1 1", "    0 0 0 0 0 1+*x1")
+    with pytest.raises(FormatError) as exc:
+        parse_document(bad)
+    assert (exc.value.line, exc.value.column) == (7, 17)  # the '*', in the raw line
+    assert str(exc.value) == "line 7, column 17: bad polynomial: expected polynomial atom"
+
+
+def test_coefficient_error_column_in_each_section():
+    cases = (
+        ("[anchor]\n0 0 2*x1", "[anchor]\n\t0  0 2*x1)", 10, 11),
+        ("[pairing]\n0 0 1", "[pairing]\n  0 0 1 ? 2", 12, 9),
+        ("[dcochain]\n0 1 2", "[dcochain]\n0 1   x1^x1", 14, 10),
+    )
+    for old, new, line, column in cases:
+        with pytest.raises(FormatError) as exc:
+            parse_document(WITT.replace(old, new))
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert "(at column" not in str(exc.value)
+
+
+def test_index_out_of_range_reports_entry_line():
+    struct = WITT.replace("rank 1", "rank 2")
+    cases = (
+        (struct.replace("0 0 0 1 0 -1", "0 0 5 1 0 -1"), 8,
+         "mult component index out of range: 0 0 5"),
+        (struct.replace("0 0 2*x1", "0 0 2*x1\n1 0 x1"), 11, "anchor index out of range: 1 0"),
+        (struct.replace("[pairing]\n0 0 1", "[pairing]\n0 0 1\n3 1 1"), 13,
+         "pairing index out of range: 1 3"),
+        (struct.replace("0 1 2", "0 1 2\n\n2 0 1"), 16, "dcochain component out of range: 2"),
+        (KV.replace("1 0 0 1", "1 0 0 1\n0 2 1 1"), 5, "product index out of range: 0 2 1"),
+        (KV + "# a comment\n3 0 1\n", 9, "form index out of range: 0 3"),
+    )
+    for text, line, message in cases:
+        with pytest.raises(FormatError) as exc:
+            parse_document(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_missing_required_key():
     with pytest.raises(FormatError, match="base_dim"):
         parse_document("[structure]\nrank 1\nskew true\n")

@@ -12,6 +12,7 @@ from algebroid.kvfin import (
     FinKVAlgebra,
     SymForm,
     clan_classify,
+    coboundary_rows,
     cochain_space_dim,
     cohomology_dim,
     cohomology_summary,
@@ -43,6 +44,32 @@ def rand_cochain(rng, dim, degree, coefficients):
         else:
             data[idx] = F(rng.randint(-3, 3))
     return FinCochain(dim, degree, coefficients, data)
+
+
+def frame_change(A, perm, diag):
+    """A in the basis f_i = diag[i] e_perm[i]."""
+    d = A.dim
+    return FinKVAlgebra(d, [
+        [
+            [F(diag[i]) * diag[j] * A.c[perm[i]][perm[j]][perm[l]] / diag[l] for l in range(d)]
+            for j in range(d)
+        ]
+        for i in range(d)
+    ])
+
+
+def direct_sum(A, B):
+    d = A.dim + B.dim
+    c = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for off, X in ((0, A), (A.dim, B)):
+        for i, j, k in itertools.product(range(X.dim), repeat=3):
+            c[off + i][off + j][off + k] = X.c[i][j][k]
+    return FinKVAlgebra(d, c)
+
+
+def truncated(d):
+    """Q[x]/(x^d) on the basis 1, x, .., x^{d-1}."""
+    return alg(d, [(i, j, i + j, 1) for i, j in itertools.product(range(d), repeat=2) if i + j < d])
 
 
 A83, FORM83 = vinberg_83()
@@ -112,6 +139,124 @@ def test_jacobi_witness_on_non_lie_bracket():
 # --- coboundaries ------------------------------------------------------------
 
 
+def reference_coboundary(A, coefficients, theta):
+    """The coboundary written out term by term on basis vectors, through
+    `FinCochain.value` and `FinKVAlgebra.product`: the test oracle for
+    `coboundary_rows` and `fin_coboundary`."""
+    d = A.dim
+    k = theta.degree
+    out = FinCochain(d, k + 1, coefficients)
+    if k == 0:
+        return out
+    basis = [[F(int(t == s)) for t in range(d)] for s in range(d)]
+    self_coeffs = coefficients == COEFF_SELF
+
+    for idx in itertools.product(range(d), repeat=k + 1):
+        args = [basis[i] for i in idx]
+        acc = out.get(idx)
+
+        def accumulate(sign, value):
+            nonlocal acc
+            if self_coeffs:
+                acc = [a + sign * v for a, v in zip(acc, value)]
+            else:
+                acc = acc + sign * value
+
+        for j in range(1, k + 1):
+            sign = F(-1) ** j
+            sj = args[j - 1]
+            rest = args[: j - 1] + args[j:]
+            head, last = rest[:-1], rest[-1]
+            if self_coeffs:
+                accumulate(sign, A.product(sj, theta.value(*rest)))
+            for t in range(k):
+                moved = rest[:t] + [A.product(sj, rest[t])] + rest[t + 1 :]
+                accumulate(-sign, theta.value(*moved))
+            if self_coeffs:
+                accumulate(sign, A.product(theta.value(*(head + [sj])), last))
+        out.set(idx, acc)
+    return out
+
+
+def reference_matrix(A, coefficients, degree):
+    """Dense matrix of the reference coboundary, one column per basis cochain."""
+    d = A.dim
+    cols = []
+    for idx in itertools.product(range(d), repeat=degree):
+        if coefficients == COEFF_SELF:
+            for o in range(d):
+                value = [F(int(t == o)) for t in range(d)]
+                theta = FinCochain(d, degree, coefficients, {idx: value})
+                cols.append(reference_coboundary(A, coefficients, theta).flatten())
+        else:
+            theta = FinCochain(d, degree, coefficients, {idx: F(1)})
+            cols.append(reference_coboundary(A, coefficients, theta).flatten())
+    rows = cochain_space_dim(d, degree + 1, coefficients)
+    return [[col[r] for col in cols] for r in range(rows)]
+
+
+def dense(rows, width):
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def sparse_product(left, right):
+    """Sparse rows of the matrix product left . right."""
+    out = []
+    for row in left:
+        acc = {}
+        for c, v in row.items():
+            for c2, w in right[c].items():
+                acc[c2] = acc.get(c2, 0) + v * w
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def oracle_algebras():
+    """The catalog KV algebras and zero(3), each with two monomial frame
+    changes."""
+    rng = random.Random(5)
+    out = []
+    for A in (A83, A84, A84P, FinKVAlgebra.zero(3)):
+        out.append(A)
+        for _ in range(2):
+            perm = rng.sample(range(A.dim), A.dim)
+            diag = [rng.choice((1, -1)) * rng.choice((1, 2, 3, F(1, 2))) for _ in range(A.dim)]
+            out.append(frame_change(A, perm, diag))
+    return out
+
+
+def test_coboundary_rows_match_reference():
+    rng = random.Random(13)
+    for A in oracle_algebras():
+        for coefficients in (COEFF_SELF, COEFF_TRIVIAL):
+            for k in (0, 1, 2):
+                rows = coboundary_rows(A, coefficients, k)
+                width = cochain_space_dim(A.dim, k, coefficients)
+                assert dense(rows, width) == reference_matrix(A, coefficients, k)
+                th = rand_cochain(rng, A.dim, k, coefficients)
+                assert fin_coboundary(A, coefficients, th) == reference_coboundary(
+                    A, coefficients, th
+                )
+
+
+def test_coboundary_rows_square_to_zero():
+    """delta_2 . delta_1 = 0 as a product of sparse rows, for KV algebras
+    up to dimension 6."""
+    algebras = [truncated(d) for d in range(1, 7)] + [
+        direct_sum(A83, FinKVAlgebra.zero(2)),
+        direct_sum(A84, A83),
+        direct_sum(A84, A84),
+        COMMUTATIVE,
+    ]
+    for A in algebras:
+        assert A.dim <= 6 and kv_defect_fin(A) is None
+        for coefficients in (COEFF_SELF, COEFF_TRIVIAL):
+            delta_1 = coboundary_rows(A, coefficients, 1)
+            delta_2 = coboundary_rows(A, coefficients, 2)
+            assert not any(sparse_product(delta_2, delta_1))
+    assert any(coboundary_rows(truncated(6), COEFF_SELF, 1))
+
+
 def test_degree0_coboundary_is_zero():
     th_self = FinCochain(3, 0, COEFF_SELF, {(): [F(1), F(2), F(3)]})
     th_triv = FinCochain(3, 0, COEFF_TRIVIAL, {(): F(5)})
@@ -164,6 +309,10 @@ def test_coboundary_degree_limit():
     th = FinCochain(2, 3, COEFF_SELF)
     with pytest.raises(ValueError):
         fin_coboundary(COMMUTATIVE, COEFF_SELF, th)
+    with pytest.raises(ValueError, match="degree <= 2"):
+        coboundary_rows(COMMUTATIVE, COEFF_SELF, 3)
+    with pytest.raises(ValueError, match="'self' or 'trivial'"):
+        coboundary_rows(COMMUTATIVE, "adjoint", 1)
 
 
 def test_cochain_arithmetic():
@@ -192,6 +341,23 @@ def test_h1_abelian_is_dim_squared():
 def test_h2_vinberg_83_regression():
     # pinned after first computation by the exact-rank oracle
     assert cohomology_dim(A83, COEFF_SELF, 2) == 5
+
+
+def test_h2_self_large_dimensions():
+    # values of the dense per-cochain assembly this code replaced
+    cases = (
+        (direct_sum(A83, FinKVAlgebra.zero(2)), (38, 55, 17)),
+        (direct_sum(A84, A84), (22, 54, 32)),
+        (truncated(6), (30, 61, 31)),
+    )
+    for A, (h, kernel, image) in cases:
+        s = cohomology_summary(A, COEFF_SELF, 2)
+        assert (s["dim_h"], s["dim_kernel"], s["dim_image"]) == (h, kernel, image)
+
+
+def test_h2_self_truncated_8():
+    # dim H^2 = d(d - 1) for Q[x]/(x^d), as at d = 3, 4 and 6
+    assert cohomology_summary(truncated(8), COEFF_SELF, 2)["dim_h"] == 56
 
 
 def test_cohomology_summary_consistent():
