@@ -1,16 +1,18 @@
 """Exact rational scalars, sparse multivariate polynomials, and rational
 linear algebra.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`
-(arbitrary precision), polynomials are sparse maps from exponent
-multi-indices to nonzero rationals, and the linear algebra routines decide
-rank / kernel / solvability with no rounding. All values are immutable
-after construction.
+Everything in this module is exact: a polynomial is a sparse map from
+exponent multi-indices to nonzero integer numerators over one positive
+common denominator per polynomial (arbitrary-precision Python ints, in
+lowest terms), scalars and matrix entries are `fractions.Fraction`, and the
+linear algebra routines decide rank / kernel / solvability with no
+rounding. All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -43,17 +45,19 @@ def monomials_upto(base_dim: int, max_degree: int) -> Iterator[Expo]:
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    Variables are x1..xn where n = base_dim. Terms map exponent
-    multi-indices to nonzero Fraction coefficients; zero coefficients are
-    never stored, so equality of term maps is equality of polynomials.
+    Variables are x1..xn where n = base_dim. The coefficients are integer
+    numerators `num` ({expo: int}) over one positive common denominator
+    `den`, the layout of FLINT's fmpq_poly. The form is canonical: no zero
+    numerator is stored and gcd(den, every numerator) == 1, so equal
+    polynomials have equal (den, num). `terms` is a read-only view of the
+    coefficients as Fractions.
     """
 
-    __slots__ = ("base_dim", "terms", "_hash")
+    __slots__ = ("base_dim", "num", "den", "_hash")
 
     def __init__(self, base_dim: int, terms=None):
         if base_dim < 1:
             raise ValueError("base_dim must be positive")
-        self.base_dim = base_dim
         clean = {}
         if terms:
             for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -64,13 +68,26 @@ class Poly:
                     expo = tuple(int(e) for e in expo)
                     if any(e < 0 for e in expo):
                         raise ValueError("negative exponent")
-                    acc = clean.get(expo, Fraction(0)) + coeff
-                    if acc:
-                        clean[expo] = acc
-                    else:
-                        clean.pop(expo, None)
-        self.terms = clean
+                    clean[expo] = clean.get(expo, 0) + coeff
+        # the lcm of reduced denominators leaves no common factor with den
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.base_dim = base_dim
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self.den = den
         self._hash = None
+
+    @staticmethod
+    def _make(base_dim: int, num: dict, den: int) -> "Poly":
+        """Wrap nonzero numerators over den >= 1, dividing out their common
+        factor with den."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
+        out = Poly.__new__(Poly)
+        out.base_dim, out.num, out.den, out._hash = base_dim, num, den, None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -80,18 +97,24 @@ class Poly:
 
     @staticmethod
     def constant(base_dim: int, value) -> "Poly":
-        return Poly(base_dim, {(0,) * base_dim: Fraction(value)})
+        return Poly(base_dim, {(0,) * base_dim: value})
 
     @staticmethod
     def variable(base_dim: int, index: int) -> "Poly":
         if not 0 <= index < base_dim:
             raise ValueError("variable index out of range")
         expo = tuple(1 if i == index else 0 for i in range(base_dim))
-        return Poly(base_dim, {expo: Fraction(1)})
+        return Poly(base_dim, {expo: 1})
 
     @staticmethod
     def monomial(base_dim: int, expo: Sequence[int], coeff=1) -> "Poly":
-        return Poly(base_dim, {tuple(expo): Fraction(coeff)})
+        return Poly(base_dim, {tuple(expo): coeff})
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a new {expo: Fraction} dict."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
 
     # -- ring operations ----------------------------------------------
 
@@ -101,21 +124,31 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo, Fraction(0)) + coeff
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num, b = dict(self.num), 1
+        else:
+            g = gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            num = {e: n * a for e, n in self.num.items()}
+            d1 *= a
+        for expo, n in other.num.items():
+            acc = num.get(expo, 0) + n * b
             if acc:
-                terms[expo] = acc
+                num[expo] = acc
             else:
-                terms.pop(expo, None)
-        out = Poly.__new__(Poly)
-        out.base_dim, out.terms, out._hash = self.base_dim, terms, None
-        return out
+                num.pop(expo, None)
+        return Poly._make(self.base_dim, num, d1)
 
     def __neg__(self) -> "Poly":
         out = Poly.__new__(Poly)
         out.base_dim = self.base_dim
-        out.terms = {e: -c for e, c in self.terms.items()}
+        out.num = {e: -n for e, n in self.num.items()}
+        out.den = self.den
         out._hash = None
         return out
 
@@ -128,18 +161,16 @@ class Poly:
                 return self.scale(other)
             return NotImplemented
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
+                acc = num.get(expo, 0) + c1 * c2
                 if acc:
-                    terms[expo] = acc
+                    num[expo] = acc
                 else:
-                    terms.pop(expo, None)
-        out = Poly.__new__(Poly)
-        out.base_dim, out.terms, out._hash = self.base_dim, terms, None
-        return out
+                    num.pop(expo, None)
+        return Poly._make(self.base_dim, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -147,29 +178,25 @@ class Poly:
         scalar = Fraction(scalar)
         if not scalar:
             return Poly.zero(self.base_dim)
-        out = Poly.__new__(Poly)
-        out.base_dim = self.base_dim
-        out.terms = {e: c * scalar for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        n = scalar.numerator
+        num = {e: c * n for e, c in self.num.items()}
+        return Poly._make(self.base_dim, num, self.den * scalar.denominator)
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to x_{index+1}."""
-        terms = {}
-        for expo, coeff in self.terms.items():
+        num = {}
+        for expo, n in self.num.items():
             k = expo[index]
             if k:
-                new = list(expo)
-                new[index] = k - 1
-                terms[tuple(new)] = coeff * k
-        return Poly(self.base_dim, terms)
+                num[expo[:index] + (k - 1,) + expo[index + 1 :]] = n * k
+        return Poly._make(self.base_dim, num, self.den)
 
     def diff_multi(self, alpha: Sequence[int]) -> "Poly":
         p = self
         for i, a in enumerate(alpha):
             for _ in range(a):
                 p = p.diff(i)
-                if not p.terms:
+                if not p.num:
                     return p
         return p
 
@@ -188,36 +215,37 @@ class Poly:
     # -- predicates, ordering, printing --------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.num), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.base_dim == other.base_dim
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.base_dim, frozenset(self.terms.items())))
+            self._hash = hash((self.base_dim, self.den, frozenset(self.num.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for expo in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[expo]
+        for expo in sorted(self.num, key=grlex_key, reverse=True):
+            coeff = Fraction(self.num[expo], self.den)
             factors = []
             for i, e in enumerate(expo):
                 if e == 1:
@@ -262,8 +290,8 @@ class _PolyParser:
         self.base_dim = base_dim
         self.pos = 0
 
-    def error(self, message: str):
-        raise PolyParseError(message, self.pos)
+    def error(self, message: str, position: Optional[int] = None):
+        raise PolyParseError(message, self.pos if position is None else position)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -309,16 +337,19 @@ class _PolyParser:
 
     def parse_power(self) -> Poly:
         base = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
-            exp = self.parse_integer()
-            if exp < 0:
-                self.error("negative exponent")
-            result = Poly.constant(self.base_dim, 1)
-            for _ in range(exp):
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        exp = self.parse_integer()
+        # square-and-multiply: O(log exp) products instead of exp
+        result = Poly.constant(self.base_dim, 1)
+        while exp:
+            if exp & 1:
                 result = result * base
-            return result
-        return base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return result
 
     def parse_integer(self) -> int:
         self.skip_ws()
@@ -338,19 +369,23 @@ class _PolyParser:
                 self.error("expected ')'")
             self.pos += 1
             return p
+        # errors found after a token is read point at the token's start
         if ch == "x":
+            start = self.pos
             self.pos += 1
             index = self.parse_integer()
             if not 1 <= index <= self.base_dim:
-                self.error(f"variable x{index} out of range for base_dim {self.base_dim}")
+                self.error(f"variable x{index} out of range for base_dim {self.base_dim}", start)
             return Poly.variable(self.base_dim, index - 1)
         if ch.isdigit():
             num = self.parse_integer()
             if self.peek() == "/":
                 self.pos += 1
+                self.skip_ws()
+                start = self.pos
                 den = self.parse_integer()
                 if den == 0:
-                    self.error("zero denominator")
+                    self.error("zero denominator", start)
                 return Poly.constant(self.base_dim, Fraction(num, den))
             return Poly.constant(self.base_dim, num)
         self.error("expected polynomial atom")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,151 @@ def poly_strategy(base_dim: int):
     )
 
 
+# --- test-only reference: the Fraction-dict polynomial --------------------
+# Polynomials as {expo: Fraction} dicts, one Fraction operation per
+# coefficient: shares no arithmetic with Poly's integer numerators over one
+# denominator, so it serves as their oracle.
+
+
+def _ref_put(terms, expo, coeff):
+    acc = terms.get(expo, Fraction(0)) + coeff
+    if acc:
+        terms[expo] = acc
+    else:
+        terms.pop(expo, None)
+
+
+def ref_add(t1, t2):
+    terms = dict(t1)
+    for expo, coeff in t2.items():
+        _ref_put(terms, expo, coeff)
+    return terms
+
+
+def ref_mul(t1, t2):
+    terms = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            _ref_put(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return terms
+
+
+def ref_scale(t, scalar):
+    scalar = Fraction(scalar)
+    return {e: c * scalar for e, c in t.items()} if scalar else {}
+
+
+def ref_diff(t, index):
+    terms = {}
+    for expo, coeff in t.items():
+        k = expo[index]
+        if k:
+            new = list(expo)
+            new[index] = k - 1
+            terms[tuple(new)] = coeff * k
+    return terms
+
+
+def ref_str(t):
+    if not t:
+        return "0"
+    parts = []
+    for expo in sorted(t, key=grlex_key, reverse=True):
+        coeff = t[expo]
+        factors = []
+        for i, e in enumerate(expo):
+            if e == 1:
+                factors.append(f"x{i + 1}")
+            elif e > 1:
+                factors.append(f"x{i + 1}^{e}")
+        mono = "*".join(factors)
+        if not mono:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = f"{abs(coeff)}*{mono}"
+        parts.append(("-" if coeff < 0 else "+", body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def assert_canonical(p):
+    assert isinstance(p.den, int) and p.den >= 1
+    assert all(isinstance(n, int) and n for n in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+
+
+def assert_matches(p, ref_terms):
+    assert_canonical(p)
+    assert p.terms == ref_terms
+    assert str(p) == ref_str(ref_terms)
+
+
 # --- polynomial ring ----------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_strategy(2), poly_strategy(2), fractions, st.integers(-4, 4))
+def test_poly_matches_fraction_reference(p, q, c, k):
+    tp, tq = p.terms, q.terms
+    assert_matches(p, tp)
+    assert_matches(p + q, ref_add(tp, tq))
+    assert_matches(p - q, ref_add(tp, ref_scale(tq, -1)))
+    assert_matches(-p, ref_scale(tp, -1))
+    assert_matches(p * q, ref_mul(tp, tq))
+    assert_matches(p.scale(c), ref_scale(tp, c))
+    assert_matches(p * k, ref_scale(tp, k))
+    assert_matches(c * p, ref_scale(tp, c))
+    for i in range(2):
+        assert_matches(p.diff(i), ref_diff(tp, i))
+    assert_matches(p.diff_multi((2, 1)), ref_diff(ref_diff(ref_diff(tp, 0), 0), 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), fractions, max_size=5))
+def test_poly_built_from_terms_is_canonical(terms):
+    p = Poly(2, terms)
+    assert_matches(p, {e: c for e, c in terms.items() if c})
+    # the same coefficients given as unreduced fraction strings
+    q = Poly(2, [(e, f"{2 * c.numerator}/{2 * c.denominator}") for e, c in terms.items()])
+    assert p == q and hash(p) == hash(q)
+
+
+def test_equal_polys_built_differently_are_equal_and_hash_alike():
+    half = Poly.constant(1, Fraction(1, 2))
+    variants = (
+        Poly.constant(1, Fraction(2, 4)),
+        Poly(1, {(0,): "3/6"}),
+        Poly(1, [((0,), Fraction(1, 4)), ((0,), Fraction(1, 4))]),
+        Poly.constant(1, Fraction(1, 6)) + Poly.constant(1, Fraction(1, 3)),
+        Poly.constant(1, 3).scale(Fraction(1, 6)),
+        parse_poly("1/2*x1^2", 1).diff(0).diff(0).scale(Fraction(1, 2)),
+    )
+    for p in variants:
+        assert_canonical(p)
+        assert (p.den, p.num) == (2, {(0,): 1})
+        assert p == half and hash(p) == hash(half)
+    x = Poly.variable(1, 0)
+    a = x.scale(Fraction(1, 3)) + x.scale(Fraction(2, 3))
+    assert_canonical(a)
+    assert a == x and hash(a) == hash(x) and a.den == 1
+    assert (x.scale(Fraction(1, 2)) - x.scale(Fraction(1, 2))) == Poly.zero(1)
+
+
+def test_terms_is_a_read_only_view():
+    p = parse_poly("3/2*x1^2 - x1", 1)
+    view = p.terms
+    view[(2,)] = Fraction(7)
+    view[(5,)] = Fraction(1)
+    del view[(1,)]
+    assert p.terms == {(2,): Fraction(3, 2), (1,): Fraction(-1)}
+    assert str(p) == "3/2*x1^2 - x1"
+    assert p == parse_poly("3/2*x1^2 - x1", 1)
+    with pytest.raises(AttributeError):
+        p.terms = {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,6 +211,22 @@ def test_parse_basics():
     assert parse_poly("0", 3).is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(2))
+def test_parsed_power_is_repeated_product(p):
+    power = Poly.constant(2, 1)
+    for k in range(13):
+        assert parse_poly(f"({p})^{k}", 2) == power
+        power = power * p
+
+
+def test_parse_large_power():
+    p = parse_poly("(1+x1)^800", 1)
+    assert p.degree() == 800 and p.den == 1
+    assert p.num[(400,)] == comb(800, 400)
+    assert parse_poly("(1/2*x1 - 1/3)^2", 1) == parse_poly("1/4*x1^2 - 1/3*x1 + 1/9", 1)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(PolyParseError) as exc:
         parse_poly("x1 + * 2", 1)
@@ -74,6 +235,18 @@ def test_parse_errors_carry_position():
         parse_poly("x3", 2)  # variable out of range
     with pytest.raises(PolyParseError):
         parse_poly("x1 +", 1)
+    # errors found after reading a token point at the token's start
+    cases = (
+        ("x2", 1, 0, "variable x2 out of range for base_dim 1"),
+        ("x1 + 3*x12", 2, 7, "variable x12 out of range for base_dim 2"),
+        ("1/0", 1, 2, "zero denominator"),
+        ("x1 - 2/ 00", 1, 8, "zero denominator"),
+    )
+    for text, base_dim, position, message in cases:
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, base_dim)
+        assert (exc.value.position, exc.value.message) == (position, message)
+        assert str(exc.value) == f"{message} (at column {position + 1})"
 
 
 def test_eval_matches_expansion():

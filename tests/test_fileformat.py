@@ -108,6 +108,10 @@ def test_coefficient_error_column_in_each_section():
         ("[anchor]\n0 0 2*x1", "[anchor]\n\t0  0 2*x1)", 10, 11),
         ("[pairing]\n0 0 1", "[pairing]\n  0 0 1 ? 2", 12, 9),
         ("[dcochain]\n0 1 2", "[dcochain]\n0 1   x1^x1", 14, 10),
+        # errors found after reading a token point at the token's start
+        ("[dcochain]\n0 1 2", "[dcochain]\n0 1   x2", 14, 7),
+        ("[dcochain]\n0 1 2", "[dcochain]\n0 1 1/0", 14, 7),
+        ("[dcochain]\n0 1 2", "[dcochain]\n0 1 x1 + 3/ 0", 14, 13),
     )
     for old, new, line, column in cases:
         with pytest.raises(FormatError) as exc:
