@@ -302,6 +302,8 @@ def _cmd_anomalies(args, out: TextIO) -> int:
 
 
 def _cmd_cohomology(args, out: TextIO) -> int:
+    if not args.exactness and args.degree not in (0, 1, 2):
+        raise UsageError(f"--degree must be 0, 1 or 2, not {args.degree}")
     doc = _load(args)
     if doc.kind != "kvalgebra":
         raise UsageError(

@@ -4,7 +4,8 @@ linear algebra.
 Everything in this module is exact: a polynomial is a sparse map from
 exponent multi-indices to nonzero integer numerators over one positive
 common denominator per polynomial (arbitrary-precision Python ints, in
-lowest terms), scalars and matrix entries are `fractions.Fraction`, and the
+lowest terms), scalars and matrix entries are `fractions.Fraction` (the
+sparse rank also takes ints and eliminates fraction-free on them), and the
 linear algebra routines decide rank / kernel / solvability with no
 rounding. All values are immutable after construction.
 """
@@ -200,18 +201,6 @@ class Poly:
                     return p
         return p
 
-    def eval(self, point: Sequence) -> Fraction:
-        if len(point) != self.base_dim:
-            raise ValueError("point length != base_dim")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            val = coeff
-            for v, e in zip(pt, expo):
-                val *= v ** e
-            total += val
-        return total
-
     # -- predicates, ordering, printing --------------------------------
 
     def is_zero(self) -> bool:
@@ -397,7 +386,8 @@ def parse_poly(text: str, base_dim: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra over list-of-list matrices of Fraction.
+# Exact rational linear algebra: sparse integer rank, and a dense row echelon
+# over list-of-list matrices of Fraction.
 # ---------------------------------------------------------------------------
 
 
@@ -438,27 +428,42 @@ def _row_echelon(m: list):
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Exact rank of a matrix given as sparse rows {column: value}.
 
-    Each row is reduced on its leading column against the pivot rows kept
-    so far, until it is zero or opens a new pivot column; only nonzero
+    Values may be ints or Fractions; each row is first cleared of its
+    denominators, so the elimination runs on Python ints only. A row is
+    reduced on its leading column against the pivot rows kept so far, by
+    the fraction-free update row := p*row - f*pivot (p and f the two
+    leading entries over their gcd), until it is zero or opens a new pivot
+    column. A new pivot row, and a row after an update that scaled it
+    (p != 1), is divided by the gcd of its entries, which keeps the
+    integers at the size of the reduced rows on dense input. Only nonzero
     entries are stored, so the work follows the nonzeros.
     """
-    pivots = {}  # leading column -> row with that leading entry scaled to 1
+    pivots = {}  # leading column -> primitive integer row
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values() if v))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
+                g = gcd(*row.values())
+                pivots[lead] = {c: v // g for c, v in row.items()} if g != 1 else row
                 break
-            f = row[lead]
+            p, f = pivot[lead], row[lead]
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {c: v * p for c, v in row.items()}
             for c, v in pivot.items():
                 x = row.get(c, 0) - f * v
                 if x:
                     row[c] = x
                 else:
                     row.pop(c, None)
+            if p != 1 and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
     return len(pivots)
 
 
@@ -508,20 +513,6 @@ def solve_linear(m: Sequence[Sequence], b: Sequence) -> Optional[list]:
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][cols]
     return x
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in m]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-    return [
-        [
-            sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
-    ]
 
 
 def mat_inverse(m: Sequence[Sequence]) -> Optional[list]:

@@ -31,6 +31,13 @@ Finite KV algebra:
 alpha/beta are comma-separated multi-indices of length base_dim; coeff is
 a polynomial in x1..xn; value is a rational literal. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
+
+Limit: a [kvalgebra] dim is at most MAX_KV_DIM (6); a larger dim is a
+parse error on the dim line. The dearest call on an algebra is its
+self-coefficient H^2, whose coboundary matrix has d^4 rows and d^3
+columns. At dim 6 it takes about 40 s on a dense algebra with random
+small rational constants (3 s on a dense KV algebra); at dim 7 the dense
+random one runs for more than 4 minutes.
 """
 
 from __future__ import annotations
@@ -69,6 +76,8 @@ class ParsedDocument:
     algebra: Optional[FinKVAlgebra] = None
     form: Optional[SymForm] = None
 
+
+MAX_KV_DIM = 6
 
 _STRUCT_SECTIONS = ("structure", "mult", "anchor", "pairing", "dcochain")
 _KV_SECTIONS = ("kvalgebra", "form")
@@ -282,6 +291,8 @@ def parse_document(text: str) -> ParsedDocument:
         return ParsedDocument("structure", name, structure=structure)
 
     dim = _head_int(head, "dim", 1)
+    if dim > MAX_KV_DIM:
+        raise FormatError(f"dim {dim} exceeds the limit {MAX_KV_DIM}", head["dim"][1])
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (k, i, j), value in kv_entries.items():
         if not all(0 <= t < dim for t in (k, i, j)):

@@ -15,16 +15,25 @@ module-action terms. The convention is pinned by two properties checked
 in the tests: d(d Theta) = 0 over KV algebras, and the deformation
 calibration KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
-The formula is written once, in `coboundary_rows`: on basis inputs every
-term is a single structure constant c[i][j][k], so each row of the
-coboundary matrix is read straight off A.c and kept as a sparse dict
-{column: value}. With self coefficients a row has at most k(k+2)d
-entries out of d^{k+1} columns, and most structure constants of the
-algebras here vanish, so the matrices are mostly zero: the degree-2 self
-matrix of a 5-dimensional algebra is 625 x 125 with under 1% nonzeros.
-`fin_coboundary` multiplies these rows by the flattened cochain, and
-`cohomology_summary` ranks them with the sparse elimination
-`exactmath.sparse_rank`.
+Every reader works on one table built with the algebra: nz[i][j] lists the
+nonzero structure constants of e_i e_j as (m, num) pairs, integer
+numerators over the one positive common denominator A.den (A.c stays the
+public Fraction view). The KV defect, the Jacobi check of the commutator,
+the invariance check of a form and the coboundary all read this table, so
+their inner loops multiply Python ints and turn a result into Fractions
+only once, when it is a witness.
+
+The coboundary formula is written once, in `coboundary_rows`: on basis
+inputs every term is a single structure constant, so each row of the
+coboundary matrix is read straight off the table as a sparse integer row
+{column: num}, and the coboundary is those rows divided by A.den. With
+self coefficients a row has at most k(k+2)d entries out of d^{k+1}
+columns, and most structure constants of the algebras here vanish, so the
+matrices are mostly zero: the degree-2 self matrix of a 5-dimensional
+algebra is 625 x 125 with under 1% nonzeros. `fin_coboundary` multiplies
+these rows by the flattened cochain, `cohomology_summary` ranks them with
+the fraction-free `exactmath.sparse_rank`, and the cocycle test of a form
+multiplies the trivial-coefficient rows by the form's integer numerators.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactmath import Rational, solve_linear, sparse_rank
@@ -40,23 +50,47 @@ COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _frac_matrix(matrix):
-    return tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    return tuple(tuple(_fraction(v) for v in row) for row in matrix)
+
+
+def _common_den(values) -> int:
+    """The least positive common denominator of the nonzero values."""
+    return lcm(*(v.denominator for v in values if v))
 
 
 class FinKVAlgebra:
-    """dim-d algebra with product e_i e_j = sum_k c[i][j][k] e_k."""
+    """dim-d algebra with product e_i e_j = sum_k c[i][j][k] e_k.
+
+    `c` is the public Fraction view. The constructor also builds, once, the
+    table every reader uses: nz[i][j] = ((m, num), ..) lists the nonzero
+    constants of e_i e_j as integer numerators over the one positive common
+    denominator `den`, so c[i][j][m] == Fraction(num, den).
+    """
 
     def __init__(self, dim: int, c):
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        c = tuple(tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in c)
+        c = tuple(tuple(tuple(_fraction(v) for v in row) for row in plane) for plane in c)
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be dim x dim x dim")
         self.c = c
+        den = _common_den(v for plane in c for row in plane for v in row)
+        self.den = den
+        self.nz = tuple(
+            tuple(
+                tuple((m, v.numerator * (den // v.denominator)) for m, v in enumerate(row) if v)
+                for row in plane
+            )
+            for plane in c
+        )
 
     @staticmethod
     def zero(dim: int) -> "FinKVAlgebra":
@@ -88,26 +122,50 @@ def _basis_vec(dim: int, k: int):
     return v
 
 
-def associator_vec(A: FinKVAlgebra, u, v, w):
-    return [
-        a - b
-        for a, b in zip(A.product(u, A.product(v, w)), A.product(A.product(u, v), w))
-    ]
+# Triple products on basis vectors, read off the table: they add numerators
+# over den^2 into acc.
 
 
-def kv_anomaly_vec(A: FinKVAlgebra, u, v, w):
-    return [a - b for a, b in zip(associator_vec(A, u, v, w), associator_vec(A, v, u, w))]
+def _add_left(acc, nz, i, j, k, sign):
+    """acc += sign * (e_i e_j) e_k."""
+    for a, x in nz[i][j]:
+        x *= sign
+        for m, y in nz[a][k]:
+            acc[m] += x * y
+
+
+def _add_right(acc, nz, i, j, k, sign):
+    """acc += sign * e_i (e_j e_k)."""
+    for a, x in nz[j][k]:
+        x *= sign
+        for m, y in nz[i][a]:
+            acc[m] += x * y
+
+
+def _kv_anomalies(A: FinKVAlgebra):
+    """Yield (i, j, k, numerators over den^2) of the KV anomaly
+    (e_i, e_j, e_k) - (e_j, e_i, e_k), with (u, v, w) = u(vw) - (uv)w, for
+    every basis triple in `itertools.product` order."""
+    nz = A.nz
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        acc = [0] * A.dim
+        _add_right(acc, nz, i, j, k, 1)
+        _add_left(acc, nz, i, j, k, -1)
+        _add_right(acc, nz, j, i, k, -1)
+        _add_left(acc, nz, j, i, k, 1)
+        yield i, j, k, acc
+
+
+def _over(nums, den: int) -> list:
+    return [Fraction(n, den) for n in nums]
 
 
 def kv_defect_fin(A: FinKVAlgebra) -> Optional[tuple]:
     """None if the KV anomaly vanishes on all basis triples, else the
     first (i, j, k, defect-vector) witness."""
-    d = A.dim
-    basis = [_basis_vec(d, k) for k in range(d)]
-    for i, j, k in itertools.product(range(d), repeat=3):
-        defect = kv_anomaly_vec(A, basis[i], basis[j], basis[k])
-        if any(defect):
-            return (i, j, k, defect)
+    for i, j, k, acc in _kv_anomalies(A):
+        if any(acc):
+            return (i, j, k, _over(acc, A.den * A.den))
     return None
 
 
@@ -130,18 +188,13 @@ def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
         for i in range(d)
     )
     lie = FinKVAlgebra(d, b)
-    basis = [_basis_vec(d, k) for k in range(d)]
     for i, j, k in itertools.product(range(d), repeat=3):
-        jac = [
-            x + y + z
-            for x, y, z in zip(
-                lie.product(lie.product(basis[i], basis[j]), basis[k]),
-                lie.product(lie.product(basis[j], basis[k]), basis[i]),
-                lie.product(lie.product(basis[k], basis[i]), basis[j]),
-            )
-        ]
+        jac = [0] * d
+        _add_left(jac, lie.nz, i, j, k, 1)
+        _add_left(jac, lie.nz, j, k, i, 1)
+        _add_left(jac, lie.nz, k, i, j, 1)
         if any(jac):
-            return BracketReport(b, False, (i, j, k, jac))
+            return BracketReport(b, False, (i, j, k, _over(jac, lie.den * lie.den)))
     return BracketReport(b, True, None)
 
 
@@ -304,13 +357,11 @@ def product_cochain(A: FinKVAlgebra) -> FinCochain:
 
 def kv_defect_cochain(A: FinKVAlgebra) -> FinCochain:
     """The full KV anomaly as a degree-3 self-coefficient cochain."""
-    d = A.dim
-    basis = [_basis_vec(d, k) for k in range(d)]
-    out = FinCochain(d, 3, COEFF_SELF)
-    for i, j, k in itertools.product(range(d), repeat=3):
-        v = kv_anomaly_vec(A, basis[i], basis[j], basis[k])
-        if any(v):
-            out.set((i, j, k), v)
+    out = FinCochain(A.dim, 3, COEFF_SELF)
+    den2 = A.den * A.den
+    for i, j, k, acc in _kv_anomalies(A):
+        if any(acc):
+            out.set((i, j, k), _over(acc, den2))
     return out
 
 
@@ -322,7 +373,7 @@ def fin_coboundary(A: FinKVAlgebra, coefficients: str, theta: FinCochain) -> Fin
         raise ValueError("cochain dimension does not match the algebra")
     rows = coboundary_rows(A, coefficients, theta.degree)
     flat = theta.flatten()
-    values = [sum(v * flat[col] for col, v in row.items()) for row in rows]
+    values = [sum((v * flat[col] for col, v in row.items()), Fraction(0)) / A.den for row in rows]
     return FinCochain.from_flat(A.dim, theta.degree + 1, coefficients, values)
 
 
@@ -332,7 +383,8 @@ def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
 
 
 def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
-    """The coboundary C^k -> C^{k+1} as sparse rows {column: value}.
+    """The coboundary C^k -> C^{k+1} as sparse integer rows {column: num}:
+    the coboundary is these rows divided by A.den.
 
     Rows and columns follow `FinCochain.flatten` order. Row
     (i_1..i_{k+1}, m) collects, for each j with the sign (-1)^j and rest the
@@ -348,8 +400,7 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     d = A.dim
     self_coeffs = coefficients == COEFF_SELF
     width = d if self_coeffs else 1
-    # nonzero structure constants: prod[i][j] = [(m, c[i][j][m]), ..]
-    prod = [[[(m, v) for m, v in enumerate(A.c[i][j]) if v] for j in range(d)] for i in range(d)]
+    prod = A.nz
 
     def col(indices):  # first column of the basis cochains at indices
         n = 0
@@ -416,7 +467,10 @@ def cohomology_dim(A: FinKVAlgebra, coefficients: str, k: int) -> int:
 
 
 class SymForm:
-    """Symmetric rational bilinear form on the dim-d fiber."""
+    """Symmetric rational bilinear form on the dim-d fiber.
+
+    `matrix` is the Fraction view; `num` holds the same entries as integer
+    numerators over the one positive common denominator `den`."""
 
     def __init__(self, matrix):
         matrix = _frac_matrix(matrix)
@@ -429,6 +483,9 @@ class SymForm:
                     raise ValueError("form matrix must be symmetric")
         self.dim = d
         self.matrix = matrix
+        den = _common_den(v for row in matrix for v in row)
+        self.den = den
+        self.num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix)
 
     def value(self, u, v):
         out = Fraction(0)
@@ -492,6 +549,16 @@ def _det(matrix) -> Fraction:
     return det
 
 
+def _is_cocycle(A: FinKVAlgebra, beta: SymForm) -> bool:
+    """Whether beta is a trivial-coefficient 2-cocycle: every integer row of
+    the coboundary C^2 -> C^3 vanishes on the form's flattened numerators."""
+    flat = [v for row in beta.num for v in row]
+    return not any(
+        sum(v * flat[col] for col, v in row.items())
+        for row in coboundary_rows(A, COEFF_TRIVIAL, 2)
+    )
+
+
 def exactness_witness(A: FinKVAlgebra, beta: SymForm):
     """Solve beta(e_i, e_j) = Theta(e_i e_j) for a linear functional Theta.
 
@@ -501,7 +568,7 @@ def exactness_witness(A: FinKVAlgebra, beta: SymForm):
     """
     if beta.dim != A.dim:
         raise ValueError("form dimension does not match the algebra")
-    if not fin_coboundary(A, COEFF_TRIVIAL, beta.as_cochain()).is_zero():
+    if not _is_cocycle(A, beta):
         raise ValueError("form is not a 2-cocycle")
     d = A.dim
     rows, rhs = [], []
@@ -540,16 +607,15 @@ def clan_classify(A: FinKVAlgebra, beta: SymForm) -> ClanReport:
     if beta.dim != A.dim:
         raise ValueError("form dimension does not match the algebra")
     kv_w = kv_defect_fin(A)
-    cocycle = fin_coboundary(A, COEFF_TRIVIAL, beta.as_cochain()).is_zero()
-    d = A.dim
-    basis = [_basis_vec(d, t) for t in range(d)]
+    cocycle = _is_cocycle(A, beta)
+    # left invariance: beta(e_i e_j, e_k) + beta(e_j, e_i e_k) = 0, in
+    # numerators over A.den * beta.den
+    nz, B = A.nz, beta.num
     inv_w = None
-    for i, j, k in itertools.product(range(d), repeat=3):
-        residual = beta.value(A.product(basis[i], basis[j]), basis[k]) + beta.value(
-            basis[j], A.product(basis[i], basis[k])
-        )
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        residual = sum(x * B[a][k] for a, x in nz[i][j]) + sum(x * B[j][a] for a, x in nz[i][k])
         if residual:
-            inv_w = (i, j, k, residual)
+            inv_w = (i, j, k, Fraction(residual, A.den * beta.den))
             break
     definite = beta.definite()
     nondeg = beta.nondegenerate()

@@ -149,6 +149,13 @@ def test_cohomology_exactness():
     assert code == 1 and out.strip() == "NON-EXACT"
 
 
+def test_cohomology_unsupported_degree_is_usage_error():
+    for degree in ("3", "-1"):
+        code, out, err = invoke("cohomology", "--catalog", "vinberg-83", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err == f"error: --degree must be 0, 1 or 2, not {degree}\n"
+
+
 def test_cohomology_rejects_function_model():
     code, _, err = invoke("cohomology", "--catalog", "witt-line")
     assert code == 2 and "finite KV" in err
@@ -190,6 +197,15 @@ def test_file_errors_exit_2(tmp_path):
     bad.write_text("[structure]\nrank 1\n")
     code, _, err = invoke("check", str(bad))
     assert code == 2 and "base_dim" in err
+
+
+def test_kv_dim_over_limit_exits_2(tmp_path):
+    big = tmp_path / "big.alg"
+    big.write_text("[kvalgebra]\n# one product line\ndim 400\n0 1 2 1\n")
+    for argv in (["check", str(big)], ["cohomology", str(big), "--degree", "2"]):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: dim 400 exceeds the limit 6\n"
 
 
 def test_usage_errors_exit_2():

@@ -11,8 +11,6 @@ from algebroid.exactmath import (
     grlex_key,
     kernel_basis,
     mat_inverse,
-    mat_mul,
-    mat_vec,
     monomials_upto,
     parse_poly,
     poly_matrix_det,
@@ -24,6 +22,37 @@ from algebroid.exactmath import (
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
 )
+
+
+# --- test-only helpers: evaluation and dense matrix products ---------------
+
+
+def poly_eval(p: Poly, point) -> Fraction:
+    """The value of p at a rational point."""
+    if len(point) != p.base_dim:
+        raise ValueError("point length != base_dim")
+    pt = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for expo, coeff in p.terms.items():
+        val = coeff
+        for v, e in zip(pt, expo):
+            val *= v**e
+        total += val
+    return total
+
+
+def mat_vec(m, v) -> list:
+    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in m]
+
+
+def mat_mul(a, b) -> list:
+    return [
+        [
+            sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
 
 
 def poly_strategy(base_dim: int):
@@ -251,7 +280,7 @@ def test_parse_errors_carry_position():
 
 def test_eval_matches_expansion():
     p = parse_poly("x1^2*x2 - 3*x2 + 1/2", 2)
-    assert p.eval([Fraction(2), Fraction(3)]) == Fraction(4 * 3 - 9) + Fraction(1, 2)
+    assert poly_eval(p, [Fraction(2), Fraction(3)]) == Fraction(4 * 3 - 9) + Fraction(1, 2)
 
 
 def test_grlex_order():
@@ -298,6 +327,54 @@ def test_sparse_rank_is_columns_minus_kernel(m):
     # kernel_basis runs the dense row echelon, a separate elimination
     r = sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
     assert r == rank(m) == 4 - len(kernel_basis(m))
+
+
+# integer entries large enough that the fraction-free updates grow them
+integers = st.integers(-(10**6), 10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-3, 3), integers), min_size=5, max_size=5),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sparse_rank_integer_matrices(m):
+    r = sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
+    assert r == rank(m) == 5 - len(kernel_basis(m))
+    # integer rows and the same rows as Fractions over a common denominator
+    scaled = [{c: Fraction(v, 7) for c, v in enumerate(row) if v} for row in m]
+    assert sparse_rank(scaled) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(st.just(0), st.integers(-5, 5), fractions), min_size=5, max_size=5
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sparse_rank_mixed_denominators(m):
+    # a row mixes ints and Fractions of several denominators
+    r = sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
+    assert r == rank(m) == 5 - len(kernel_basis(m))
+
+
+def test_sparse_rank_fixed_cases():
+    half = Fraction(1, 2)
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {3: 0}]) == 0
+    assert sparse_rank([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    assert sparse_rank([{0: half, 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
+    assert sparse_rank([{0: half, 1: Fraction(1, 3)}, {0: 3, 1: 3}]) == 2
+    # a leading entry of either sign and a pivot that is not +-1
+    assert sparse_rank([{0: -6, 2: 4}, {0: 9, 2: -6}, {0: 4, 1: 1}]) == 2
+    assert sparse_rank([{1: 10**30, 2: 1}, {1: 10**30 + 1, 2: 1}, {2: 5}]) == 2
 
 
 def test_solve_linear():

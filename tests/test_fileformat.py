@@ -2,6 +2,7 @@ import pytest
 
 from algebroid.catalog import catalog_get, catalog_names
 from algebroid.fileformat import (
+    MAX_KV_DIM,
     FormatError,
     ParsedDocument,
     parse_document,
@@ -180,6 +181,16 @@ def test_index_out_of_range():
         parse_document(WITT.replace("[anchor]\n0 0 2*x1", "[anchor]\n0 3 2*x1"))
     with pytest.raises(FormatError, match="out of range"):
         parse_document(KV.replace("1 0 0 1", "5 0 0 1"))
+
+
+def test_kv_dim_limit():
+    at_limit = KV.replace("dim 2", f"dim {MAX_KV_DIM}")
+    assert parse_document(at_limit).algebra.dim == MAX_KV_DIM
+    for dim in (MAX_KV_DIM + 1, 400, 2000, 10**12):
+        with pytest.raises(FormatError) as exc:
+            parse_document(KV.replace("dim 2", f"dim {dim}"))
+        assert str(exc.value) == f"line 3: dim {dim} exceeds the limit {MAX_KV_DIM}"
+        assert exc.value.line == 3
 
 
 def test_bad_rational_and_skew():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from algebroid.catalog import clan_84, vinberg_83
+from algebroid.catalog import catalog_get, catalog_names, clan_84, vinberg_83
 from algebroid.kvfin import (
     COEFF_SELF,
     COEFF_TRIVIAL,
@@ -136,6 +136,148 @@ def test_jacobi_witness_on_non_lie_bracket():
         assert report.witness is not None
 
 
+# --- test-only references: the dense-product readers ------------------------
+# The KV defect, the invariance loop of clan_classify and the Jacobi loop of
+# commutator_bracket written on basis vectors through FinKVAlgebra.product
+# and SymForm.value, in Fractions: the oracles for the readers of the
+# integer structure-constant table.
+
+
+def basis_vectors(d):
+    return [[F(int(t == s)) for t in range(d)] for s in range(d)]
+
+
+def reference_kv_anomaly(A, u, v, w):
+    def assoc(u, v, w):
+        return [a - b for a, b in zip(A.product(u, A.product(v, w)), A.product(A.product(u, v), w))]
+
+    return [a - b for a, b in zip(assoc(u, v, w), assoc(v, u, w))]
+
+
+def reference_kv_defect(A):
+    basis = basis_vectors(A.dim)
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        defect = reference_kv_anomaly(A, basis[i], basis[j], basis[k])
+        if any(defect):
+            return (i, j, k, defect)
+    return None
+
+
+def reference_invariance(A, beta):
+    basis = basis_vectors(A.dim)
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        residual = beta.value(A.product(basis[i], basis[j]), basis[k]) + beta.value(
+            basis[j], A.product(basis[i], basis[k])
+        )
+        if residual:
+            return (i, j, k, residual)
+    return None
+
+
+def reference_jacobi(A):
+    d = A.dim
+    lie = FinKVAlgebra(d, [
+        [[A.c[i][j][k] - A.c[j][i][k] for k in range(d)] for j in range(d)] for i in range(d)
+    ])
+    basis = basis_vectors(d)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        jac = [
+            x + y + z
+            for x, y, z in zip(
+                lie.product(lie.product(basis[i], basis[j]), basis[k]),
+                lie.product(lie.product(basis[j], basis[k]), basis[i]),
+                lie.product(lie.product(basis[k], basis[i]), basis[j]),
+            )
+        ]
+        if any(jac):
+            return (i, j, k, jac)
+    return None
+
+
+def frame_change_form(beta, perm, diag):
+    """beta in the basis f_i = diag[i] e_perm[i]."""
+    d = beta.dim
+    return SymForm([
+        [F(diag[i]) * diag[j] * beta.matrix[perm[i]][perm[j]] for j in range(d)] for i in range(d)
+    ])
+
+
+def reader_cases():
+    """(algebra, form) pairs: the finite KV catalog entries, two monomial
+    frame changes of each, and products perturbed at a few seeded entries
+    so that KV, invariance and Jacobi fail somewhere."""
+    rng = random.Random(17)
+    cases = []
+    for name in catalog_names():
+        entry = catalog_get(name)
+        if entry.algebra is None:
+            continue
+        A, beta = entry.algebra, entry.form
+        cases.append((A, beta))
+        for _ in range(2):
+            perm = rng.sample(range(A.dim), A.dim)
+            diag = [rng.choice((1, -1)) * rng.choice((1, 2, 3, F(1, 2), F(2, 3))) for _ in range(A.dim)]
+            cases.append((frame_change(A, perm, diag), frame_change_form(beta, perm, diag)))
+    for A, beta in list(cases):
+        for _ in range(3):
+            c = [[list(row) for row in plane] for plane in A.c]
+            for _ in range(rng.randint(1, 3)):
+                i, j, k = (rng.randrange(A.dim) for _ in range(3))
+                c[i][j][k] += F(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+            cases.append((FinKVAlgebra(A.dim, c), beta))
+    return cases
+
+
+def test_table_matches_structure_constants():
+    for A, _ in reader_cases():
+        assert A.den >= 1
+        for i, j in itertools.product(range(A.dim), repeat=2):
+            row = [F(0)] * A.dim
+            for m, num in A.nz[i][j]:
+                assert type(num) is int and num
+                row[m] = F(num, A.den)
+            assert tuple(row) == A.c[i][j]
+
+
+def test_readers_match_dense_product_oracle():
+    found = {"kv": 0, "invariance": 0, "jacobi": 0, "cocycle": 0}
+    for A, beta in reader_cases():
+        kv_w = kv_defect_fin(A)
+        assert kv_w == reference_kv_defect(A)
+        report = clan_classify(A, beta)
+        assert report.kv_witness == kv_w
+        inv_w = reference_invariance(A, beta)
+        assert report.invariance_witness == inv_w
+        jac_w = commutator_bracket(A).witness
+        assert jac_w == reference_jacobi(A)
+        cocycle = fin_coboundary(A, COEFF_TRIVIAL, beta.as_cochain()).is_zero()
+        assert report.cocycle == cocycle
+        if cocycle:
+            exactness_witness(A, beta)
+        else:
+            with pytest.raises(ValueError, match="not a 2-cocycle"):
+                exactness_witness(A, beta)
+        for w in (kv_w, inv_w, jac_w):
+            if w is not None:
+                values = w[3] if isinstance(w[3], list) else [w[3]]
+                assert all(type(v) is F for v in values)
+        found["kv"] += kv_w is not None
+        found["invariance"] += inv_w is not None
+        found["jacobi"] += jac_w is not None
+        found["cocycle"] += not cocycle
+    # the perturbed products give witnesses for every reader
+    assert all(n >= 5 for n in found.values()), found
+
+
+def test_kv_defect_cochain_matches_oracle():
+    for A, _ in reader_cases()[::4]:
+        basis = basis_vectors(A.dim)
+        expected = FinCochain(A.dim, 3, COEFF_SELF)
+        for i, j, k in itertools.product(range(A.dim), repeat=3):
+            expected.set((i, j, k), reference_kv_anomaly(A, basis[i], basis[j], basis[k]))
+        assert kv_defect_cochain(A) == expected
+
+
 # --- coboundaries ------------------------------------------------------------
 
 
@@ -232,7 +374,10 @@ def test_coboundary_rows_match_reference():
             for k in (0, 1, 2):
                 rows = coboundary_rows(A, coefficients, k)
                 width = cochain_space_dim(A.dim, k, coefficients)
-                assert dense(rows, width) == reference_matrix(A, coefficients, k)
+                # integer rows: A.den times the coboundary, entry by entry
+                assert all(type(v) is int for row in rows for v in row.values())
+                oracle = reference_matrix(A, coefficients, k)
+                assert dense(rows, width) == [[A.den * v for v in row] for row in oracle]
                 th = rand_cochain(rng, A.dim, k, coefficients)
                 assert fin_coboundary(A, coefficients, th) == reference_coboundary(
                     A, coefficients, th
