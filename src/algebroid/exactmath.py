@@ -4,10 +4,18 @@ linear algebra.
 Everything in this module is exact: a polynomial is a sparse map from
 exponent multi-indices to nonzero integer numerators over one positive
 common denominator per polynomial (arbitrary-precision Python ints, in
-lowest terms), scalars and matrix entries are `fractions.Fraction` (the
-sparse rank also takes ints and eliminates fraction-free on them), and the
-linear algebra routines decide rank / kernel / solvability with no
-rounding. All values are immutable after construction.
+lowest terms), and scalars and results are `fractions.Fraction`. The
+linear algebra runs on integers: a matrix's rows are cleared of their
+denominators first. There is one dense elimination core, the
+fraction-free Bareiss elimination `bareiss` (Math. Comp. 22, 1968), behind
+determinants, leading principal minors, `solve_linear` and `mat_inverse`,
+and one sparse rank, `sparse_rank`, for the large, mostly zero coboundary
+matrices. Only `poly_matrix_det` (Laplace expansion over memoised minors)
+works on polynomial entries, because Bareiss on `Poly` entries would need
+exact multivariate division. All values are immutable after construction.
+
+Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
+digits each.
 """
 
 from __future__ import annotations
@@ -266,6 +274,12 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+# The most decimal digits an integer literal may have. Every literal is
+# checked when it is read, so a value prints without reaching Python's own
+# limit on int-to-str conversion (4300 digits).
+MAX_LITERAL_DIGITS = 1000
+
+
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
@@ -347,6 +361,8 @@ class _PolyParser:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            self.error(f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def parse_atom(self) -> Poly:
@@ -386,43 +402,83 @@ def parse_poly(text: str, base_dim: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra: sparse integer rank, and a dense row echelon
-# over list-of-list matrices of Fraction.
+# Exact rational linear algebra on integers: the sparse rank, and one dense
+# fraction-free (Bareiss) elimination for determinants, solves and inverses.
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(m: Sequence[Sequence]) -> list:
-    rows = [[Fraction(v) for v in row] for row in m]
-    if rows:
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged matrix")
-    return rows
+def _integer_rows(m: Sequence[Sequence]) -> list:
+    """The rows of m as lists of ints, each row multiplied by the least
+    common denominator of its entries (which changes no row space)."""
+    out = []
+    for row in m:
+        den = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise ValueError("ragged matrix")
+    return out
 
 
-def _row_echelon(m: list):
-    """In-place reduced row echelon; returns list of pivot columns."""
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
-    pivots = []
+def bareiss(m: list, width: int, reduce: bool = False):
+    """Fraction-free elimination of the integer rows m, in place, over
+    their first `width` columns (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968).
+
+    Columns are taken left to right. Row r keeps its place as the pivot
+    row of a column when its entry there is nonzero, otherwise the first
+    later row with a nonzero entry is exchanged into place. Each other row
+    is updated as row := (p*row - f*pivot_row) / p_prev, p the new pivot,
+    f the row's entry in the pivot column and p_prev the previous pivot;
+    the division is exact, because every entry stays a minor of m. Without
+    `reduce` only the rows below the pivot are updated (row echelon form):
+    before the first exchange or skipped column the pivot of step s is the
+    leading principal minor of order s + 1, and on a square matrix of full
+    rank the last pivot is the determinant up to the sign of the
+    exchanges. With `reduce` the rows above are updated too
+    (Gauss-Jordan), and every pivot entry ends equal to the last pivot.
+
+    Returns (pivot columns, the steps at which rows were exchanged, the
+    last pivot or 1 if there is none).
+    """
+    rows = len(m)
+    cols, exchanges = [], []
+    prev = 1
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(width):
         if r == rows:
             break
-    return pivots
+        if not m[r][c]:
+            p = next((i for i in range(r + 1, rows) if m[i][c]), None)
+            if p is None:
+                continue
+            m[r], m[p] = m[p], m[r]
+            exchanges.append(r)
+        pivot_row = m[r]
+        piv = pivot_row[c]
+        for i in range(0 if reduce else r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                m[i] = [piv * a // prev for a in row]
+        prev = piv
+        cols.append(c)
+        r += 1
+    return cols, exchanges, prev
+
+
+def integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    work = [list(row) for row in m]
+    n = len(work)
+    cols, exchanges, last = bareiss(work, n)
+    if len(cols) < n:
+        return 0
+    return -last if len(exchanges) % 2 else last
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
@@ -468,64 +524,43 @@ def sparse_rank(rows: Iterable[dict]) -> int:
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    return sparse_rank({c: v for c, v in enumerate(row) if v} for row in _as_matrix(m))
-
-
-def kernel_basis(m: Sequence[Sequence]) -> list:
-    """Basis of the right kernel of m; each vector satisfies m.v = 0 exactly.
-
-    The basis size equals cols - rank(m); an empty list means the map is
-    injective.
-    """
-    work = _as_matrix(m)
-    if not work:
-        return []
-    cols = len(work[0])
-    pivots = _row_echelon(work)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][free]
-        basis.append(vec)
-    return basis
+    return sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
 
 
 def solve_linear(m: Sequence[Sequence], b: Sequence) -> Optional[list]:
     """Solve m.x = b exactly; returns a solution vector or None when the
-    system is infeasible. Dimension mismatch raises ValueError."""
-    work = _as_matrix(m)
-    rhs = [Fraction(v) for v in b]
-    if len(rhs) != len(work):
+    system is infeasible. Dimension mismatch raises ValueError.
+
+    The solution is the reduced row echelon one: every free (non-pivot)
+    column gets 0. Entries may be ints or Fractions; the augmented rows
+    are cleared of denominators and eliminated fraction-free by
+    `bareiss`, so x[pivot column] = (row's last entry) / (last pivot).
+    """
+    if len(b) != len(m):
         raise ValueError("right-hand side length != number of rows")
-    if not work:
+    if not m:
         return []
-    cols = len(work[0])
-    aug = [row + [val] for row, val in zip(work, rhs)]
-    pivots = _row_echelon(aug)
-    if pivots and pivots[-1] == cols:
-        return None  # pivot in the augmented column: inconsistent
+    cols = len(m[0])
+    aug = _integer_rows([[*row, v] for row, v in zip(m, b)])
+    pivots, _, last = bareiss(aug, cols, reduce=True)
+    if any(row[cols] for row in aug[len(pivots):]):
+        return None  # a pivot in the augmented column: inconsistent
     x = [Fraction(0)] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = aug[r][cols]
+        x[pc] = Fraction(aug[r][cols], last)
     return x
 
 
 def mat_inverse(m: Sequence[Sequence]) -> Optional[list]:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(m)
-    work = _as_matrix(m)
-    if any(len(row) != n for row in work):
+    if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    aug = [row + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(work)]
-    pivots = _row_echelon(aug)
-    if pivots != list(range(n)):
+    aug = _integer_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])
+    pivots, _, last = bareiss(aug, n, reduce=True)
+    if len(pivots) != n:
         return None
-    return [row[n:] for row in aug]
+    return [[Fraction(v, last) for v in row[n:]] for row in aug]
 
 
 def poly_matrix_det(m: Sequence[Sequence[Poly]]) -> Poly:

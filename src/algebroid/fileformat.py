@@ -32,21 +32,31 @@ alpha/beta are comma-separated multi-indices of length base_dim; coeff is
 a polynomial in x1..xn; value is a rational literal. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
 
-Limit: a [kvalgebra] dim is at most MAX_KV_DIM (6); a larger dim is a
-parse error on the dim line. The dearest call on an algebra is its
-self-coefficient H^2, whose coboundary matrix has d^4 rows and d^3
-columns. At dim 6 it takes about 40 s on a dense algebra with random
-small rational constants (3 s on a dense KV algebra); at dim 7 the dense
-random one runs for more than 4 minutes.
+Limits, each a parse error with its line (and column for a literal):
+
+- A [kvalgebra] dim is at most MAX_KV_DIM (6). The dearest call on an
+  algebra is its self-coefficient H^2, whose coboundary matrix has d^4
+  rows and d^3 columns. At dim 6 it takes about 40 s on a dense algebra
+  with random small rational constants (3 s on a dense KV algebra); at
+  dim 7 the dense random one runs for more than 4 minutes.
+- A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
+  polynomial that holds for each integer (the digits of a constant, a
+  denominator, a variable index or an exponent). A rational value in
+  [kvalgebra] or [form] takes every form Fraction(text) accepts (3/4, -2,
+  1.5, 1e3), and its numerator and denominator, written out before
+  reduction, have at most that many significant digits: 1e999 is at the
+  limit, 1e1000 and 1e-1000 are over it. So a value prints without
+  reaching Python's 4300-digit limit on int-to-str conversion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import Poly, PolyParseError, grlex_key, parse_poly
+from .exactmath import MAX_LITERAL_DIGITS, Poly, PolyParseError, grlex_key, parse_poly
 from .funmodel import (
     AlgebroidStructure,
     AnchorMap,
@@ -113,11 +123,59 @@ def _parse_coeff(text: str, base_dim: int, lineno: int, end: int) -> Poly:
         raise FormatError(f"bad polynomial: {exc.message}", lineno, col) from None
 
 
-def _parse_rational(text: str, lineno: int) -> Fraction:
+# The syntax Fraction(text) accepts: n, n/m and decimal notation with an
+# optional exponent, with '_' allowed between digits. It is compiled (and
+# cached by `re`) only when a literal first needs it, not at import.
+_RATIONAL = (
+    r"(?i)[-+]?(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)"
+    r"(?:/(?P<den>\d+(_\d+)*)|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:e(?P<exp>[-+]?\d+(_\d+)*))?)"
+)
+
+
+def _literal_digits(match) -> int:
+    """The most decimal digits of the numerator or the denominator of the
+    value a rational literal writes, before reduction: the significant
+    digits of n and m for n/m, and for decimal notation those of
+    M * 10^(e - f), M the mantissa's digits read as one integer and f the
+    number of its fractional digits."""
+
+    def significant(*groups):
+        return len("".join(match.group(g) or "" for g in groups).replace("_", "").lstrip("0"))
+
+    if match.group("den") is not None:
+        return max(significant("num"), significant("den"))
+    mantissa = significant("num", "decimal")
+    if not mantissa:
+        return 1  # the value is 0
+    exponent = (match.group("exp") or "0").replace("_", "")
+    size = exponent.lstrip("+-").lstrip("0")
+    if len(size) >= 7:
+        return 10**6  # over the limit; the exponent is not converted
+    shift = int(exponent) - len((match.group("decimal") or "").replace("_", ""))
+    return mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
+
+
+def _parse_rational(text: str, lineno: int, column: int) -> Fraction:
+    """Parse the rational literal `text` that starts at raw column `column`:
+    every form `Fraction(text)` accepts, within MAX_LITERAL_DIGITS."""
+    num, slash, den = text.partition("/")
+    body = num[1:] if num.startswith(("+", "-")) else num
+    # n and n/m, the common forms, skip the regular expressions
+    plain = body.isdecimal() and (den.isdecimal() or not slash)
+    match = None if plain else re.fullmatch(_RATIONAL, text)
+    if not plain and match is None:
+        raise FormatError(f"bad rational literal {text!r}", lineno, column)
+    digits = max(len(body.lstrip("0")), len(den.lstrip("0"))) if plain else _literal_digits(match)
+    if digits > MAX_LITERAL_DIGITS:
+        raise FormatError(
+            f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits", lineno, column
+        )
     try:
+        if plain:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad rational literal {text!r}", lineno) from None
+        raise FormatError(f"bad rational literal {text!r}", lineno, column) from None
 
 
 def _parse_int_field(text: str, what: str, lineno: int) -> int:
@@ -236,14 +294,14 @@ def parse_document(text: str) -> ParsedDocument:
             k, i, j = (_parse_int_field(p, "index", lineno) for p in fields[:3])
             if (k, i, j) in kv_entries:
                 raise FormatError(f"duplicate product entry {k} {i} {j}", lineno)
-            kv_entries[(k, i, j)] = _parse_rational(fields[3], lineno)
+            kv_entries[(k, i, j)] = _parse_rational(fields[3], lineno, end - len(fields[3]) + 1)
             where[("kvalgebra", (k, i, j))] = lineno
         elif section == "form":
             if len(fields) != 3:
                 raise FormatError("expected: i j value", lineno)
             i = _parse_int_field(fields[0], "index", lineno)
             j = _parse_int_field(fields[1], "index", lineno)
-            value = _parse_rational(fields[2], lineno)
+            value = _parse_rational(fields[2], lineno, end - len(fields[2]) + 1)
             key = (min(i, j), max(i, j))
             if key in form_entries:
                 if form_entries[key] != value:
@@ -293,23 +351,20 @@ def parse_document(text: str) -> ParsedDocument:
     dim = _head_int(head, "dim", 1)
     if dim > MAX_KV_DIM:
         raise FormatError(f"dim {dim} exceeds the limit {MAX_KV_DIM}", head["dim"][1])
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (k, i, j), value in kv_entries.items():
+    for (k, i, j) in kv_entries:
         if not all(0 <= t < dim for t in (k, i, j)):
             raise FormatError(
                 f"product index out of range: {k} {i} {j}", where[("kvalgebra", (k, i, j))]
             )
-        c[i][j][k] = value
-    algebra = FinKVAlgebra(dim, c)
+    algebra = FinKVAlgebra.from_entries(
+        dim, ((i, j, k, value) for (k, i, j), value in kv_entries.items())
+    )
     form = None
     if form_entries:
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for (i, j), value in form_entries.items():
+        for (i, j) in form_entries:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise FormatError(f"form index out of range: {i} {j}", where[("form", (i, j))])
-            m[i][j] = value
-            m[j][i] = value
-        form = SymForm(m)
+        form = SymForm.from_entries(dim, ((i, j, value) for (i, j), value in form_entries.items()))
     return ParsedDocument("kvalgebra", name, algebra=algebra, form=form)
 
 

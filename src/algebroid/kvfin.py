@@ -17,23 +17,39 @@ calibration KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
 Every reader works on one table built with the algebra: nz[i][j] lists the
 nonzero structure constants of e_i e_j as (m, num) pairs, integer
-numerators over the one positive common denominator A.den (A.c stays the
-public Fraction view). The KV defect, the Jacobi check of the commutator,
-the invariance check of a form and the coboundary all read this table, so
-their inner loops multiply Python ints and turn a result into Fractions
-only once, when it is a witness.
+numerators over the one positive common denominator A.den. A parsed file
+builds the table straight from its entries (`FinKVAlgebra.from_entries`),
+and a form keeps num/den and its nonzero entries per row in the same way
+(`SymForm.from_entries`); the Fraction views A.c and beta.matrix are made
+only when something reads them (export, `product`, `commutator_bracket`).
+The KV defect, the Jacobi check of the commutator, the residual table of a
+form and the coboundary all read the table, so their inner loops multiply
+Python ints and turn a result into Fractions only once, when it is a
+witness.
 
 The coboundary formula is written once, in `coboundary_rows`: on basis
-inputs every term is a single structure constant, so each row of the
-coboundary matrix is read straight off the table as a sparse integer row
-{column: num}, and the coboundary is those rows divided by A.den. With
-self coefficients a row has at most k(k+2)d entries out of d^{k+1}
-columns, and most structure constants of the algebras here vanish, so the
-matrices are mostly zero: the degree-2 self matrix of a 5-dimensional
-algebra is 625 x 125 with under 1% nonzeros. `fin_coboundary` multiplies
-these rows by the flattened cochain, `cohomology_summary` ranks them with
-the fraction-free `exactmath.sparse_rank`, and the cocycle test of a form
-multiplies the trivial-coefficient rows by the form's integer numerators.
+inputs every term is a single structure constant, so each nonzero constant
+c[p][q][r] is scattered into the rows of the coboundary matrix it reaches,
+as sparse integer rows {column: num}; the coboundary is those rows divided
+by A.den. The work follows the nonzero constants, not the d^{k+1} basis
+tuples, and the matrices are mostly zero: the degree-2 self matrix of a
+5-dimensional algebra is 625 x 125 with under 1% nonzeros.
+`fin_coboundary` multiplies these rows by the flattened cochain and
+`cohomology_summary` ranks them with the fraction-free
+`exactmath.sparse_rank`.
+
+A form beta is checked through one residual table,
+R(i, j, k) = beta(e_i e_j, e_k) + beta(e_j, e_i e_k). In the convention
+above the trivial-coefficient coboundary of beta is
+d beta(e_i, e_j, e_k) = R(i, j, k) - R(j, i, k), so beta is left-invariant
+iff R = 0 and a 2-cocycle iff R is symmetric in i, j; the tests pin this
+identity against `coboundary_rows`. Definiteness and nondegeneracy come
+from one fraction-free Bareiss pass over the form's numerators
+(`exactmath.bareiss`): its pivots are the leading principal minors m_k, so
+beta is positive definite iff every m_k > 0, negative definite iff every
+(-1)^k m_k > 0, and the pass goes on with row exchanges past a zero minor
+to the determinant. Exactness solves the integer system of A.nz against
+beta's numerators with the same elimination (`exactmath.solve_linear`).
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import Rational, solve_linear, sparse_rank
+from .exactmath import Rational, bareiss, integer_det, solve_linear, sparse_rank
 
 COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
@@ -58,6 +74,9 @@ def _frac_matrix(matrix):
     return tuple(tuple(_fraction(v) for v in row) for row in matrix)
 
 
+_ZERO = Fraction(0)
+
+
 def _common_den(values) -> int:
     """The least positive common denominator of the nonzero values."""
     return lcm(*(v.denominator for v in values if v))
@@ -66,39 +85,76 @@ def _common_den(values) -> int:
 class FinKVAlgebra:
     """dim-d algebra with product e_i e_j = sum_k c[i][j][k] e_k.
 
-    `c` is the public Fraction view. The constructor also builds, once, the
-    table every reader uses: nz[i][j] = ((m, num), ..) lists the nonzero
-    constants of e_i e_j as integer numerators over the one positive common
-    denominator `den`, so c[i][j][m] == Fraction(num, den).
+    Every reader uses one table, built once with the algebra: nz[i][j] =
+    ((m, num), ..) lists the nonzero constants of e_i e_j, m ascending, as
+    integer numerators over the one positive common denominator `den`, so
+    c[i][j][m] == Fraction(num, den). `c` is the public Fraction view; an
+    algebra built with `from_entries` makes it only when it is first read.
     """
 
     def __init__(self, dim: int, c):
         if dim <= 0:
             raise ValueError("dim must be positive")
-        self.dim = dim
         c = tuple(tuple(tuple(_fraction(v) for v in row) for row in plane) for plane in c)
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be dim x dim x dim")
-        self.c = c
-        den = _common_den(v for plane in c for row in plane for v in row)
+        self._set_table(dim, [
+            [[(m, v) for m, v in enumerate(row) if v] for row in plane] for plane in c
+        ])
+        self._c = c
+
+    @classmethod
+    def from_entries(cls, dim: int, entries) -> "FinKVAlgebra":
+        """The algebra with e_i e_j = sum of value * e_k over its entries
+        (i, j, k, value); each (i, j, k) appears at most once and the
+        constants of the missing ones are 0."""
+        if dim <= 0:
+            raise ValueError("dim must be positive")
+        rows = [[{} for _ in range(dim)] for _ in range(dim)]
+        for i, j, k, value in entries:
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ValueError(f"product index out of range: {i} {j} {k}")
+            row = rows[i][j]
+            if k in row:
+                raise ValueError(f"repeated product entry {i} {j} {k}")
+            row[k] = value
+        out = cls.__new__(cls)
+        out._set_table(dim, [
+            [sorted((m, v) for m, v in row.items() if v) for row in plane] for plane in rows
+        ])
+        out._c = None
+        return out
+
+    def _set_table(self, dim: int, terms):
+        """terms[i][j]: the nonzero (m, value) of e_i e_j, m ascending."""
+        self.dim = dim
+        den = _common_den(v for plane in terms for row in plane for _, v in row)
         self.den = den
         self.nz = tuple(
-            tuple(
-                tuple((m, v.numerator * (den // v.denominator)) for m, v in enumerate(row) if v)
-                for row in plane
-            )
-            for plane in c
+            tuple(tuple((m, v.numerator * (den // v.denominator)) for m, v in row) for row in plane)
+            for plane in terms
         )
+
+    @property
+    def c(self):
+        if self._c is None:
+            d, den = self.dim, self.den
+            c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+            for i, plane in enumerate(self.nz):
+                for j, row in enumerate(plane):
+                    for m, num in row:
+                        c[i][j][m] = Fraction(num, den)
+            self._c = tuple(tuple(tuple(row) for row in plane) for plane in c)
+        return self._c
 
     @staticmethod
     def zero(dim: int) -> "FinKVAlgebra":
-        z = Fraction(0)
-        return FinKVAlgebra(dim, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
+        return FinKVAlgebra.from_entries(dim, ())
 
     def product(self, u: Sequence[Rational], v: Sequence[Rational]):
-        d = self.dim
+        d, c = self.dim, self.c
         out = [Fraction(0)] * d
         for i in range(d):
             if not u[i]:
@@ -108,12 +164,16 @@ class FinKVAlgebra:
                     continue
                 uv = u[i] * v[j]
                 for k in range(d):
-                    if self.c[i][j][k]:
-                        out[k] += uv * self.c[i][j][k]
+                    if c[i][j][k]:
+                        out[k] += uv * c[i][j][k]
         return out
 
     def __eq__(self, other):
-        return isinstance(other, FinKVAlgebra) and self.dim == other.dim and self.c == other.c
+        # the table is canonical: equal constants give equal (den, nz)
+        return (
+            isinstance(other, FinKVAlgebra)
+            and (self.dim, self.den, self.nz) == (other.dim, other.den, other.nz)
+        )
 
 
 def _basis_vec(dim: int, k: int):
@@ -347,24 +407,6 @@ class FinCochain:
         return out
 
 
-def product_cochain(A: FinKVAlgebra) -> FinCochain:
-    """The multiplication of A as a degree-2 self-coefficient cochain."""
-    data = {}
-    for i, j in itertools.product(range(A.dim), repeat=2):
-        data[(i, j)] = A.c[i][j]
-    return FinCochain(A.dim, 2, COEFF_SELF, data)
-
-
-def kv_defect_cochain(A: FinKVAlgebra) -> FinCochain:
-    """The full KV anomaly as a degree-3 self-coefficient cochain."""
-    out = FinCochain(A.dim, 3, COEFF_SELF)
-    den2 = A.den * A.den
-    for i, j, k, acc in _kv_anomalies(A):
-        if any(acc):
-            out.set((i, j, k), _over(acc, den2))
-    return out
-
-
 def fin_coboundary(A: FinKVAlgebra, coefficients: str, theta: FinCochain) -> FinCochain:
     """Coboundary of theta (degree <= 2) in the named coefficient module."""
     if theta.coefficients != coefficients:
@@ -392,6 +434,11 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     in-slot terms -c[i_j][rest[t]][a] at rest with a in slot t; and the
     trailing right multiplication c[o][i_{k+1}][m] at (rest[:-1] + (i_j,), o).
     Trivial coefficients keep only the in-slot terms.
+
+    Each term is one structure constant, so the rows are filled by
+    scattering every nonzero constant c[p][q][r] into the rows it reaches,
+    and the work follows the nonzeros; the rows nothing reaches stay
+    empty.
     """
     if coefficients not in (COEFF_SELF, COEFF_TRIVIAL):
         raise ValueError("coefficients must be 'self' or 'trivial'")
@@ -400,43 +447,51 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     d = A.dim
     self_coeffs = coefficients == COEFF_SELF
     width = d if self_coeffs else 1
-    prod = A.nz
+    rows = [{} for _ in range(d ** (k + 1) * width)]
 
-    def col(indices):  # first column of the basis cochains at indices
-        n = 0
-        for t in indices:
-            n = n * d + t
-        return n * width
+    def add(row, column, v):
+        out = rows[row]
+        x = out.get(column, 0) + v
+        if x:
+            out[column] = x
+        else:
+            del out[column]
 
-    rows = []
-    for idx in itertools.product(range(d), repeat=k + 1):
-        out = [{} for _ in range(width)]
-        for j in range(1, k + 1):
-            sign = -1 if j % 2 else 1
-            sj = idx[j - 1]
-            rest = idx[: j - 1] + idx[j:]  # the other k arguments
-            if self_coeffs:
-                # (s_j . Theta)(rest): the left action s_j Theta(rest) ...
-                base = col(rest)
-                for o in range(d):
-                    column = base + o
-                    for m, v in prod[sj][o]:
-                        out[m][column] = out[m].get(column, 0) + sign * v
-            # ... minus Theta(.., s_j rest[t], ..), in both modules
+    # a tuple rest of k indices is its flat number; for_slot[t][q] lists
+    # those with rest[t] == q
+    for_slot = [[[] for _ in range(d)] for _ in range(k)]
+    for n, rest in enumerate(itertools.product(range(d), repeat=k)):
+        for t, q in enumerate(rest):
+            for_slot[t][q].append(n)
+    constants = [
+        (p, q, r, v) for p, plane in enumerate(A.nz) for q, row in enumerate(plane) for r, v in row
+    ]
+    for j in range(1, k + 1):
+        sign = -1 if j % 2 else 1
+        # the flat number of (rest with s_j inserted before its slot j - 1)
+        # is at[rest] + s_j * step
+        step = d ** (k - j + 1)
+        at = [(n // step) * step * d + n % step for n in range(d**k)]
+        if self_coeffs:
+            for p, q, r, v in constants:
+                # the left action s_j Theta(rest), s_j = e_p and Theta(rest) = e_q
+                for n in range(d**k):
+                    add((at[n] + p * step) * d + r, n * d + q, sign * v)
+                # the trailing term Theta(rest[:-1], s_j) e_q with rest[-1] = q,
+                # Theta(..) = e_p
+                for n in for_slot[k - 1][q]:
+                    for sj in range(d):
+                        add((at[n] + sj * step) * d + r, (n - q + sj) * d + p, sign * v)
+        # minus Theta(.., s_j rest[t], ..) with s_j = e_p and rest[t] = q, in
+        # both modules
+        for p, q, r, v in constants:
             for t in range(k):
-                for a, v in prod[sj][rest[t]]:
-                    base = col(rest[:t] + (a,) + rest[t + 1 :])
+                shift = (r - q) * d ** (k - 1 - t)
+                for n in for_slot[t][q]:
+                    base = (at[n] + p * step) * width
+                    column = (n + shift) * width
                     for m in range(width):
-                        column = base + m
-                        out[m][column] = out[m].get(column, 0) - sign * v
-            if self_coeffs:
-                # trailing right-multiplication term
-                base, last = col(rest[:-1] + (sj,)), rest[-1]
-                for o in range(d):
-                    column = base + o
-                    for m, v in prod[o][last]:
-                        out[m][column] = out[m].get(column, 0) + sign * v
-        rows.extend({c: v for c, v in row.items() if v} for row in out)
+                        add(base + m, column + m, -sign * v)
     return rows
 
 
@@ -469,8 +524,10 @@ def cohomology_dim(A: FinKVAlgebra, coefficients: str, k: int) -> int:
 class SymForm:
     """Symmetric rational bilinear form on the dim-d fiber.
 
-    `matrix` is the Fraction view; `num` holds the same entries as integer
-    numerators over the one positive common denominator `den`."""
+    `num` holds the entries as integer numerators over the one positive
+    common denominator `den`, and `rows[i]` lists the nonzero (j, num) of
+    row i. `matrix` is the Fraction view; a form built with
+    `from_entries` makes it only when it is first read."""
 
     def __init__(self, matrix):
         matrix = _frac_matrix(matrix)
@@ -481,20 +538,59 @@ class SymForm:
             for j in range(i):
                 if matrix[i][j] != matrix[j][i]:
                     raise ValueError("form matrix must be symmetric")
-        self.dim = d
-        self.matrix = matrix
         den = _common_den(v for row in matrix for v in row)
+        self._set_num(d, den, [[v.numerator * (den // v.denominator) for v in row] for row in matrix])
+        self._matrix = matrix
+
+    @classmethod
+    def from_entries(cls, dim: int, entries) -> "SymForm":
+        """The form with beta(e_i, e_j) = beta(e_j, e_i) = value for its
+        entries (i, j, value); each pair {i, j} appears at most once and
+        the missing entries are 0."""
+        values = {}
+        for i, j, value in entries:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"form index out of range: {i} {j}")
+            key = (min(i, j), max(i, j))
+            if key in values:
+                raise ValueError(f"repeated form entry {i} {j}")
+            values[key] = value
+        den = _common_den(values.values())
+        num = [[0] * dim for _ in range(dim)]
+        for (i, j), value in values.items():
+            num[i][j] = num[j][i] = value.numerator * (den // value.denominator)
+        out = cls.__new__(cls)
+        out._set_num(dim, den, num)
+        out._matrix = None
+        return out
+
+    def _set_num(self, dim: int, den: int, num):
+        self.dim = dim
         self.den = den
-        self.num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix)
+        self.num = tuple(tuple(row) for row in num)
+        self.rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in num)
+        self._pass = None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            den = self.den
+            self._matrix = tuple(tuple(Fraction(v, den) for v in row) for row in self.num)
+        return self._matrix
+
+    def __eq__(self, other):
+        # num over den is canonical: equal forms give equal (den, num)
+        return isinstance(other, SymForm) and (self.den, self.num) == (other.den, other.num)
 
     def value(self, u, v):
         out = Fraction(0)
+        matrix = self.matrix
         for i in range(self.dim):
             if not u[i]:
                 continue
             for j in range(self.dim):
-                if self.matrix[i][j] and v[j]:
-                    out += Fraction(u[i]) * self.matrix[i][j] * Fraction(v[j])
+                if matrix[i][j] and v[j]:
+                    out += Fraction(u[i]) * matrix[i][j] * Fraction(v[j])
         return out
 
     def as_cochain(self) -> FinCochain:
@@ -504,59 +600,83 @@ class SymForm:
                 data[(i, j)] = self.matrix[i][j]
         return FinCochain(self.dim, 2, COEFF_TRIVIAL, data)
 
+    def _eliminate(self):
+        """One Bareiss pass over num, kept: (the leading principal minors
+        of num up to the first zero one, det(num)). Before the first row
+        exchange or skipped column, the pivot of step s is the leading
+        minor of order s + 1; the first zero one forces an exchange, and
+        the pass goes on with exchanges to the determinant."""
+        if self._pass is None:
+            n = self.dim
+            work = [list(row) for row in self.num]
+            cols, exchanges, last = bareiss(work, n)
+            minors = []
+            for step in range(min(exchanges[0] if exchanges else n, len(cols))):
+                if cols[step] != step:
+                    break
+                minors.append(work[step][step])
+            det = 0 if len(cols) < n else (-last if len(exchanges) % 2 else last)
+            self._pass = (minors, det)
+        return self._pass
+
     def det(self) -> Fraction:
-        return _det(self.matrix)
+        return Fraction(self._eliminate()[1], self.den**self.dim)
 
     def leading_minors(self):
-        return [
-            _det([row[: k + 1] for row in self.matrix[: k + 1]])
-            for k in range(self.dim)
-        ]
+        """The leading principal minors of orders 1..dim, as Fractions."""
+        minors = list(self._eliminate()[0])
+        for order in range(len(minors) + 1, self.dim + 1):
+            minors.append(integer_det([row[:order] for row in self.num[:order]]))
+        return [Fraction(v, self.den ** (k + 1)) for k, v in enumerate(minors)]
 
     def positive_definite(self) -> bool:
-        return all(m > 0 for m in self.leading_minors())
+        minors = self._eliminate()[0]
+        return len(minors) == self.dim and all(v > 0 for v in minors)
 
     def negative_definite(self) -> bool:
-        neg = [[-v for v in row] for row in self.matrix]
-        return SymForm(neg).positive_definite()
+        # the minors of -B are (-1)^k times those of B
+        minors = self._eliminate()[0]
+        return len(minors) == self.dim and all(v > 0 if k % 2 else v < 0 for k, v in enumerate(minors))
 
     def definite(self) -> bool:
         return self.positive_definite() or self.negative_definite()
 
     def nondegenerate(self) -> bool:
-        return self.det() != 0
+        return self._eliminate()[1] != 0
 
 
-def _det(matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def _residuals(A: FinKVAlgebra, beta: SymForm) -> dict:
+    """The nonzero R(i, j, k) = beta(e_i e_j, e_k) + beta(e_j, e_i e_k), as
+    {(i*d + j)*d + k: numerator over A.den * beta.den}.
+
+    Each nonzero constant c[i][q][a] meets the nonzero beta[a][t] in two
+    places: R(i, q, t) gets c[i][q][a] beta[a][t], and R(i, t, q) gets
+    c[i][q][a] beta[t][a]. In this module's coboundary convention the
+    trivial-coefficient coboundary of beta is d beta(e_i, e_j, e_k) =
+    R(i, j, k) - R(j, i, k), so this one table decides both invariance
+    (R = 0) and the cocycle condition (R symmetric in i, j).
+    """
+    d, rows = A.dim, beta.rows
+    R = {}
+    for i, plane in enumerate(A.nz):
+        for q, entries in enumerate(plane):
+            for a, x in entries:
+                for t, b in rows[a]:
+                    xb = x * b
+                    key = (i * d + q) * d + t
+                    R[key] = R.get(key, 0) + xb
+                    key = (i * d + t) * d + q
+                    R[key] = R.get(key, 0) + xb
+    return {key: v for key, v in R.items() if v}
 
 
-def _is_cocycle(A: FinKVAlgebra, beta: SymForm) -> bool:
-    """Whether beta is a trivial-coefficient 2-cocycle: every integer row of
-    the coboundary C^2 -> C^3 vanishes on the form's flattened numerators."""
-    flat = [v for row in beta.num for v in row]
-    return not any(
-        sum(v * flat[col] for col, v in row.items())
-        for row in coboundary_rows(A, COEFF_TRIVIAL, 2)
-    )
+def _is_symmetric(R: dict, d: int) -> bool:
+    """Whether R(i, j, k) == R(j, i, k) everywhere."""
+    for key, v in R.items():
+        i, j = divmod(key // d, d)
+        if R.get(key + (j - i) * (d - 1) * d, 0) != v:
+            return False
+    return True
 
 
 def exactness_witness(A: FinKVAlgebra, beta: SymForm):
@@ -564,19 +684,29 @@ def exactness_witness(A: FinKVAlgebra, beta: SymForm):
 
     beta must be a trivial-coefficient 2-cocycle (checked); returns the
     coefficient vector (Theta(e_k))_k or None when the system is
-    infeasible, certifying a nonvanishing cohomology class.
+    infeasible, certifying a nonvanishing cohomology class. The system is
+    solved on the integer numerators: sum_k num_c[i][j][k] y_k =
+    num_beta[i][j], and Theta = y * A.den / beta.den.
     """
     if beta.dim != A.dim:
         raise ValueError("form dimension does not match the algebra")
-    if not _is_cocycle(A, beta):
+    if not _is_symmetric(_residuals(A, beta), A.dim):
         raise ValueError("form is not a 2-cocycle")
-    d = A.dim
+    d, B = A.dim, beta.num
     rows, rhs = [], []
-    for i in range(d):
-        for j in range(d):
-            rows.append([A.c[i][j][k] for k in range(d)])
-            rhs.append(beta.matrix[i][j])
-    return solve_linear(rows, rhs)
+    for i, plane in enumerate(A.nz):
+        for j, entries in enumerate(plane):
+            if entries or B[i][j]:
+                row = [0] * d
+                for k, x in entries:
+                    row[k] = x
+                rows.append(row)
+                rhs.append(B[i][j])
+    y = solve_linear(rows, rhs) if rows else [Fraction(0)] * d
+    if y is None:
+        return None
+    scale = Fraction(A.den, beta.den)
+    return [v * scale for v in y]
 
 
 @dataclass(frozen=True)
@@ -607,16 +737,15 @@ def clan_classify(A: FinKVAlgebra, beta: SymForm) -> ClanReport:
     if beta.dim != A.dim:
         raise ValueError("form dimension does not match the algebra")
     kv_w = kv_defect_fin(A)
-    cocycle = _is_cocycle(A, beta)
-    # left invariance: beta(e_i e_j, e_k) + beta(e_j, e_i e_k) = 0, in
-    # numerators over A.den * beta.den
-    nz, B = A.nz, beta.num
+    R = _residuals(A, beta)
+    cocycle = _is_symmetric(R, A.dim)
+    # left invariance: R = 0; the first nonzero residual in basis-triple
+    # order is the witness
     inv_w = None
-    for i, j, k in itertools.product(range(A.dim), repeat=3):
-        residual = sum(x * B[a][k] for a, x in nz[i][j]) + sum(x * B[j][a] for a, x in nz[i][k])
-        if residual:
-            inv_w = (i, j, k, Fraction(residual, A.den * beta.den))
-            break
+    if R:
+        key = min(R)
+        ij, k = divmod(key, A.dim)
+        inv_w = (*divmod(ij, A.dim), k, Fraction(R[key], A.den * beta.den))
     definite = beta.definite()
     nondeg = beta.nondegenerate()
     base = kv_w is None and cocycle and inv_w is None
@@ -632,21 +761,6 @@ def clan_classify(A: FinKVAlgebra, beta: SymForm) -> ClanReport:
 # ---------------------------------------------------------------------------
 # Deformations.
 # ---------------------------------------------------------------------------
-
-
-def perturb(A: FinKVAlgebra, nu: FinCochain) -> FinKVAlgebra:
-    """The algebra with product mu + nu (nu a degree-2 self cochain)."""
-    if nu.degree != 2 or nu.coefficients != COEFF_SELF or nu.dim != A.dim:
-        raise ValueError("nu must be a degree-2 self-coefficient cochain")
-    d = A.dim
-    c = [
-        [
-            [A.c[i][j][k] + nu.get((i, j))[k] for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return FinKVAlgebra(d, c)
 
 
 def kv_nu(A: FinKVAlgebra, nu: FinCochain) -> FinCochain:

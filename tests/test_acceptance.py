@@ -44,9 +44,8 @@ from algebroid.kvfin import (
     fin_coboundary,
     kv_defect_fin,
     mc_check,
-    perturb,
-    product_cochain,
 )
+from kv_helpers import perturb, product_cochain
 
 
 def _ok(n, label):

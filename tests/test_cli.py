@@ -208,6 +208,29 @@ def test_kv_dim_over_limit_exits_2(tmp_path):
         assert err == "error: line 3: dim 400 exceeds the limit 6\n"
 
 
+def test_oversized_literals_exit_2(tmp_path):
+    kv = tmp_path / "huge.alg"
+    kv.write_text("[kvalgebra]\ndim 2\n0 0 0 1e20000\n[form]\n0 0 1\n")
+    structure = tmp_path / "long.alg"
+    structure.write_text(
+        "[structure]\nbase_dim 1\nrank 1\nskew false\n[mult]\n0 0 0 0 0 " + "7" * 5000 + "\n"
+    )
+    for argv in (
+        ["check", str(kv), "--profile", "clan", "--format", "machine"],
+        ["export", str(kv)],
+        ["cohomology", str(kv), "--exactness"],
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3, column 7: rational literal exceeds the limit of 1000 digits\n"
+    code, out, err = invoke("export", str(structure))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 6, column 11: bad polynomial: integer literal exceeds the limit "
+        "of 1000 digits\n"
+    )
+
+
 def test_usage_errors_exit_2():
     code, _, _ = invoke("check", "--catalog", "witt-line", "--profile", "bogus")
     assert code == 2

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from algebroid.exactmath import (
     Poly,
     PolyParseError,
+    bareiss,
     grlex_key,
-    kernel_basis,
+    integer_det,
     mat_inverse,
     monomials_upto,
     parse_poly,
@@ -53,6 +54,100 @@ def mat_mul(a, b) -> list:
         ]
         for i in range(len(a))
     ]
+
+
+# --- test-only oracles: the Fraction row echelon and Gauss determinant -----
+# The dense Fraction eliminations the library used before its integer
+# Bareiss core: the oracles for `bareiss`, `solve_linear`, `mat_inverse`,
+# the determinant and `sparse_rank`.
+
+
+def _as_matrix(m) -> list:
+    return [[Fraction(v) for v in row] for row in m]
+
+
+def row_echelon(m: list):
+    """In-place reduced row echelon over Fractions; returns the pivot
+    columns."""
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def kernel_basis(m) -> list:
+    """Basis of the right kernel of m, from the reduced row echelon form."""
+    work = _as_matrix(m)
+    if not work:
+        return []
+    cols = len(work[0])
+    pivots = row_echelon(work)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][free]
+        basis.append(vec)
+    return basis
+
+
+def rref_solve(m, b):
+    """The reduced row echelon solution of m.x = b (free columns 0), or
+    None when the system is infeasible."""
+    work = _as_matrix(m)
+    if not work:
+        return []
+    cols = len(work[0])
+    aug = [row + [Fraction(v)] for row, v in zip(work, b)]
+    pivots = row_echelon(aug)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r][cols]
+    return x
+
+
+def fraction_det(matrix) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    m = _as_matrix(matrix)
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
 
 
 def poly_strategy(base_dim: int):
@@ -404,3 +499,88 @@ def test_poly_matrix_det():
     one = Poly.constant(1, 1)
     det = poly_matrix_det([[x, one], [one, x]])
     assert det == x * x - one
+
+
+# --- the Bareiss core against the Fraction oracles -----------------------
+
+small_ints = st.integers(-4, 4)
+
+
+def square(n_max: int, entries):
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(square(5, st.one_of(st.just(0), small_ints, integers)))
+def test_integer_det_matches_fraction_oracle(m):
+    assert integer_det(m) == fraction_det(m)
+
+
+def test_bareiss_pivots_are_leading_minors():
+    m = [[2, 1, 3], [4, 5, 6], [1, 0, 7]]
+    work = [list(row) for row in m]
+    cols, exchanges, last = bareiss(work, 3)
+    assert (cols, exchanges) == ([0, 1, 2], [])
+    minors = [fraction_det([row[: k + 1] for row in m[: k + 1]]) for k in range(3)]
+    assert [work[k][k] for k in range(3)] == minors and last == minors[-1]
+    # a zero leading minor forces an exchange; the determinant keeps its sign
+    m = [[0, 1, 2], [1, 0, 3], [4, 5, 6]]
+    work = [list(row) for row in m]
+    cols, exchanges, last = bareiss(work, 3)
+    assert exchanges == [0] and -last == fraction_det(m) == integer_det(m)
+
+
+def augmented_systems():
+    """(m, b): up to 6 x 4 systems of ints and Fractions, often rank
+    deficient, with right-hand sides both in and out of the column space."""
+    entry = st.one_of(st.just(0), st.just(0), small_ints, fractions)
+    return st.integers(1, 6).flatmap(
+        lambda rows: st.integers(1, 4).flatmap(
+            lambda cols: st.tuples(
+                st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows),
+                st.lists(entry, min_size=rows, max_size=rows),
+                st.lists(entry, min_size=cols, max_size=cols),
+                st.booleans(),
+            )
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_systems())
+def test_solve_linear_is_the_rref_solution(case):
+    m, b, x0, consistent = case
+    if consistent:  # b := m.x0, so the system has a solution
+        b = mat_vec(m, x0)
+    x = solve_linear(m, b)
+    assert x == rref_solve(m, b)
+    if x is None:
+        assert not consistent
+    else:
+        assert mat_vec(m, x) == [Fraction(v) for v in b]
+        assert all(type(v) is Fraction for v in x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square(4, st.one_of(st.just(0), small_ints, fractions)))
+def test_mat_inverse_matches_rref_oracle(m):
+    n = len(m)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    pivots = row_echelon(aug)
+    inv = mat_inverse(m)
+    if pivots != list(range(n)):
+        assert inv is None and fraction_det(m) == 0
+    else:
+        assert inv == [row[n:] for row in aug]
+
+
+def test_solve_linear_fixed_cases():
+    # free columns get 0; zero rows with a nonzero right-hand side are infeasible
+    assert solve_linear([[1, 2, 0], [2, 4, 1]], [3, 7]) == [Fraction(3), 0, Fraction(1)]
+    assert solve_linear([[0, 0], [1, 1]], [1, 2]) is None
+    assert solve_linear([[0, 0]], [0]) == [0, 0]
+    assert solve_linear([], []) == []
+    with pytest.raises(ValueError):
+        solve_linear([[1]], [1, 2])

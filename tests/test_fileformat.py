@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid.catalog import catalog_get, catalog_names
+from algebroid.exactmath import MAX_LITERAL_DIGITS
 from algebroid.fileformat import (
     MAX_KV_DIM,
     FormatError,
@@ -204,3 +209,81 @@ def test_serialize_document_dispatch():
     assert serialize_document(parse_document(KV)) == serialize_kvalgebra(
         parse_document(KV).algebra, parse_document(KV).form, "demo"
     )
+
+
+# --- literal sizes -----------------------------------------------------------
+
+
+def kv_value(text):
+    """The parsed value of a one-entry algebra whose constant is text."""
+    return parse_document(KV.replace("1 0 0 1", f"1 0 0 {text}")).algebra.c[0][0][1]
+
+
+def test_rational_literal_forms():
+    for text in ("3/4", "-2", "+7", "1.5", "1e3", "-1.5e-3", ".5", "2.", "1E2", "0/5"):
+        assert kv_value(text) == Fraction(text)
+    assert parse_document(KV.replace("1 1 3/2", "1 1 -6/4")).form.matrix[1][1] == Fraction(-3, 2)
+
+
+# texts near the forms Fraction accepts: digits, signs, '/', '.', 'e', '_'
+literal_texts = st.text(alphabet="0123456789+-/._eE", min_size=1, max_size=7)
+
+
+def decimal_digits(n: int) -> int:
+    """The decimal digits of n, within one, without converting n to str."""
+    return int(abs(n).bit_length() * 0.30103) + 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(literal_texts)
+def test_rational_literal_parse_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError, match="bad rational literal"):
+            kv_value(text)
+        return
+    size = max(decimal_digits(expected.numerator), decimal_digits(expected.denominator))
+    if size <= MAX_LITERAL_DIGITS - 10:  # reduction drops at most a few digits
+        assert kv_value(text) == expected
+    elif size > MAX_LITERAL_DIGITS + 1:
+        with pytest.raises(FormatError, match="exceeds the limit"):
+            kv_value(text)
+
+
+def test_rational_literal_size_limit():
+    ok = "9" * MAX_LITERAL_DIGITS
+    for text in (ok, f"-{ok}", f"1/{ok}", f"{ok}/7", f"1e{MAX_LITERAL_DIGITS - 1}", f"1e-{MAX_LITERAL_DIGITS - 1}"):
+        assert kv_value(text) == Fraction(text)
+    over = "9" * (MAX_LITERAL_DIGITS + 1)
+    # the digits of numerator or denominator before reduction: 2.5e1000 is
+    # 25 * 10^999, 0.5e-999 is 5 / 10^1000
+    for text in (over, f"1/{over}", f"{over}/2", "1e20000", "1e-20000", "2.5e1000", "0.5e-1000",
+                 "1e" + "9" * 5000, f"0.{'0' * MAX_LITERAL_DIGITS}1"):
+        with pytest.raises(FormatError) as exc:
+            kv_value(text)
+        assert (exc.value.line, exc.value.column) == (4, 7)
+        assert str(exc.value).endswith(f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+    # leading zeros and a zero mantissa do not count
+    for text in (f"{'0' * MAX_LITERAL_DIGITS}12", "0e999999", "2.5e999", "0.5e-998"):
+        assert kv_value(text) == Fraction(text)
+    # in [form], with the column of the value
+    with pytest.raises(FormatError) as exc:
+        parse_document(KV.replace("1 1 3/2", "1   1   1e20000"))
+    assert (exc.value.line, exc.value.column) == (7, 9)
+
+
+def test_integer_literal_size_limit():
+    ok = "7" * MAX_LITERAL_DIGITS
+    doc = parse_document(WITT.replace("0 0 0 1 0 -1", f"0 0 0 1 0 -{ok}"))
+    assert str(doc.structure.mult.terms[-1][1]) == f"-{ok}"
+    over = "7" * (MAX_LITERAL_DIGITS + 1)
+    # (coefficient, column of the long literal): a constant, a product
+    # factor, a denominator and an exponent
+    for coeff, column in ((over, 11), (f"2*{over}", 13), (f"1/{over}", 13), (f"x1^{over}", 14)):
+        with pytest.raises(FormatError) as exc:
+            parse_document(WITT.replace("0 0 0 1 0 -1", f"0 0 0 1 0 {coeff}"))
+        assert (exc.value.line, exc.value.column) == (8, column)
+        assert str(exc.value).endswith(
+            f"bad polynomial: integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+        )

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid.catalog import catalog_get, catalog_names, clan_84, vinberg_83
 from algebroid.kvfin import (
@@ -19,13 +21,14 @@ from algebroid.kvfin import (
     commutator_bracket,
     exactness_witness,
     fin_coboundary,
-    kv_defect_cochain,
     kv_defect_fin,
     kv_nu,
     mc_check,
-    perturb,
-    product_cochain,
 )
+from algebroid.fileformat import parse_document, serialize_kvalgebra
+from algebroid.kvfin import _residuals
+from kv_helpers import kv_defect_cochain, perturb, product_cochain
+from test_exactmath import fraction_det
 
 
 def alg(dim, triples):
@@ -641,3 +644,274 @@ def test_perturb_validation():
         perturb(A83, FinCochain(3, 1, COEFF_SELF))
     with pytest.raises(ValueError):
         kv_nu(A83, FinCochain(3, 2, COEFF_TRIVIAL))
+
+
+# --- hypothesis algebras and forms ---------------------------------------------
+
+constants = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def algebras(max_dim: int):
+    """Algebras of dimension 1..max_dim: sparse ones (a few entries) and
+    dense ones (every constant drawn)."""
+
+    def sparse(d):
+        entry = st.tuples(*[st.integers(0, d - 1)] * 3, constants)
+        return st.lists(entry, max_size=2 * d).map(lambda triples: alg(d, triples))
+
+    def full(d):
+        return st.lists(constants, min_size=d**3, max_size=d**3).map(
+            lambda v: FinKVAlgebra(d, [[v[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)] for i in range(d)])
+        )
+
+    return st.integers(1, max_dim).flatmap(lambda d: st.one_of(sparse(d), full(d)))
+
+
+def forms(d: int):
+    """Symmetric forms on Q^d, often with zero entries."""
+    entry = st.one_of(st.just(0), st.just(0), constants)
+    return st.lists(entry, min_size=d * d, max_size=d * d).map(
+        lambda v: SymForm([[v[min(i, j) * d + max(i, j)] for j in range(d)] for i in range(d)])
+    )
+
+
+def algebra_with_form(max_dim: int):
+    return algebras(max_dim).flatmap(lambda A: st.tuples(st.just(A), forms(A.dim)))
+
+
+def row_cocycle(A, beta):
+    """The row-based cocycle test: every integer row of the trivial
+    coboundary C^2 -> C^3 vanishes on the form's numerators."""
+    flat = [v for row in beta.num for v in row]
+    return not any(
+        sum(v * flat[col] for col, v in row.items())
+        for row in coboundary_rows(A, COEFF_TRIVIAL, 2)
+    )
+
+
+# --- the residual table ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_with_form(5))
+def test_residual_cocycle_test_matches_rows(case):
+    A, beta = case
+    report = clan_classify(A, beta)
+    assert report.cocycle == row_cocycle(A, beta)
+    assert report.invariance_witness == reference_invariance(A, beta)
+
+
+def test_residual_cocycle_test_on_seeded_cases():
+    """1000 seeded sparse and dense algebras of dimension 1-5 with random
+    forms; both answers occur often."""
+    rng = random.Random(3)
+
+    def const():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 4)))
+
+    found = {True: 0, False: 0}
+    for _ in range(1000):
+        d = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            A = alg(d, [(*(rng.randrange(d) for _ in range(3)), const()) for _ in range(rng.randint(0, 2 * d))])
+        else:
+            A = FinKVAlgebra(d, [[[const() for _ in range(d)] for _ in range(d)] for _ in range(d)])
+        v = [rng.choice((0, 0, const())) for _ in range(d * d)]
+        beta = SymForm([[v[min(i, j) * d + max(i, j)] for j in range(d)] for i in range(d)])
+        report = clan_classify(A, beta)
+        assert report.cocycle == row_cocycle(A, beta)
+        assert report.invariance_witness == reference_invariance(A, beta)
+        found[report.cocycle] += 1
+    assert min(found.values()) >= 200, found
+
+
+def cocycle_cases():
+    """Algebras with forms that are 2-cocycles: exact forms
+    beta(e_i, e_j) = Theta(e_i e_j + e_j e_i) and invariant forms of the
+    catalog entries, on the reader cases."""
+    rng = random.Random(29)
+    out = []
+    for A, beta in reader_cases():
+        theta = [F(rng.randint(-3, 3)) for _ in range(A.dim)]
+        d = A.dim
+        exact = [[sum((A.c[i][j][k] + A.c[j][i][k]) * theta[k] for k in range(d)) for j in range(d)] for i in range(d)]
+        out.append((A, SymForm(exact)))
+        out.append((A, beta))
+    return out
+
+
+def test_residual_identity_against_coboundary_rows():
+    """d beta(e_i, e_j, e_k) = R(i, j, k) - R(j, i, k): the integer rows of
+    the trivial coboundary times the form's numerators equal the
+    antisymmetrised residual table, entry by entry."""
+    cocycles = 0
+    for A, beta in cocycle_cases():
+        d = A.dim
+        flat = [v for row in beta.num for v in row]
+        rows = coboundary_rows(A, COEFF_TRIVIAL, 2)
+        R = _residuals(A, beta)
+        for n, (i, j, k) in enumerate(itertools.product(range(d), repeat=3)):
+            d_beta = sum(v * flat[col] for col, v in rows[n].items())
+            assert d_beta == R.get((i * d + j) * d + k, 0) - R.get((j * d + i) * d + k, 0)
+        cocycle = row_cocycle(A, beta)
+        assert clan_classify(A, beta).cocycle == cocycle
+        cocycles += cocycle
+    assert cocycles >= 10
+
+
+# --- scattered coboundary rows --------------------------------------------------------
+
+
+def visited_rows(A, coefficients, k):
+    """The coboundary rows built by visiting every (k+1)-tuple of basis
+    indices and reading the constants each one needs, the construction the
+    scattered `coboundary_rows` replaced: a second oracle, cheap enough for
+    self-coefficient degree 2 at dimension 5."""
+    d = A.dim
+    self_coeffs = coefficients == COEFF_SELF
+    width = d if self_coeffs else 1
+    prod = A.nz
+
+    def col(indices):
+        n = 0
+        for t in indices:
+            n = n * d + t
+        return n * width
+
+    rows = []
+    for idx in itertools.product(range(d), repeat=k + 1):
+        out = [{} for _ in range(width)]
+        for j in range(1, k + 1):
+            sign = -1 if j % 2 else 1
+            sj = idx[j - 1]
+            rest = idx[: j - 1] + idx[j:]
+            if self_coeffs:
+                for o in range(d):
+                    for m, v in prod[sj][o]:
+                        out[m][col(rest) + o] = out[m].get(col(rest) + o, 0) + sign * v
+            for t in range(k):
+                for a, v in prod[sj][rest[t]]:
+                    base = col(rest[:t] + (a,) + rest[t + 1 :])
+                    for m in range(width):
+                        out[m][base + m] = out[m].get(base + m, 0) - sign * v
+            if self_coeffs:
+                base, last = col(rest[:-1] + (sj,)), rest[-1]
+                for o in range(d):
+                    for m, v in prod[o][last]:
+                        out[m][base + o] = out[m].get(base + o, 0) + sign * v
+        rows.extend({c: v for c, v in row.items() if v} for row in out)
+    return rows
+
+
+def check_rows(A, reference_up_to=2):
+    """coboundary_rows against visited_rows in every degree, and against
+    the reference matrix in degrees up to reference_up_to (self
+    coefficients) or 2 (trivial)."""
+    for coefficients in (COEFF_SELF, COEFF_TRIVIAL):
+        for k in (0, 1, 2):
+            rows = coboundary_rows(A, coefficients, k)
+            # every row is kept, empty rows included
+            assert len(rows) == cochain_space_dim(A.dim, k + 1, coefficients)
+            assert rows == visited_rows(A, coefficients, k)
+            assert all(type(v) is int and v for row in rows for v in row.values())
+            if coefficients == COEFF_SELF and k > reference_up_to:
+                continue
+            width = cochain_space_dim(A.dim, k, coefficients)
+            oracle = reference_matrix(A, coefficients, k)
+            assert dense(rows, width) == [[A.den * v for v in row] for row in oracle]
+
+
+@settings(max_examples=15, deadline=None)
+@given(algebras(5))
+def test_scattered_rows_match_reference_on_random_algebras(A):
+    # the self degree-2 reference matrix takes 1.5 s at dim 4 and 6 s at
+    # dim 5, so there visited_rows is the oracle
+    check_rows(A, reference_up_to=2 if A.dim <= 3 else 1)
+
+
+def test_scattered_rows_match_reference_at_dim_4_and_5():
+    rng = random.Random(31)
+    c = [[[F(rng.choice((0, 0, 1, -2, F(1, 3)))) for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    check_rows(FinKVAlgebra(4, c))
+    check_rows(direct_sum(A83, alg(2, [(0, 1, 1, 2), (1, 1, 0, -1)])), reference_up_to=1)
+
+
+# --- the one-pass definiteness ----------------------------------------------------------
+
+
+def oracle_minors(matrix):
+    return [fraction_det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
+
+
+def check_form(beta):
+    minors = oracle_minors(beta.matrix)
+    negated = oracle_minors([[-v for v in row] for row in beta.matrix])
+    assert beta.leading_minors() == minors
+    assert beta.det() == fraction_det(beta.matrix)
+    assert beta.nondegenerate() == (fraction_det(beta.matrix) != 0)
+    assert beta.positive_definite() == all(m > 0 for m in minors)
+    assert beta.negative_definite() == all(m > 0 for m in negated)
+    assert beta.definite() == (all(m > 0 for m in minors) or all(m > 0 for m in negated))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(forms))
+def test_form_minors_match_fraction_oracle(beta):
+    check_form(beta)
+
+
+def test_form_minors_fixed_cases():
+    cases = [
+        [[0, 1], [1, 0]],  # a zero leading minor, nondegenerate
+        [[1, 1, 0], [1, 1, 0], [0, 0, 2]],  # zero second minor, degenerate
+        [[1, 2, 0], [2, 4, 1], [0, 1, 0]],  # zero second minor, det -1
+        [[-1, 0, 0], [0, -2, 0], [0, 0, -3]],  # negative definite
+        [[-2, 1], [1, F(-2, 3)]],  # negative definite, off-diagonal
+        [[F(1, 2), 0, 0], [0, F(1, 3), 0], [0, 0, 0]],  # semi-definite
+        [[0] * 3 for _ in range(3)],
+    ]
+    for matrix in cases:
+        check_form(SymForm(matrix))
+    assert SymForm(cases[3]).negative_definite() and SymForm(cases[4]).definite()
+    assert not SymForm(cases[5]).definite() and not SymForm(cases[5]).nondegenerate()
+    assert SymForm(cases[2]).det() == -1 and SymForm(cases[2]).leading_minors()[1] == 0
+
+
+# --- tables built from parsed entries ---------------------------------------------------
+
+
+def assert_same_tables(parsed, A, beta):
+    assert (parsed.algebra.nz, parsed.algebra.den) == (A.nz, A.den)
+    assert parsed.algebra.c == A.c and parsed.algebra == A
+    assert (parsed.form.num, parsed.form.den, parsed.form.rows) == (beta.num, beta.den, beta.rows)
+    assert parsed.form.matrix == beta.matrix and parsed.form == beta
+
+
+def test_parsed_tables_equal_dense_constructed():
+    for A, beta in reader_cases():
+        text = serialize_kvalgebra(A, beta)
+        # the views are built on demand: a fresh parse has made neither yet
+        parsed = parse_document(text)
+        assert parsed.algebra._c is None and parsed.form._matrix is None
+        assert_same_tables(parsed, A, beta)
+        dense_A = FinKVAlgebra(A.dim, [[list(row) for row in plane] for plane in A.c])
+        dense_beta = SymForm([list(row) for row in beta.matrix])
+        assert_same_tables(parse_document(text), dense_A, dense_beta)
+
+
+def test_entry_constructors_validate():
+    with pytest.raises(ValueError, match="out of range"):
+        FinKVAlgebra.from_entries(2, [(0, 2, 0, F(1))])
+    with pytest.raises(ValueError, match="repeated"):
+        FinKVAlgebra.from_entries(2, [(0, 1, 0, F(1)), (0, 1, 0, F(2))])
+    with pytest.raises(ValueError, match="out of range"):
+        SymForm.from_entries(2, [(0, 2, F(1))])
+    with pytest.raises(ValueError, match="repeated"):
+        SymForm.from_entries(2, [(0, 1, F(1)), (1, 0, F(1))])
+    # zero entries are dropped, as in the dense constructors
+    A = FinKVAlgebra.from_entries(2, [(0, 1, 0, F(0)), (1, 1, 1, F(2, 3))])
+    assert A == alg(2, [(1, 1, 1, F(2, 3))]) and A.nz[0][1] == ()
+    assert SymForm.from_entries(2, [(1, 0, F(5))]) == SymForm([[0, 5], [5, 0]])
+    assert FinKVAlgebra.zero(3) == alg(3, []) and FinKVAlgebra.zero(3).c == alg(3, []).c
