@@ -6,16 +6,21 @@ exponent multi-indices to nonzero integer numerators over one positive
 common denominator per polynomial (arbitrary-precision Python ints, in
 lowest terms), and scalars and results are `fractions.Fraction`. The
 linear algebra runs on integers: a matrix's rows are cleared of their
-denominators first. There is one dense elimination core, the
-fraction-free Bareiss elimination `bareiss` (Math. Comp. 22, 1968), behind
-determinants, leading principal minors, `solve_linear` and `mat_inverse`,
-and one sparse rank, `sparse_rank`, for the large, mostly zero coboundary
-matrices. Only `poly_matrix_det` (Laplace expansion over memoised minors)
-works on polynomial entries, because Bareiss on `Poly` entries would need
-exact multivariate division. All values are immutable after construction.
+denominators first (a row that holds only nonzero ints is taken as it
+is). There is one dense elimination core, the fraction-free Bareiss
+elimination `bareiss` (Math. Comp. 22, 1968), behind determinants,
+leading principal minors, `solve_linear` and `mat_inverse`, and one sparse
+rank, `sparse_rank`, for the large, mostly zero coboundary matrices; it
+drops empty rows and eliminates the transpose of a matrix whose nonempty
+rows outnumber its columns. Only `poly_matrix_det` (Laplace expansion
+over memoised minors) works on polynomial entries, because Bareiss on
+`Poly` entries would need exact multivariate division. All values are
+immutable after construction.
 
 Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
-digits each.
+digits each, and so have the numerators and the denominator of every
+coefficient the parser computes: a sum, product or power over the limit is
+a parse error at its operator, and a power is checked before it is built.
 """
 
 from __future__ import annotations
@@ -274,10 +279,14 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-# The most decimal digits an integer literal may have. Every literal is
-# checked when it is read, so a value prints without reaching Python's own
-# limit on int-to-str conversion (4300 digits).
+# The most decimal digits an integer literal may have, and a coefficient
+# the parser computes: every literal is checked when it is read, and the
+# numerators and the denominator of every sum, product and power when it is
+# made, so a value prints without reaching Python's own limit on int-to-str
+# conversion (4300 digits).
 MAX_LITERAL_DIGITS = 1000
+_COEFF_BOUND = 10**MAX_LITERAL_DIGITS
+_COEFF_BITS = _COEFF_BOUND.bit_length()
 
 
 class PolyParseError(ValueError):
@@ -322,37 +331,61 @@ class _PolyParser:
             p = -p
         while True:
             ch = self.peek()
+            at = self.pos
             if ch == "+":
                 self.pos += 1
-                p = p + self.parse_product()
+                p = self.checked(p + self.parse_product(), at)
             elif ch == "-":
                 self.pos += 1
-                p = p - self.parse_product()
+                p = self.checked(p - self.parse_product(), at)
             else:
                 return p
 
     def parse_product(self) -> Poly:
         p = self.parse_power()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
-            p = p * self.parse_power()
+            p = self.checked(p * self.parse_power(), at)
         return p
 
     def parse_power(self) -> Poly:
         base = self.parse_atom()
         if self.peek() != "^":
             return base
+        at = self.pos
         self.pos += 1
         exp = self.parse_integer()
+        num = base.num
+        if num:
+            # base^exp has the denominator den^exp and, among its
+            # numerators, the exp-th powers of those of the lex-first and
+            # -last exponents (lex is a monomial order): a power that is
+            # over the limit by these is never built
+            size = max(abs(num[min(num)]), abs(num[max(num)]), base.den).bit_length() - 1
+            if size * exp >= _COEFF_BITS:
+                self.coefficient_error(at)
         # square-and-multiply: O(log exp) products instead of exp
         result = Poly.constant(self.base_dim, 1)
         while exp:
             if exp & 1:
-                result = result * base
+                result = self.checked(result * base, at)
             exp >>= 1
             if exp:
-                base = base * base
+                base = self.checked(base * base, at)
         return result
+
+    def checked(self, p: Poly, position: int) -> Poly:
+        """p, when its denominator and numerators have at most
+        MAX_LITERAL_DIGITS digits; else an error at the operator's
+        position."""
+        values, bound = p.num.values(), _COEFF_BOUND
+        if values and (p.den >= bound or max(values) >= bound or min(values) <= -bound):
+            self.coefficient_error(position)
+        return p
+
+    def coefficient_error(self, position: int):
+        self.error(f"coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits", position)
 
     def parse_integer(self) -> int:
         self.skip_ws()
@@ -481,23 +514,54 @@ def integer_det(m: Sequence[Sequence[int]]) -> int:
     return -last if len(exchanges) % 2 else last
 
 
+_INT = frozenset((int,))
+
+
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Exact rank of a matrix given as sparse rows {column: value}.
 
-    Values may be ints or Fractions; each row is first cleared of its
-    denominators, so the elimination runs on Python ints only. A row is
-    reduced on its leading column against the pivot rows kept so far, by
-    the fraction-free update row := p*row - f*pivot (p and f the two
-    leading entries over their gcd), until it is zero or opens a new pivot
-    column. A new pivot row, and a row after an update that scaled it
-    (p != 1), is divided by the gcd of its entries, which keeps the
-    integers at the size of the reduced rows on dense input. Only nonzero
-    entries are stored, so the work follows the nonzeros.
+    Values may be ints or Fractions. Empty rows are dropped; a row of
+    nonzero ints is taken as it is, and any other row is cleared of its
+    denominators and zero values, so the elimination runs on Python ints
+    only. When the nonempty rows outnumber their distinct columns, the
+    transpose is eliminated instead, its rows in column order (rank M =
+    rank M^T): each of its fewer, longer rows is reduced once, where the
+    tall matrix would reduce most of its rows to zero. A row is reduced
+    on its leading column against the pivot rows kept so far, by the
+    fraction-free update row := p*row - f*pivot (p and f the two leading
+    entries over their gcd), until it is zero or opens a new pivot column.
+    A new pivot row, and a row after an update that scaled it (p != 1), is
+    divided by the gcd of its entries, which keeps the integers at the
+    size of the reduced rows on dense input. Only nonzero entries are
+    stored, so the work follows the nonzeros. The input rows are not
+    modified.
     """
-    pivots = {}  # leading column -> primitive integer row
+    work, columns = [], set()
     for row in rows:
-        den = lcm(*(v.denominator for v in row.values() if v))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        if not row:
+            continue
+        values = row.values()
+        if 0 in values or not _INT.issuperset(map(type, values)):
+            den = lcm(*(v.denominator for v in values if v))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            if not row:
+                continue
+        work.append(row)
+        columns.update(row)
+    if len(columns) < len(work):
+        transpose = {}
+        for r, row in enumerate(work):
+            for c, v in row.items():
+                column = transpose.get(c)
+                if column is None:
+                    transpose[c] = {r: v}
+                else:
+                    column[r] = v
+        work = [column for _, column in sorted(transpose.items())]
+    else:
+        work = [dict(row) for row in work]  # reduced in place below
+    pivots = {}  # leading column -> primitive integer row
+    for row in work:
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -41,12 +41,16 @@ Limits, each a parse error with its line (and column for a literal):
   dim 7 the dense random one runs for more than 4 minutes.
 - A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
   polynomial that holds for each integer (the digits of a constant, a
-  denominator, a variable index or an exponent). A rational value in
-  [kvalgebra] or [form] takes every form Fraction(text) accepts (3/4, -2,
-  1.5, 1e3), and its numerator and denominator, written out before
-  reduction, have at most that many significant digits: 1e999 is at the
-  limit, 1e1000 and 1e-1000 are over it. So a value prints without
-  reaching Python's 4300-digit limit on int-to-str conversion.
+  denominator, a variable index or an exponent), and for the numerators
+  and the denominator of every coefficient the polynomial parser computes:
+  a sum, product or power over the limit is an error at the column of its
+  operator, and a power such as 2^99999999999 is refused before it is
+  built. A rational value in [kvalgebra] or [form] takes every form
+  Fraction(text) accepts (3/4, -2, 1.5, 1e3), and its numerator and
+  denominator, written out before reduction, have at most that many
+  significant digits: 1e999 is at the limit, 1e1000 and 1e-1000 are over
+  it. So a value prints without reaching Python's 4300-digit limit on
+  int-to-str conversion.
 """
 
 from __future__ import annotations
@@ -185,6 +189,16 @@ def _parse_int_field(text: str, what: str, lineno: int) -> int:
         raise FormatError(f"bad {what} {text!r}", lineno) from None
 
 
+def _parse_indices(fields, lineno: int) -> tuple:
+    """The index fields as ints; the first bad one is the parse error."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        for text in fields:
+            _parse_int_field(text, "index", lineno)
+        raise
+
+
 def parse_document(text: str) -> ParsedDocument:
     lines = text.splitlines()
     # locate the first header to decide the document kind
@@ -196,9 +210,9 @@ def parse_document(text: str) -> ParsedDocument:
     anchor_entries = {}
     pairing_entries = {}
     d_entries = {}
-    kv_entries = {}
+    kv_entries = {}  # entry key -> (value, line of the entry)
     form_entries = {}
-    where = {}  # (section, entry key) -> line of the entry
+    where = {}  # (section, entry key) -> line of a [structure] document's entry
     seen_head_keys = set()
 
     for lineno, raw in enumerate(lines, start=1):
@@ -291,24 +305,21 @@ def parse_document(text: str) -> ParsedDocument:
         elif section == "kvalgebra":
             if len(fields) != 4:
                 raise FormatError("expected: k i j value", lineno)
-            k, i, j = (_parse_int_field(p, "index", lineno) for p in fields[:3])
-            if (k, i, j) in kv_entries:
-                raise FormatError(f"duplicate product entry {k} {i} {j}", lineno)
-            kv_entries[(k, i, j)] = _parse_rational(fields[3], lineno, end - len(fields[3]) + 1)
-            where[("kvalgebra", (k, i, j))] = lineno
+            key = _parse_indices(fields[:3], lineno)
+            if key in kv_entries:
+                raise FormatError("duplicate product entry {} {} {}".format(*key), lineno)
+            kv_entries[key] = (_parse_rational(fields[3], lineno, end - len(fields[3]) + 1), lineno)
         elif section == "form":
             if len(fields) != 3:
                 raise FormatError("expected: i j value", lineno)
-            i = _parse_int_field(fields[0], "index", lineno)
-            j = _parse_int_field(fields[1], "index", lineno)
+            i, j = _parse_indices(fields[:2], lineno)
             value = _parse_rational(fields[2], lineno, end - len(fields[2]) + 1)
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i <= j else (j, i)
             if key in form_entries:
-                if form_entries[key] != value:
+                if form_entries[key][0] != value:
                     raise FormatError(f"conflicting form entries for ({i},{j})", lineno)
                 raise FormatError(f"duplicate form entry {i} {j}", lineno)
-            form_entries[key] = value
-            where[("form", key)] = lineno
+            form_entries[key] = (value, lineno)
         else:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
 
@@ -351,20 +362,20 @@ def parse_document(text: str) -> ParsedDocument:
     dim = _head_int(head, "dim", 1)
     if dim > MAX_KV_DIM:
         raise FormatError(f"dim {dim} exceeds the limit {MAX_KV_DIM}", head["dim"][1])
-    for (k, i, j) in kv_entries:
-        if not all(0 <= t < dim for t in (k, i, j)):
-            raise FormatError(
-                f"product index out of range: {k} {i} {j}", where[("kvalgebra", (k, i, j))]
-            )
+    for (k, i, j), (_, line) in kv_entries.items():
+        if not (0 <= k < dim and 0 <= i < dim and 0 <= j < dim):
+            raise FormatError(f"product index out of range: {k} {i} {j}", line)
     algebra = FinKVAlgebra.from_entries(
-        dim, ((i, j, k, value) for (k, i, j), value in kv_entries.items())
+        dim, ((i, j, k, value) for (k, i, j), (value, _) in kv_entries.items())
     )
     form = None
     if form_entries:
-        for (i, j) in form_entries:
+        for (i, j), (_, line) in form_entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
-                raise FormatError(f"form index out of range: {i} {j}", where[("form", (i, j))])
-        form = SymForm.from_entries(dim, ((i, j, value) for (i, j), value in form_entries.items()))
+                raise FormatError(f"form index out of range: {i} {j}", line)
+        form = SymForm.from_entries(
+            dim, ((i, j, value) for (i, j), (value, _) in form_entries.items())
+        )
     return ParsedDocument("kvalgebra", name, algebra=algebra, form=form)
 
 

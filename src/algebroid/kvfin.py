@@ -20,12 +20,17 @@ nonzero structure constants of e_i e_j as (m, num) pairs, integer
 numerators over the one positive common denominator A.den. A parsed file
 builds the table straight from its entries (`FinKVAlgebra.from_entries`),
 and a form keeps num/den and its nonzero entries per row in the same way
-(`SymForm.from_entries`); the Fraction views A.c and beta.matrix are made
-only when something reads them (export, `product`, `commutator_bracket`).
-The KV defect, the Jacobi check of the commutator, the residual table of a
-form and the coboundary all read the table, so their inner loops multiply
+(`SymForm.from_entries`), with one pass over the entries and no dense
+scaffold; the Fraction views A.c and beta.matrix are made only when
+something reads them (export, `product`, `commutator_bracket`). The KV
+defect, the Jacobi check of the commutator, the residual table of a form
+and the coboundary all read the table, so their inner loops multiply
 Python ints and turn a result into Fractions only once, when it is a
-witness.
+witness. The KV defect is scattered from the chained pairs of nonzero
+constants (`_kv_anomalies`), one basis pair i < j at a time in ascending
+order, since the anomaly is skew in i, j: `kv_defect_fin` stops at the
+first pair with a nonzero anomaly, whose least nonzero triple is the first
+witness in basis-triple order.
 
 The coboundary formula is written once, in `coboundary_rows`: on basis
 inputs every term is a single structure constant, so each nonzero constant
@@ -36,7 +41,8 @@ tuples, and the matrices are mostly zero: the degree-2 self matrix of a
 5-dimensional algebra is 625 x 125 with under 1% nonzeros.
 `fin_coboundary` multiplies these rows by the flattened cochain and
 `cohomology_summary` ranks them with the fraction-free
-`exactmath.sparse_rank`.
+`exactmath.sparse_rank`, which drops the empty rows and, since most of
+these matrices are taller than wide, eliminates the transpose.
 
 A form beta is checked through one residual table,
 R(i, j, k) = beta(e_i e_j, e_k) + beta(e_j, e_i e_k). In the convention
@@ -100,42 +106,42 @@ class FinKVAlgebra:
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be dim x dim x dim")
-        self._set_table(dim, [
-            [[(m, v) for m, v in enumerate(row) if v] for row in plane] for plane in c
-        ])
-        self._c = c
+        den = _common_den(v for plane in c for row in plane for v in row)
+        self.dim, self.den, self._c = dim, den, c
+        self.nz = tuple(
+            tuple(
+                tuple((m, v.numerator * (den // v.denominator)) for m, v in enumerate(row) if v)
+                for row in plane
+            )
+            for plane in c
+        )
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "FinKVAlgebra":
         """The algebra with e_i e_j = sum of value * e_k over its entries
         (i, j, k, value); each (i, j, k) appears at most once and the
-        constants of the missing ones are 0."""
+        constants of the missing ones are 0. The table is built straight
+        from the entries, in (i, j, k) order."""
         if dim <= 0:
             raise ValueError("dim must be positive")
-        rows = [[{} for _ in range(dim)] for _ in range(dim)]
+        values = {}  # (i*dim + j)*dim + k -> value
         for i, j, k, value in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"product index out of range: {i} {j} {k}")
-            row = rows[i][j]
-            if k in row:
+            key = (i * dim + j) * dim + k
+            if key in values:
                 raise ValueError(f"repeated product entry {i} {j} {k}")
-            row[k] = value
+            values[key] = value
+        den = _common_den(values.values())
+        flat = [()] * (dim * dim)  # flat[i*dim + j] = nz[i][j]
+        for key, value in sorted(values.items()):
+            if value:
+                ij, m = divmod(key, dim)
+                flat[ij] += ((m, value.numerator * (den // value.denominator)),)
         out = cls.__new__(cls)
-        out._set_table(dim, [
-            [sorted((m, v) for m, v in row.items() if v) for row in plane] for plane in rows
-        ])
-        out._c = None
+        out.dim, out.den, out._c = dim, den, None
+        out.nz = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
         return out
-
-    def _set_table(self, dim: int, terms):
-        """terms[i][j]: the nonzero (m, value) of e_i e_j, m ascending."""
-        self.dim = dim
-        den = _common_den(v for plane in terms for row in plane for _, v in row)
-        self.den = den
-        self.nz = tuple(
-            tuple(tuple((m, v.numerator * (den // v.denominator)) for m, v in row) for row in plane)
-            for plane in terms
-        )
 
     @property
     def c(self):
@@ -182,38 +188,51 @@ def _basis_vec(dim: int, k: int):
     return v
 
 
-# Triple products on basis vectors, read off the table: they add numerators
-# over den^2 into acc.
-
-
 def _add_left(acc, nz, i, j, k, sign):
-    """acc += sign * (e_i e_j) e_k."""
+    """acc += sign * (e_i e_j) e_k, numerators over den^2."""
     for a, x in nz[i][j]:
         x *= sign
         for m, y in nz[a][k]:
             acc[m] += x * y
 
 
-def _add_right(acc, nz, i, j, k, sign):
-    """acc += sign * e_i (e_j e_k)."""
-    for a, x in nz[j][k]:
-        x *= sign
-        for m, y in nz[i][a]:
-            acc[m] += x * y
-
-
 def _kv_anomalies(A: FinKVAlgebra):
-    """Yield (i, j, k, numerators over den^2) of the KV anomaly
-    (e_i, e_j, e_k) - (e_j, e_i, e_k), with (u, v, w) = u(vw) - (uv)w, for
-    every basis triple in `itertools.product` order."""
-    nz = A.nz
-    for i, j, k in itertools.product(range(A.dim), repeat=3):
-        acc = [0] * A.dim
-        _add_right(acc, nz, i, j, k, 1)
-        _add_left(acc, nz, i, j, k, -1)
-        _add_right(acc, nz, j, i, k, -1)
-        _add_left(acc, nz, j, i, k, 1)
-        yield i, j, k, acc
+    """Yield (i, j, {k*d + m: numerator over den^2}) for each pair i < j
+    on which the KV anomaly K(i, j, k) = (e_i, e_j, e_k) - (e_j, e_i, e_k),
+    with (u, v, w) = u(vw) - (uv)w, is nonzero somewhere, pairs in
+    ascending order and only nonzero numerators kept. K is skew in i, j,
+    so these pairs hold all of it.
+
+    K(i, j, k) = T(i, j, k) - T(j, i, k) - L(i, j, k) + L(j, i, k), with
+    T(p, q, k) = e_p (e_q e_k) and L(p, q, k) = (e_p e_q) e_k. Each term
+    is a chained pair of nonzero constants, c[q][k][a] c[p][a][m] for T
+    and c[p][q][a] c[a][k][m] for L, so the anomaly of a pair (i, j) is
+    scattered from the chains that start at its constants, for every k at
+    once: the work follows the chained pairs, each met once, not the d^3
+    basis triples.
+    """
+    d, nz = A.dim, A.nz
+    for i in range(d):
+        for j in range(i + 1, d):
+            acc = {}
+            for p, q, sign in ((i, j, 1), (j, i, -1)):
+                # sign * T(p, q, k): c[q][k][a] c[p][a][m]
+                for k, row in enumerate(nz[q]):
+                    for a, x in row:
+                        x *= sign
+                        for m, y in nz[p][a]:
+                            key = k * d + m
+                            acc[key] = acc.get(key, 0) + x * y
+                # -sign * L(p, q, k): c[p][q][a] c[a][k][m]
+                for a, x in nz[p][q]:
+                    x *= -sign
+                    for k, row in enumerate(nz[a]):
+                        for m, y in row:
+                            key = k * d + m
+                            acc[key] = acc.get(key, 0) + x * y
+            acc = {key: v for key, v in acc.items() if v}
+            if acc:
+                yield i, j, acc
 
 
 def _over(nums, den: int) -> list:
@@ -222,11 +241,16 @@ def _over(nums, den: int) -> list:
 
 def kv_defect_fin(A: FinKVAlgebra) -> Optional[tuple]:
     """None if the KV anomaly vanishes on all basis triples, else the
-    first (i, j, k, defect-vector) witness."""
-    for i, j, k, acc in _kv_anomalies(A):
-        if any(acc):
-            return (i, j, k, _over(acc, A.den * A.den))
-    return None
+    witness (i, j, k, defect-vector) of the least such triple (i, j, k),
+    the first in `itertools.product` order. That triple has i < j, since
+    K(i, i, k) = 0 and K is skew in i, j."""
+    first = next(_kv_anomalies(A), None)
+    if first is None:
+        return None
+    i, j, acc = first
+    d = A.dim
+    k = min(acc) // d
+    return (i, j, k, _over([acc.get(k * d + m, 0) for m in range(d)], A.den * A.den))
 
 
 @dataclass(frozen=True)
@@ -539,8 +563,9 @@ class SymForm:
                 if matrix[i][j] != matrix[j][i]:
                     raise ValueError("form matrix must be symmetric")
         den = _common_den(v for row in matrix for v in row)
-        self._set_num(d, den, [[v.numerator * (den // v.denominator) for v in row] for row in matrix])
-        self._matrix = matrix
+        self.dim, self.den, self._pass, self._matrix = d, den, None, matrix
+        self.num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix)
+        self.rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.num)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SymForm":
@@ -551,25 +576,27 @@ class SymForm:
         for i, j, value in entries:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"form index out of range: {i} {j}")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i <= j else (j, i)
             if key in values:
                 raise ValueError(f"repeated form entry {i} {j}")
             values[key] = value
         den = _common_den(values.values())
         num = [[0] * dim for _ in range(dim)]
-        for (i, j), value in values.items():
-            num[i][j] = num[j][i] = value.numerator * (den // value.denominator)
+        rows = [[] for _ in range(dim)]
+        # in (i, j) order, row r gets its entries (i, r), i < r, before
+        # its entries (r, j), j >= r: ascending
+        for (i, j), value in sorted(values.items()):
+            if value:
+                n = value.numerator * (den // value.denominator)
+                num[i][j] = num[j][i] = n
+                rows[i].append((j, n))
+                if i != j:
+                    rows[j].append((i, n))
         out = cls.__new__(cls)
-        out._set_num(dim, den, num)
-        out._matrix = None
+        out.dim, out.den, out._pass, out._matrix = dim, den, None, None
+        out.num = tuple(map(tuple, num))
+        out.rows = tuple(map(tuple, rows))
         return out
-
-    def _set_num(self, dim: int, den: int, num):
-        self.dim = dim
-        self.den = den
-        self.num = tuple(tuple(row) for row in num)
-        self.rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in num)
-        self._pass = None
 
     @property
     def matrix(self):

@@ -1,10 +1,11 @@
 """Anomaly tensors and function-side cochain calculus.
 
 Evaluation entry points (jacobiator, kv_anomaly, leibniz_anomaly,
-courant_T, pairing_coboundary, fun_coboundary) compute exact values on
-concrete sections/functions. The *_op builders assemble the same
-quantities as canonical multidifferential operators, which is what the
-axiom checkers subtract and decide.
+courant_T, pairing_coboundary) compute exact values on concrete
+sections/functions. The *_op builders assemble the same quantities as
+canonical multidifferential operators, which is what the axiom checkers
+subtract and decide; `fun_coboundary_op` is the coboundary of a degree-0
+or degree-1 function cochain, which the D-cocycle check needs.
 """
 
 from __future__ import annotations
@@ -109,24 +110,24 @@ def pairing_coboundary(S: AlgebroidStructure, s: Section, sp: Section, spp: Sect
 
 
 # ---------------------------------------------------------------------------
-# Cochains C^k(F(M), V) for k <= 2 and their coboundaries.
+# Cochains C^k(F(M), V) for k <= 1 and their coboundaries.
 # ---------------------------------------------------------------------------
 
 
 class FunCochain:
-    """Element of C^k(F(M),V), k <= 2: a Section for k = 0, otherwise a
-    k-slot function-input, section-output multidifferential operator."""
+    """Element of C^k(F(M),V), k <= 1: a Section for k = 0, otherwise a
+    one-slot function-input, section-output multidifferential operator."""
 
     def __init__(self, degree: int, payload):
-        if degree not in (0, 1, 2):
-            raise ValueError("supported cochain degrees are 0, 1, 2")
+        if degree not in (0, 1):
+            raise ValueError("supported cochain degrees are 0, 1")
         if degree == 0:
             if not isinstance(payload, Section):
                 raise ValueError("degree-0 cochain payload must be a Section")
         else:
             if not isinstance(payload, MultiDiffOp):
                 raise ValueError("cochain payload must be a MultiDiffOp")
-            if payload.slots != (FUNCTION,) * degree or payload.output != SECTION:
+            if payload.slots != (FUNCTION,) or payload.output != SECTION:
                 raise ValueError("cochain operator has the wrong signature")
         self.degree = degree
         self.payload = payload
@@ -137,40 +138,6 @@ class FunCochain:
         if self.degree == 0:
             return self.payload
         return self.payload.apply(*args)
-
-
-def fun_coboundary(S: AlgebroidStructure, theta: FunCochain, args: Sequence[Poly]) -> Section:
-    """Evaluate the coboundary of theta on args (len(args) = degree + 1).
-
-    Degree 0 maps to zero. Degree 1:
-        dTheta(a1,a2) = -(a1 Theta(a2) - Theta(a1 a2) + a2 Theta(a1)).
-    Degree 2 follows the same alternating action/append pattern.
-    """
-    if len(args) != theta.degree + 1:
-        raise ValueError("argument count must be cochain degree + 1")
-    if theta.degree == 0:
-        return Section.zero(S.rank, S.base_dim)
-    if theta.degree == 1:
-        a1, a2 = args
-        return -(
-            theta.value(a2).scale(a1)
-            - theta.value(a1 * a2)
-            + theta.value(a1).scale(a2)
-        )
-    a1, a2, a3 = args
-    j1 = (
-        theta.value(a2, a3).scale(a1)
-        - theta.value(a1 * a2, a3)
-        - theta.value(a2, a1 * a3)
-        + theta.value(a2, a1).scale(a3)
-    )
-    j2 = (
-        theta.value(a1, a3).scale(a2)
-        - theta.value(a2 * a1, a3)
-        - theta.value(a1, a2 * a3)
-        + theta.value(a1, a2).scale(a3)
-    )
-    return -j1 + j2
 
 
 def fun_coboundary_op(S: AlgebroidStructure, theta: FunCochain) -> MultiDiffOp:

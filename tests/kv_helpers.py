@@ -18,12 +18,16 @@ def product_cochain(A: FinKVAlgebra) -> FinCochain:
 
 def kv_defect_cochain(A: FinKVAlgebra) -> FinCochain:
     """The full KV anomaly as a degree-3 self-coefficient cochain, read off
-    the structure-constant table by the library's own anomaly generator."""
-    out = FinCochain(A.dim, 3, COEFF_SELF)
-    den2 = A.den * A.den
-    for i, j, k, acc in _kv_anomalies(A):
-        if any(acc):
-            out.set((i, j, k), _over(acc, den2))
+    the structure-constant table by the library's own scattered anomaly,
+    which yields the pairs i < j; K(j, i, k) = -K(i, j, k) fills in the
+    rest."""
+    d, den2 = A.dim, A.den * A.den
+    out = FinCochain(d, 3, COEFF_SELF)
+    for i, j, acc in _kv_anomalies(A):
+        for k in range(d):
+            nums = [acc.get(k * d + m, 0) for m in range(d)]
+            out.set((i, j, k), _over(nums, den2))
+            out.set((j, i, k), _over([-v for v in nums], den2))
     return out
 
 

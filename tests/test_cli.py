@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,32 @@ def test_oversized_literals_exit_2(tmp_path):
         "error: line 6, column 11: bad polynomial: integer literal exceeds the limit "
         "of 1000 digits\n"
     )
+
+
+def test_oversized_coefficients_exit_2(tmp_path):
+    """A coefficient the parser would compute over the digit limit exits 2
+    at once, in a file (line and column) and in an `anomalies` argument
+    (column), however large the exponent."""
+    message = "coefficient exceeds the limit of 1000 digits"
+    for coeff in ("2^100000", "2^99999999999"):
+        path = tmp_path / "power.alg"
+        path.write_text(
+            "[structure]\nbase_dim 1\nrank 1\nskew false\n[mult]\n0 0 0 0 0 " + coeff + "\n"
+        )
+        start = time.perf_counter()
+        code, out, err = invoke("export", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: line 6, column 12: bad polynomial: {message}\n"
+        start = time.perf_counter()
+        code, out, err = invoke("anomalies", "--catalog", "witt-line", "1", "x1", f"x1 + {coeff}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (at column 7)\n"
+    code, out, err = invoke(
+        "anomalies", "--catalog", "witt-line", "1", "x1", "x1", "--function", "10^998*10^998"
+    )
+    assert (code, out, err) == (2, "", f"error: {message} (at column 7)\n")
 
 
 def test_usage_errors_exit_2():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid.exactmath import (
+    MAX_LITERAL_DIGITS,
     Poly,
     PolyParseError,
     bareiss,
@@ -373,6 +374,48 @@ def test_parse_errors_carry_position():
         assert str(exc.value) == f"{message} (at column {position + 1})"
 
 
+def coefficient_error(text, base_dim=1):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, base_dim)
+    assert exc.value.message == f"coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+    return exc.value.position
+
+
+def test_coefficient_size_limit():
+    digits = lambda n: len(str(abs(n)))
+    # the boundary: 1000 digits parse, 1001 do not, in a numerator and in
+    # the denominator; each error points at its operator
+    assert digits(parse_poly("2^3321", 1).num[(0,)]) == MAX_LITERAL_DIGITS
+    assert digits(parse_poly("9^1047*x1", 1).num[(1,)]) == MAX_LITERAL_DIGITS
+    assert digits(parse_poly("(1/10)^999", 1).den) == MAX_LITERAL_DIGITS
+    assert coefficient_error("2^3322") == 1
+    assert coefficient_error("x1 - 9^1048") == 6
+    assert coefficient_error("x1 + (1/10)^1000") == 11
+    assert coefficient_error("(0 - 9^1047)*9") == 12  # a negative numerator
+    # a power far over the limit is refused before it is built
+    for text in ("2^100000", "2^99999999999", "(1/3)^99999999999", "(x1 + 2)^99999999999"):
+        assert coefficient_error(text) == text.index("^")
+    # products: five factors 10^998 fail at the first '*'; five factors
+    # 10^199 make 996 digits
+    ten = "*".join(["10^998"] * 5)
+    assert coefficient_error(ten) == ten.index("*")
+    assert digits(parse_poly("*".join(["10^199"] * 5), 1).num[(0,)]) == 996
+    # sums: the denominators 2^660, 3^417, 5^285, 7^236, 11^191, 13^179
+    # are coprime with about 200 digits each, so five of the 1/p sum to a
+    # denominator of 996 digits and the sixth term goes over
+    terms = ["1/2^660", "1/3^417", "1/5^285", "1/7^236", "1/11^191", "1/13^179"]
+    assert digits(parse_poly(" + ".join(terms[:5]), 1).den) == 996
+    text = " + ".join(terms)
+    assert coefficient_error(text) == text.rindex("+")
+    minus = " - ".join(terms)
+    assert coefficient_error(minus) == minus.rindex("-")
+    # a squaring inside a power whose end terms stay small is checked too:
+    # at the exponent 2^40 nothing else is multiplied before the last one
+    assert coefficient_error("(1 + 10^300*x1 + x1^2)^1099511627776") == 22
+    # the numerators of (1+x1)^800 stay far below the limit
+    assert parse_poly("(1+x1)^800", 1).num[(400,)] == comb(800, 400)
+
+
 def test_eval_matches_expansion():
     p = parse_poly("x1^2*x2 - 3*x2 + 1/2", 2)
     assert poly_eval(p, [Fraction(2), Fraction(3)]) == Fraction(4 * 3 - 9) + Fraction(1, 2)
@@ -460,6 +503,41 @@ def test_sparse_rank_mixed_denominators(m):
     assert r == rank(m) == 5 - len(kernel_basis(m))
 
 
+# entries of one kind: nonzero ints, Fractions (integral ones stay of type
+# Fraction) or both in one row
+ENTRY_KINDS = {
+    "int": st.one_of(st.integers(-3, 3), integers),
+    "fraction": fractions,
+    "mixed": st.one_of(st.integers(-5, 5), fractions),
+}
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(dense matrix, its sparse rows): tall and wide shapes, empty rows,
+    and rows that keep some zero values."""
+    entry = st.one_of(st.just(0), st.just(0), ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))])
+    cols = draw(st.integers(1, 6))
+    m = []
+    for _ in range(draw(st.integers(0, 4 * cols))):
+        if draw(st.integers(0, 4)) == 0:
+            m.append([0] * cols)  # an empty row
+        else:
+            m.append([draw(entry) for _ in range(cols)])
+    keep_zeros = draw(st.booleans())
+    rows = [{c: v for c, v in enumerate(row) if v or (keep_zeros and c % 2)} for row in m]
+    return m, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_sparse_rank_matches_fraction_oracle_on_any_shape(case):
+    m, rows = case
+    before = [dict(row) for row in rows]
+    assert sparse_rank(rows) == len(row_echelon(_as_matrix(m)))
+    assert rows == before  # the input rows are not modified
+
+
 def test_sparse_rank_fixed_cases():
     half = Fraction(1, 2)
     assert sparse_rank([]) == 0
@@ -470,6 +548,10 @@ def test_sparse_rank_fixed_cases():
     # a leading entry of either sign and a pivot that is not +-1
     assert sparse_rank([{0: -6, 2: 4}, {0: 9, 2: -6}, {0: 4, 1: 1}]) == 2
     assert sparse_rank([{1: 10**30, 2: 1}, {1: 10**30 + 1, 2: 1}, {2: 5}]) == 2
+    # tall: more nonempty rows than columns, so the transpose is eliminated
+    assert sparse_rank([{0: 2}, {}, {0: -4}, {5: 3}, {0: 1, 5: half}, {5: 0}]) == 2
+    assert sparse_rank([{0: 1, 1: 1}, {0: 1, 1: -1}, {0: 3, 1: 1}, {1: 7}]) == 2
+    assert sparse_rank([{2: 6}, {2: -9}, {2: Fraction(3, 4)}]) == 1
 
 
 def test_solve_linear():

@@ -98,6 +98,11 @@ def test_kv_defect_witness():
     i, j, k, defect = w
     assert (i, j, k) == (0, 1, 1)
     assert defect == [F(-1), F(0)]
+    # a late witness: only the last constant of a KV algebra is moved
+    c = [[list(row) for row in plane] for plane in truncated(5).c]
+    c[4][4][4] += 1
+    A = FinKVAlgebra(5, c)
+    assert kv_defect_fin(A) == reference_kv_defect(A) == (1, 4, 3, [0, 0, 0, 0, F(-1)])
 
 
 def test_commutator_bracket_83_matches_displayed_bracket():
@@ -691,6 +696,33 @@ def row_cocycle(A, beta):
     )
 
 
+# --- the scattered KV defect --------------------------------------------------------
+
+
+@st.composite
+def near_kv_algebras(draw):
+    """KV algebras (truncated polynomial rings, the finite catalog entries
+    and direct sums of them with a zero algebra), each with up to two
+    constants moved, so that the first witness may lie late in
+    `itertools.product` order or not exist."""
+    base = draw(st.sampled_from(
+        [truncated(d) for d in range(1, 7)] + [A83, A84, A84P]
+        + [direct_sum(A83, FinKVAlgebra.zero(3)), direct_sum(FinKVAlgebra.zero(2), A84)]
+    ))
+    d = base.dim
+    c = [[list(row) for row in plane] for plane in base.c]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        c[i][j][k] += draw(constants)
+    return FinKVAlgebra(d, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(algebras(6), near_kv_algebras()))
+def test_scattered_kv_defect_matches_reference(A):
+    assert kv_defect_fin(A) == reference_kv_defect(A)
+
+
 # --- the residual table ------------------------------------------------------------
 
 
@@ -889,7 +921,33 @@ def assert_same_tables(parsed, A, beta):
     assert parsed.form.matrix == beta.matrix and parsed.form == beta
 
 
+def assert_entry_constructors_match(A, beta, rng):
+    """from_entries on the entries of A and beta in a shuffled order, some
+    of them zero, ints and Fractions, form entries on either side of the
+    diagonal, builds the tables of the dense constructors."""
+    d = A.dim
+    entries = [
+        (i, j, k, A.c[i][j][k] if A.c[i][j][k].denominator != 1 else int(A.c[i][j][k]))
+        for i, j, k in itertools.product(range(d), repeat=3)
+        if A.c[i][j][k] or rng.random() < 0.1
+    ]
+    rng.shuffle(entries)
+    form_entries = [
+        (i, j, beta.matrix[i][j]) if rng.random() < 0.5 else (j, i, beta.matrix[i][j])
+        for i, j in itertools.combinations_with_replacement(range(d), 2)
+        if beta.matrix[i][j] or rng.random() < 0.2
+    ]
+    rng.shuffle(form_entries)
+    built = FinKVAlgebra.from_entries(d, entries)
+    form = SymForm.from_entries(d, form_entries)
+    assert built._c is None and form._matrix is None
+    assert (built.nz, built.den) == (A.nz, A.den) and built.c == A.c
+    assert (form.num, form.den, form.rows) == (beta.num, beta.den, beta.rows)
+    assert form.matrix == beta.matrix
+
+
 def test_parsed_tables_equal_dense_constructed():
+    rng = random.Random(41)
     for A, beta in reader_cases():
         text = serialize_kvalgebra(A, beta)
         # the views are built on demand: a fresh parse has made neither yet
@@ -899,6 +957,10 @@ def test_parsed_tables_equal_dense_constructed():
         dense_A = FinKVAlgebra(A.dim, [[list(row) for row in plane] for plane in A.c])
         dense_beta = SymForm([list(row) for row in beta.matrix])
         assert_same_tables(parse_document(text), dense_A, dense_beta)
+        assert_entry_constructors_match(A, beta, rng)
+    # forms with entries off the diagonal, which the catalog's forms lack
+    for A, beta in cocycle_cases()[::2]:
+        assert_entry_constructors_match(A, beta, rng)
 
 
 def test_entry_constructors_validate():

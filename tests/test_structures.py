@@ -10,9 +10,9 @@ from algebroid.catalog import (
     witt_line,
 )
 from algebroid.exactmath import Poly, parse_poly
-from algebroid.funmodel import MultiDiffOp, Section, operator_equal
+from algebroid.funmodel import FUNCTION, SECTION, MultiDiffOp, Section, operator_equal
 from algebroid import structures as st
-from algebroid.structures import FunCochain, fun_coboundary, fun_coboundary_op
+from algebroid.structures import FunCochain, fun_coboundary_op
 
 
 def rand_poly(rng, base_dim, degree=2):
@@ -118,12 +118,69 @@ def test_witt_line_pointwise_values():
 
 
 # --- function-complex cochains ------------------------------------------
+# The coboundary evaluated term by term on concrete functions, in degrees
+# 0-2: the test oracle for `fun_coboundary_op`. The library builds the
+# coboundary only as an operator, and only of degree-0 and degree-1
+# cochains (`FunCochain`); a degree-2 cochain here is a 2-slot operator.
+
+
+class Degree2Cochain:
+    """An element of C^2(F(M), V): a two-slot function-input,
+    section-output operator."""
+
+    degree = 2
+
+    def __init__(self, payload: MultiDiffOp):
+        if payload.slots != (FUNCTION, FUNCTION) or payload.output != SECTION:
+            raise ValueError("cochain operator has the wrong signature")
+        self.payload = payload
+
+    def value(self, a1: Poly, a2: Poly) -> Section:
+        return self.payload.apply(a1, a2)
+
+
+def fun_coboundary(S, theta, args) -> Section:
+    """The coboundary of theta (degree <= 2) evaluated on args
+    (len(args) = degree + 1).
+
+    Degree 0 maps to zero. Degree 1:
+        dTheta(a1,a2) = -(a1 Theta(a2) - Theta(a1 a2) + a2 Theta(a1)).
+    Degree 2 follows the same alternating action/append pattern.
+    """
+    if len(args) != theta.degree + 1:
+        raise ValueError("argument count must be cochain degree + 1")
+    if theta.degree == 0:
+        return Section.zero(S.rank, S.base_dim)
+    if theta.degree == 1:
+        a1, a2 = args
+        return -(
+            theta.value(a2).scale(a1)
+            - theta.value(a1 * a2)
+            + theta.value(a1).scale(a2)
+        )
+    a1, a2, a3 = args
+    j1 = (
+        theta.value(a2, a3).scale(a1)
+        - theta.value(a1 * a2, a3)
+        - theta.value(a2, a1 * a3)
+        + theta.value(a2, a1).scale(a3)
+    )
+    j2 = (
+        theta.value(a1, a3).scale(a2)
+        - theta.value(a2 * a1, a3)
+        - theta.value(a1, a2 * a3)
+        + theta.value(a1, a2).scale(a3)
+    )
+    return -j1 + j2
+
 
 
 def test_fun_cochain_validation():
     S = witt_line()
     with pytest.raises(ValueError):
         FunCochain(3, S.d_op())
+    with pytest.raises(ValueError):
+        FunCochain(2, S.d_op())  # degree 2 is the tests' Degree2Cochain
     with pytest.raises(ValueError):
         FunCochain(0, S.d_op())
     with pytest.raises(ValueError):
@@ -156,13 +213,11 @@ def test_fun_coboundary_degree2():
     S = witt_line()
     r, n = 1, 1
     # Theta(f, g) = f g' . e_1 as a 2-cochain
-    from algebroid.funmodel import FUNCTION, SECTION as SEC
-
     theta_op = MultiDiffOp(
-        r, n, (FUNCTION, FUNCTION), SEC,
+        r, n, (FUNCTION, FUNCTION), SECTION,
         {(0, ((None, (0,)), (None, (1,)))): Poly.constant(n, 1)},
     )
-    theta = FunCochain(2, theta_op)
+    theta = Degree2Cochain(theta_op)
     rng = random.Random(17)
     for _ in range(4):
         a1, a2, a3 = (rand_poly(rng, 1) for _ in range(3))
