@@ -3,14 +3,15 @@
 Function-model entries are AlgebroidStructure instances; finite entries
 are FinKVAlgebra instances with an optional symmetric form. Each entry
 records which axiom profiles it is expected to pass and fail; the test
-suite re-derives those claims with the checkers.
+suite re-derives those claims with the checkers. The names are a table;
+an entry's data is built the first time `catalog_get` asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from functools import partial
 
 from .exactmath import Poly
 from .funmodel import (
@@ -27,16 +28,18 @@ KIND_FUNCTION_MODEL = "function-model"
 KIND_FINITE_KV = "finite-kv"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str
-    structure: Optional[AlgebroidStructure] = None
-    algebra: Optional[FinKVAlgebra] = None
-    form: Optional[SymForm] = None
-    note: str = ""
-    passes: tuple = ()
-    fails: tuple = ()  # (profile, (failing axiom labels...)) pairs
+class CatalogEntry(
+    namedtuple(
+        "CatalogEntry",
+        "name kind structure algebra form note passes fails",
+        defaults=(None, None, None, "", (), ()),
+    )
+):
+    """A named entry: a function-model structure, or a finite algebra with
+    an optional form; `fails` holds (profile, (failing axiom labels...))
+    pairs."""
+
+    __slots__ = ()
 
 
 def _unit(n: int, a: int):
@@ -202,157 +205,120 @@ def clan_84(alpha=1, as_printed: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# The registry.
+# The registry: a table of names, each entry built the first time it is
+# asked for.
 # ---------------------------------------------------------------------------
 
-
-def _build_entries():
-    entries = []
-
-    entries.append(
-        CatalogEntry(
-            name="witt-line",
-            kind=KIND_FUNCTION_MODEL,
-            structure=witt_line(),
-            note=(
-                "Rank-1 line bundle over one variable with [f,g] = f g' - g f', "
-                "rho(f) = 2 f d/dx, <f,g> = fg, D = d/dx. The minimal structure "
-                "satisfying the CC axioms while violating the anchor-morphism "
-                "and rho(D f) = 0 identities, showing they are not consequences "
-                "at rank 1."
-            ),
-            passes=("cc",),
-            fails=(
-                ("lie", ("P2",)),
-                ("kv", ("3i", "3ii", "3iii")),
-                ("courant", ("Ax2", "Ax4")),
-            ),
-        )
+# name -> (kind, builder, note, passes, fails); a function-model builder
+# returns the structure, a finite one the (algebra, form) pair
+_TABLE = {
+    "witt-line": (
+        KIND_FUNCTION_MODEL,
+        witt_line,
+        "Rank-1 line bundle over one variable with [f,g] = f g' - g f', "
+        "rho(f) = 2 f d/dx, <f,g> = fg, D = d/dx. The minimal structure "
+        "satisfying the CC axioms while violating the anchor-morphism "
+        "and rho(D f) = 0 identities, showing they are not consequences "
+        "at rank 1.",
+        ("cc",),
+        (
+            ("lie", ("P2",)),
+            ("kv", ("3i", "3ii", "3iii")),
+            ("courant", ("Ax2", "Ax4")),
+        ),
+    ),
+}
+for _n in (1, 2, 3):
+    _TABLE[f"tangent-lie-{_n}"] = (
+        KIND_FUNCTION_MODEL,
+        partial(tangent_lie, _n),
+        f"Vector fields on R^{_n} with the usual bracket and the "
+        "identity anchor; the baseline Lie-profile structure.",
+        ("lie",),
+        (),
     )
-
-    for n in (1, 2, 3):
-        entries.append(
-            CatalogEntry(
-                name=f"tangent-lie-{n}",
-                kind=KIND_FUNCTION_MODEL,
-                structure=tangent_lie(n),
-                note=(
-                    f"Vector fields on R^{n} with the usual bracket and the "
-                    "identity anchor; the baseline Lie-profile structure."
-                ),
-                passes=("lie",),
-                fails=(),
-            )
-        )
-
-    for n in (1, 2, 3):
-        entries.append(
-            CatalogEntry(
-                name=f"courant-standard-{n}",
-                kind=KIND_FUNCTION_MODEL,
-                structure=courant_standard(n),
-                note=(
-                    f"Vector-field/1-form pairs over R^{n} (rank {2 * n}) with "
-                    "the skew bracket, half-sum pairing and D = exterior "
-                    "derivative. The 1/2 normalizations are fixed by requiring "
-                    "all five Courant axioms to hold exactly."
-                ),
-                passes=("courant",),
-                fails=(),
-            )
-        )
-
-    entries.append(
-        CatalogEntry(
-            name="poisson-cotangent",
-            kind=KIND_FUNCTION_MODEL,
-            structure=poisson_cotangent(),
-            note=(
-                "1-forms on R^2 with the bracket of the constant symplectic "
-                "bivector and the induced anchor; the bivector is Poisson, so "
-                "the Lie profile passes."
-            ),
-            passes=("lie",),
-            fails=(),
-        )
+for _n in (1, 2, 3):
+    _TABLE[f"courant-standard-{_n}"] = (
+        KIND_FUNCTION_MODEL,
+        partial(courant_standard, _n),
+        f"Vector-field/1-form pairs over R^{_n} (rank {2 * _n}) with "
+        "the skew bracket, half-sum pairing and D = exterior "
+        "derivative. The 1/2 normalizations are fixed by requiring "
+        "all five Courant axioms to hold exactly.",
+        ("courant",),
+        (),
     )
+_TABLE["poisson-cotangent"] = (
+    KIND_FUNCTION_MODEL,
+    poisson_cotangent,
+    "1-forms on R^2 with the bracket of the constant symplectic "
+    "bivector and the induced anchor; the bivector is Poisson, so "
+    "the Lie profile passes.",
+    ("lie",),
+    (),
+)
+_TABLE["poisson-cotangent-nonpoisson"] = (
+    KIND_FUNCTION_MODEL,
+    poisson_cotangent_nonpoisson,
+    "1-forms on R^3 with the bivector d1^d2 + x2 d2^d3, which is "
+    "not Poisson; the bracket is skew with a Leibniz anchor but "
+    "the jacobiator is nonzero.",
+    (),
+    (("lie", ("P1",)),),
+)
+_TABLE["vinberg-83"] = (
+    KIND_FINITE_KV,
+    vinberg_83,
+    "dim-3 KV algebra e3 e1 = e2, e3 e2 = e1 with the invariant "
+    "form diag(1,-1,1): an indefinite nondegenerate invariant "
+    "2-cocycle, hence a pseudo-clan, and the cocycle is non-exact.",
+    (),
+    (),
+)
+_TABLE["clan-84"] = (
+    KIND_FINITE_KV,
+    clan_84,
+    "dim-3 KV algebra e3 e1 = -e2, e3 e2 = e1 with the definite "
+    "invariant form diag(1,1,1): a clan. The product is the "
+    "single-sign repair of the as-printed variant, selected as the "
+    "unique one-character change passing both the KV identity and "
+    "form invariance; its commutator second component is -(z x' - z' x).",
+    (),
+    (),
+)
+_TABLE["clan-84-as-printed"] = (
+    KIND_FINITE_KV,
+    partial(clan_84, as_printed=True),
+    "The as-printed variant keeping only e3 e2 = e1: still KV, but "
+    "the diag(1,1,1) form is neither a cocycle nor invariant, so "
+    "classification returns neither.",
+    (),
+    (),
+)
 
-    entries.append(
-        CatalogEntry(
-            name="poisson-cotangent-nonpoisson",
-            kind=KIND_FUNCTION_MODEL,
-            structure=poisson_cotangent_nonpoisson(),
-            note=(
-                "1-forms on R^3 with the bivector d1^d2 + x2 d2^d3, which is "
-                "not Poisson; the bracket is skew with a Leibniz anchor but "
-                "the jacobiator is nonzero."
-            ),
-            passes=(),
-            fails=(("lie", ("P1",)),),
-        )
-    )
-
-    a83, f83 = vinberg_83()
-    entries.append(
-        CatalogEntry(
-            name="vinberg-83",
-            kind=KIND_FINITE_KV,
-            algebra=a83,
-            form=f83,
-            note=(
-                "dim-3 KV algebra e3 e1 = e2, e3 e2 = e1 with the invariant "
-                "form diag(1,-1,1): an indefinite nondegenerate invariant "
-                "2-cocycle, hence a pseudo-clan, and the cocycle is non-exact."
-            ),
-        )
-    )
-
-    a84, f84 = clan_84()
-    entries.append(
-        CatalogEntry(
-            name="clan-84",
-            kind=KIND_FINITE_KV,
-            algebra=a84,
-            form=f84,
-            note=(
-                "dim-3 KV algebra e3 e1 = -e2, e3 e2 = e1 with the definite "
-                "invariant form diag(1,1,1): a clan. The product is the "
-                "single-sign repair of the as-printed variant, selected as the "
-                "unique one-character change passing both the KV identity and "
-                "form invariance; its commutator second component is -(z x' - z' x)."
-            ),
-        )
-    )
-
-    a84p, f84p = clan_84(as_printed=True)
-    entries.append(
-        CatalogEntry(
-            name="clan-84-as-printed",
-            kind=KIND_FINITE_KV,
-            algebra=a84p,
-            form=f84p,
-            note=(
-                "The as-printed variant keeping only e3 e2 = e1: still KV, but "
-                "the diag(1,1,1) form is neither a cocycle nor invariant, so "
-                "classification returns neither."
-            ),
-        )
-    )
-
-    return {e.name: e for e in entries}
-
-
-ENTRIES = _build_entries()
+_BUILT = {}  # name -> CatalogEntry, filled by catalog_get
 
 
 def catalog_names():
-    return sorted(ENTRIES)
+    """The entry names, sorted; no entry is built."""
+    return sorted(_TABLE)
 
 
 def catalog_get(name: str) -> CatalogEntry:
-    entry = ENTRIES.get(name)
-    if entry is None:
+    """The named entry, built on the first call; later calls return the
+    same object."""
+    entry = _BUILT.get(name)
+    if entry is not None:
+        return entry
+    if name not in _TABLE:
         raise KeyError(
             f"unknown catalog entry {name!r}; available: {', '.join(catalog_names())}"
         )
+    kind, build, note, passes, fails = _TABLE[name]
+    if kind == KIND_FUNCTION_MODEL:
+        entry = CatalogEntry(name, kind, build(), note=note, passes=passes, fails=fails)
+    else:
+        algebra, form = build()
+        entry = CatalogEntry(name, kind, algebra=algebra, form=form, note=note)
+    _BUILT[name] = entry
     return entry

@@ -23,7 +23,7 @@ cc defaults to 1, courant to 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 from .funmodel import (
@@ -36,18 +36,27 @@ from .funmodel import (
 from . import structures as st
 
 
-@dataclass(frozen=True)
-class AxiomEntry:
-    label: str
-    passed: bool
-    witness: Optional[Witness] = None
-    note: str = ""
+class AxiomEntry(namedtuple("AxiomEntry", "label passed witness note", defaults=(None, ""))):
+    """One labelled axiom: its verdict, the witness of a failure, a note."""
+
+    __slots__ = ()
 
 
-@dataclass
 class AxiomReport:
-    profile: str
-    entries: list = field(default_factory=list)
+    """The entries of one profile, in table order; `entries` is a new list
+    per report unless one is given."""
+
+    def __init__(self, profile: str, entries: Optional[list] = None):
+        self.profile = profile
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.profile, self.entries) == (other.profile, other.entries)
+
+    def __repr__(self):
+        return f"AxiomReport(profile={self.profile!r}, entries={self.entries!r})"
 
     @property
     def passed(self) -> bool:
@@ -215,15 +224,11 @@ def verify_anchor_morphism(S: AlgebroidStructure) -> Optional[Witness]:
     return Witness((s, sp), DiffOp(S.base_dim, terms))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(namedtuple("EquivalenceReport", "a1 a2 a1_witness a2_witness")):
     """Independent decisions of the two equivalent conditions on a
     CC structure: (A1) anchor morphism, (A2) rho(D(f)) = 0."""
 
-    a1: bool
-    a2: bool
-    a1_witness: Optional[Witness]
-    a2_witness: Optional[Witness]
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:
@@ -294,15 +299,16 @@ def verify_prop_64(
     return report
 
 
-@dataclass
-class NonasymReport:
-    """Derived consequences of the non-skew profile with pairing and D."""
+class NonasymReport(
+    namedtuple(
+        "NonasymReport",
+        "profile leibniz_identity anchor_identity d_forced_zero rho_forced_zero",
+    )
+):
+    """Derived consequences of the non-skew profile with pairing and D:
+    the profile's AxiomReport and one AxiomEntry per forced identity."""
 
-    profile: AxiomReport
-    leibniz_identity: AxiomEntry
-    anchor_identity: AxiomEntry
-    d_forced_zero: AxiomEntry
-    rho_forced_zero: AxiomEntry
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="function input for the Leibniz anomaly (default 1)",
     )
 
-    p = sub.add_parser("cohomology", help="finite KV cohomology dimensions")
+    p = sub.add_parser(
+        "cohomology",
+        help="finite KV cohomology dimensions (exit 2 on a non-KV algebra)",
+    )
     add_input(p)
     p.add_argument("--degree", type=int, default=0)
     p.add_argument(
@@ -205,6 +208,11 @@ def _vec_str(vec) -> str:
     return "(" + ", ".join(str(v) for v in vec) + ")"
 
 
+def _kv_fail_text(witness) -> str:
+    i, j, k, defect = witness
+    return f"kv: FAIL at (e{i+1},e{j+1},e{k+1}) defect {_vec_str(defect)}"
+
+
 def _cmd_check(args, out: TextIO) -> int:
     doc = _load(args)
     if doc.kind == "kvalgebra":
@@ -250,10 +258,7 @@ def _cmd_check_finite(args, doc: ParsedDocument, out: TextIO) -> int:
     if doc.form is None:
         witness = kv_defect_fin(A)
         passed = witness is None
-        text = "kv: pass" if passed else (
-            f"kv: FAIL at (e{witness[0]+1},e{witness[1]+1},e{witness[2]+1}) "
-            f"defect {_vec_str(witness[3])}"
-        )
+        text = "kv: pass" if passed else _kv_fail_text(witness)
         _emit(args, out, {"kv": passed}, text)
         return 0 if passed else 1
     report = clan_classify(A, doc.form)
@@ -263,13 +268,28 @@ def _cmd_check_finite(args, doc: ParsedDocument, out: TextIO) -> int:
     return 0 if report.verdict in accepted else 1
 
 
-def _parse_section(text: str, rank: int, base_dim: int) -> Section:
+def _parse_argument_poly(text: str, base_dim: int, what: str, start: int = 0) -> Poly:
+    """Parse the polynomial at `start` of the argument named `what`; an
+    error gives the column within the whole argument."""
+    try:
+        return parse_poly(text, base_dim)
+    except PolyParseError as exc:
+        raise UsageError(
+            f"{what}, column {start + exc.position + 1}: bad polynomial: {exc.message}"
+        ) from None
+
+
+def _parse_section(text: str, rank: int, base_dim: int, what: str) -> Section:
     parts = text.split(",")
     if len(parts) != rank:
         raise UsageError(
-            f"section {text!r} has {len(parts)} components, expected {rank}"
+            f"{what} {text!r} has {len(parts)} components, expected {rank}"
         )
-    return Section([parse_poly(p, base_dim) for p in parts])
+    comps, start = [], 0
+    for part in parts:
+        comps.append(_parse_argument_poly(part, base_dim, what, start))
+        start += len(part) + 1
+    return Section(comps)
 
 
 def _cmd_anomalies(args, out: TextIO) -> int:
@@ -284,9 +304,10 @@ def _cmd_anomalies(args, out: TextIO) -> int:
     if len(args.sections) < 3:
         raise UsageError("need three section inputs (s, s', s'')")
     s, sp, spp = (
-        _parse_section(t, S.rank, S.base_dim) for t in args.sections[:3]
+        _parse_section(t, S.rank, S.base_dim, f"section {n}")
+        for n, t in enumerate(args.sections[:3], 1)
     )
-    f = parse_poly(args.function, S.base_dim)
+    f = _parse_argument_poly(args.function, S.base_dim, "--function")
     results = {}
     if S.mult.skew:
         results["J"] = str(jacobiator(S, s, sp, spp))
@@ -311,6 +332,8 @@ def _cmd_cohomology(args, out: TextIO) -> int:
             "the function-model complex is infinite-dimensional"
         )
     A = doc.algebra
+    # exactness asks whether beta = d(Theta) for one map d: C^1 -> C^2,
+    # which is defined on any algebra, so it needs no KV check
     if args.exactness:
         if doc.form is None:
             raise UsageError("--exactness needs a [form] section or catalog form")
@@ -324,6 +347,13 @@ def _cmd_cohomology(args, out: TextIO) -> int:
         payload = {"exact": True, "theta": [str(v) for v in theta]}
         _emit(args, out, payload, "EXACT: Theta = " + _vec_str(theta))
         return 0
+    # the coboundary squares to zero only on a KV algebra; elsewhere the
+    # ranks would not be the dimensions of any cohomology
+    witness = kv_defect_fin(A)
+    if witness is not None:
+        raise UsageError(
+            "cohomology dimensions need a KV algebra; " + _kv_fail_text(witness)
+        )
     summary = cohomology_summary(A, args.coefficients, args.degree)
     text = (
         f"degree {args.degree}, coefficients {args.coefficients}: "

@@ -21,6 +21,9 @@ Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
 digits each, and so have the numerators and the denominator of every
 coefficient the parser computes: a sum, product or power over the limit is
 a parse error at its operator, and a power is checked before it is built.
+Each product the parser computes, a `*` or a square or multiply inside a
+power, multiplies at most MAX_TERM_PRODUCTS pairs of terms, checked before
+the product is made.
 """
 
 from __future__ import annotations
@@ -288,6 +291,15 @@ MAX_LITERAL_DIGITS = 1000
 _COEFF_BOUND = 10**MAX_LITERAL_DIGITS
 _COEFF_BITS = _COEFF_BOUND.bit_length()
 
+# The most term pairs one product the parser computes may multiply: the
+# terms of one factor times those of the other, checked before each `*`
+# and before each square and multiply inside a power. A product at this
+# limit takes about a quarter of a second (Python 3.11, one core);
+# (1+x1)^800, whose largest product is 289 by 513 terms, parses, and
+# (1+x1+x2)^3000 is refused when it would square the 561 terms of
+# (1+x1+x2)^32.
+MAX_TERM_PRODUCTS = 200_000
+
 
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -346,7 +358,7 @@ class _PolyParser:
         while self.peek() == "*":
             at = self.pos
             self.pos += 1
-            p = self.checked(p * self.parse_power(), at)
+            p = self.product(p, self.parse_power(), at)
         return p
 
     def parse_power(self) -> Poly:
@@ -369,11 +381,23 @@ class _PolyParser:
         result = Poly.constant(self.base_dim, 1)
         while exp:
             if exp & 1:
-                result = self.checked(result * base, at)
+                result = self.product(result, base, at)
             exp >>= 1
             if exp:
-                base = self.checked(base * base, at)
+                base = self.product(base, base, at)
         return result
+
+    def product(self, a: Poly, b: Poly, position: int) -> Poly:
+        """a * b, when it multiplies at most MAX_TERM_PRODUCTS term pairs
+        (checked before it is made) and its coefficients are within the
+        digit limit; else an error at the operator's position."""
+        if len(a.num) * len(b.num) > MAX_TERM_PRODUCTS:
+            self.error(
+                f"product of {len(a.num)} by {len(b.num)} terms exceeds the limit "
+                f"of {MAX_TERM_PRODUCTS} term products",
+                position,
+            )
+        return self.checked(a * b, position)
 
     def checked(self, p: Poly, position: int) -> Poly:
         """p, when its denominator and numerators have at most

@@ -51,12 +51,14 @@ Limits, each a parse error with its line (and column for a literal):
   significant digits: 1e999 is at the limit, 1e1000 and 1e-1000 are over
   it. So a value prints without reaching Python's 4300-digit limit on
   int-to-str conversion.
+- Each product the polynomial parser computes multiplies at most
+  MAX_TERM_PRODUCTS (200,000) pairs of terms, checked before it is made,
+  so (1+x1+x2)^3000 is an error at the column of its ^.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -82,13 +84,34 @@ class FormatError(ValueError):
         self.column = column
 
 
-@dataclass
 class ParsedDocument:
-    kind: str  # "structure" | "kvalgebra"
-    name: str
-    structure: Optional[AlgebroidStructure] = None
-    algebra: Optional[FinKVAlgebra] = None
-    form: Optional[SymForm] = None
+    """A parsed file: its kind ("structure" | "kvalgebra"), its name, and
+    the structure, or the algebra with its optional form."""
+
+    _FIELDS = ("kind", "name", "structure", "algebra", "form")
+
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        structure: Optional[AlgebroidStructure] = None,
+        algebra: Optional[FinKVAlgebra] = None,
+        form: Optional[SymForm] = None,
+    ):
+        self.kind = kind
+        self.name = name
+        self.structure = structure
+        self.algebra = algebra
+        self.form = form
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"ParsedDocument({fields})"
 
 
 MAX_KV_DIM = 6

@@ -19,7 +19,7 @@ a sampling heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -626,25 +626,35 @@ class DCochain:
         return isinstance(other, DCochain) and self.components == other.components
 
 
-@dataclass
 class AlgebroidStructure:
     """Bundle data: rank, base dimension, multiplication, anchor, and the
     optional pairing / D decorations consumed by the axiom profiles."""
 
-    rank: int
-    base_dim: int
-    mult: BiDiffOp
-    anchor: AnchorMap
-    pairing: Optional[Pairing] = None
-    d_cochain: Optional[DCochain] = None
-
-    def __post_init__(self):
-        parts = [self.mult, self.anchor] + [
-            p for p in (self.pairing, self.d_cochain) if p is not None
-        ]
-        for part in parts:
-            if part.rank != self.rank or part.base_dim != self.base_dim:
+    def __init__(
+        self,
+        rank: int,
+        base_dim: int,
+        mult: BiDiffOp,
+        anchor: AnchorMap,
+        pairing: Optional[Pairing] = None,
+        d_cochain: Optional[DCochain] = None,
+    ):
+        self.rank = rank
+        self.base_dim = base_dim
+        self.mult = mult
+        self.anchor = anchor
+        self.pairing = pairing
+        self.d_cochain = d_cochain
+        for part in (mult, anchor, pairing, d_cochain):
+            if part is not None and (part.rank != rank or part.base_dim != base_dim):
                 raise ValueError("structure parts disagree on rank/base_dim")
+
+    def __repr__(self):
+        return (
+            f"AlgebroidStructure(rank={self.rank!r}, base_dim={self.base_dim!r}, "
+            f"mult={self.mult!r}, anchor={self.anchor!r}, pairing={self.pairing!r}, "
+            f"d_cochain={self.d_cochain!r})"
+        )
 
     # primitive operators
     def mult_op(self) -> MultiDiffOp:
@@ -714,12 +724,11 @@ def section_inputs(rank: int, base_dim: int, max_degree: int):
     return out
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A concrete failing input with its nonzero residual."""
+class Witness(namedtuple("Witness", "inputs residual")):
+    """A concrete failing input (a tuple) with its nonzero residual (a
+    Poly, Section or DiffOp)."""
 
-    inputs: tuple
-    residual: object  # Poly, Section, or DiffOp
+    __slots__ = ()
 
     def __str__(self):
         ins = ", ".join(str(v) for v in self.inputs)

@@ -61,7 +61,7 @@ beta's numerators with the same elimination (`exactmath.solve_linear`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -253,14 +253,12 @@ def kv_defect_fin(A: FinKVAlgebra) -> Optional[tuple]:
     return (i, j, k, _over([acc.get(k * d + m, 0) for m in range(d)], A.den * A.den))
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(namedtuple("BracketReport", "constants jacobi_ok witness")):
     """Skew structure constants b[i][j][k] of the commutator together
-    with the Jacobi verdict over basis triples."""
+    with the Jacobi verdict over basis triples; the witness is
+    (i, j, k, defect-vector) when Jacobi fails, else None."""
 
-    constants: tuple
-    jacobi_ok: bool
-    witness: Optional[tuple]  # (i, j, k, defect-vector) when Jacobi fails
+    __slots__ = ()
 
 
 def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
@@ -736,16 +734,17 @@ def exactness_witness(A: FinKVAlgebra, beta: SymForm):
     return [v * scale for v in y]
 
 
-@dataclass(frozen=True)
-class ClanReport:
-    verdict: str  # "clan" | "pseudo-clan" | "neither"
-    kv: bool
-    cocycle: bool
-    invariant: bool
-    definite: bool
-    nondegenerate: bool
-    kv_witness: Optional[tuple] = None
-    invariance_witness: Optional[tuple] = None
+class ClanReport(
+    namedtuple(
+        "ClanReport",
+        "verdict kv cocycle invariant definite nondegenerate kv_witness invariance_witness",
+        defaults=(None, None),
+    )
+):
+    """The verdict ("clan" | "pseudo-clan" | "neither"), its five
+    sub-verdicts, and the KV and invariance witnesses when those fail."""
+
+    __slots__ = ()
 
     @property
     def sub_verdicts(self):

@@ -123,6 +123,45 @@ def test_anomalies_usage_errors():
     assert code == 2
 
 
+def test_anomalies_argument_errors_name_the_argument_and_column():
+    """A bad polynomial in an `anomalies` argument names the argument and
+    gives the column within the whole argument."""
+    cases = (
+        (["1,x1 +* 2", "x1,0", "0,1"], "section 1, column 7: bad polynomial: "
+         "expected polynomial atom"),
+        (["1,0", "x1,(x1", "0,1"], "section 2, column 7: bad polynomial: expected ')'"),
+        (["1,0", "x1,0", "0 , x2"], "section 3, column 5: bad polynomial: "
+         "variable x2 out of range for base_dim 1"),
+        (["1,0", "x1,0", "0,1", "--function", "x1^2 + 1/0"],
+         "--function, column 10: bad polynomial: zero denominator"),
+    )
+    for args, message in cases:
+        code, out, err = invoke("anomalies", "--catalog", "courant-standard-1", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, _, err = invoke("anomalies", "--catalog", "courant-standard-1", "1,0", "1", "0,1")
+    assert (code, err) == (2, "error: section 2 '1' has 1 components, expected 2\n")
+
+
+def test_term_limit_exits_2(tmp_path):
+    """A power that would multiply too many terms exits 2 within a second,
+    at the column of its '^', in a file and in an `anomalies` argument."""
+    message = "bad polynomial: product of 561 by 561 terms exceeds the limit of 200000 term products"
+    path = tmp_path / "terms.alg"
+    path.write_text(
+        "[structure]\nbase_dim 2\nrank 1\nskew false\n[mult]\n0 0 0 0,0 0,0 (1+x1+x2)^3000\n"
+    )
+    start = time.perf_counter()
+    code, out, err = invoke("export", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: line 6, column 24: {message}\n")
+    start = time.perf_counter()
+    code, out, err = invoke(
+        "anomalies", "--catalog", "tangent-lie-2", "1,0", "0,1", "x1,(1+x1+x2)^3000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: section 3, column 13: {message}\n")
+
+
 # --- cohomology -------------------------------------------------------------
 
 
@@ -155,6 +194,27 @@ def test_cohomology_unsupported_degree_is_usage_error():
         code, out, err = invoke("cohomology", "--catalog", "vinberg-83", "--degree", degree)
         assert (code, out) == (2, "")
         assert err == f"error: --degree must be 0, 1 or 2, not {degree}\n"
+
+
+def test_cohomology_refuses_a_non_kv_algebra(tmp_path):
+    """Dimensions need d o d = 0, so a non-KV algebra exits 2 with the KV
+    witness `check` prints; exactness asks about one map and still runs."""
+    path = tmp_path / "nonkv.alg"
+    path.write_text("[kvalgebra]\ndim 2\n0 0 1 1\n")
+    code, out, _ = invoke("check", str(path))
+    assert (code, out) == (1, "kv: FAIL at (e1,e2,e2) defect (-1, 0)\n")
+    for degree in ("0", "1", "2"):
+        for coefficients in ("self", "trivial"):
+            code, out, err = invoke(
+                "cohomology", str(path), "--degree", degree, "--coefficients", coefficients
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: cohomology dimensions need a KV algebra; "
+                "kv: FAIL at (e1,e2,e2) defect (-1, 0)\n"
+            )
+    path.write_text("[kvalgebra]\ndim 2\n0 0 1 1\n[form]\n1 1 1\n")
+    assert invoke("cohomology", str(path), "--exactness") == (1, "NON-EXACT\n", "")
 
 
 def test_cohomology_rejects_function_model():
@@ -235,7 +295,7 @@ def test_oversized_literals_exit_2(tmp_path):
 def test_oversized_coefficients_exit_2(tmp_path):
     """A coefficient the parser would compute over the digit limit exits 2
     at once, in a file (line and column) and in an `anomalies` argument
-    (column), however large the exponent."""
+    (the argument and the column), however large the exponent."""
     message = "coefficient exceeds the limit of 1000 digits"
     for coeff in ("2^100000", "2^99999999999"):
         path = tmp_path / "power.alg"
@@ -251,11 +311,11 @@ def test_oversized_coefficients_exit_2(tmp_path):
         code, out, err = invoke("anomalies", "--catalog", "witt-line", "1", "x1", f"x1 + {coeff}")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: {message} (at column 7)\n"
+        assert err == f"error: section 3, column 7: bad polynomial: {message}\n"
     code, out, err = invoke(
         "anomalies", "--catalog", "witt-line", "1", "x1", "x1", "--function", "10^998*10^998"
     )
-    assert (code, out, err) == (2, "", f"error: {message} (at column 7)\n")
+    assert (code, out, err) == (2, "", f"error: --function, column 7: bad polynomial: {message}\n")
 
 
 def test_usage_errors_exit_2():

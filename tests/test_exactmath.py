@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from algebroid.exactmath import (
     MAX_LITERAL_DIGITS,
+    MAX_TERM_PRODUCTS,
     Poly,
     PolyParseError,
     bareiss,
@@ -414,6 +416,39 @@ def test_coefficient_size_limit():
     assert coefficient_error("(1 + 10^300*x1 + x1^2)^1099511627776") == 22
     # the numerators of (1+x1)^800 stay far below the limit
     assert parse_poly("(1+x1)^800", 1).num[(400,)] == comb(800, 400)
+
+
+def term_error(text, base_dim=1):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, base_dim)
+    assert exc.value.message.endswith(
+        f"terms exceeds the limit of {MAX_TERM_PRODUCTS} term products"
+    )
+    return exc.value.position
+
+
+def test_term_product_limit():
+    # (1+x1)^800 multiplies 289 by 513 terms last, under the limit
+    assert len(parse_poly("(1+x1)^800", 1).num) == 801
+    # a power is refused at its '^' by the first product over the limit
+    # it would compute, here the square of the 561 terms of (1+x1+x2)^32
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("(1+x1+x2)^3000", 2)
+    assert time.perf_counter() - start < 1
+    assert exc.value.position == 9
+    assert exc.value.message == (
+        f"product of 561 by 561 terms exceeds the limit of {MAX_TERM_PRODUCTS} term products"
+    )
+    assert term_error("(1+x1)^3000") == 6
+    # a '*' is checked before it multiplies: 500 by 501 terms
+    text = "(1+x1)^499 * (1+x1)^500"
+    assert term_error(text) == text.index("*")
+    # the boundary: 400 by 500 term pairs is the limit itself
+    assert MAX_TERM_PRODUCTS == 400 * 500
+    assert len(parse_poly("(1+x1)^399 * (1+x1)^499", 1).num) == 899
+    text = "(1+x1)^399 * (1+x1)^500"
+    assert term_error(text) == text.index("*")
 
 
 def test_eval_matches_expansion():
