@@ -4,6 +4,19 @@ Verbs: check, anomalies, cohomology, catalog list, catalog show, export.
 Exit codes: 0 = all requested checks pass, 1 = an axiom/verdict fails,
 2 = parse or usage error, 3 = internal error. Output is deterministic;
 --format machine emits one JSON document with sorted keys.
+
+Each call builds only the part of the argparse grammar its argv can reach,
+from the one table `_VERBS` (verb -> help, add_arguments, handler). When
+argv[0] names a verb, `build_parser` makes the top-level parser and that
+verb's subparser: 2 parsers, or 4 for `catalog` with its `list` and `show`.
+Any other argv (empty, `-h`, an unknown verb, an option before the verb)
+gets the whole grammar, 8 parsers, so help and error messages are those of
+the whole grammar. The whole grammar takes about 1 ms to build, one verb's
+0.2-0.45 ms, against about 0.3 ms of work in a finite-KV `cohomology` call.
+No parser is cached: a cache would save the remaining 0.3 ms a call but
+keeps a parser for the life of the process (ROADMAP item 2 has the
+measurements). Only the first two paragraphs of this docstring are the
+`--help` description.
 """
 
 from __future__ import annotations
@@ -54,28 +67,47 @@ class UsageError(ValueError):
     pass
 
 
+class _HelpRequested(Exception):
+    """`-h` was given; the argument is the help text `run` writes to `out`."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit, so errors map to
-    exit code 2 uniformly."""
+    """argparse that raises instead of printing and calling sys.exit, so
+    help goes to `run`'s `out` and errors map to exit code 2 uniformly."""
 
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="algebroid", description=__doc__)
+
+# `--help` shows the first two paragraphs of the module docstring
+_DESCRIPTION = "\n\n".join((__doc__ or "").split("\n\n")[:2]) or None
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse grammar: the top-level parser and, when `verb` names a
+    verb, only that verb's subparser; otherwise every verb's."""
+    parser = _Parser(prog="algebroid", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="verb", required=True)
+    for name in (verb,) if verb in _VERBS else _VERBS:
+        help_text, add_arguments, _ = _VERBS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    def add_input(p):
-        p.add_argument("file", nargs="?", help="structure-definition file")
-        p.add_argument("--catalog", help="built-in structure name")
-        p.add_argument(
-            "--format", choices=("text", "machine"), default="text",
-            help="output format (machine = JSON, stable key order)",
-        )
 
-    p = sub.add_parser("check", help="run axiom-profile checks")
-    add_input(p)
+def _input_arguments(p):
+    p.add_argument("file", nargs="?", help="structure-definition file")
+    p.add_argument("--catalog", help="built-in structure name")
+    p.add_argument(
+        "--format", choices=("text", "machine"), default="text",
+        help="output format (machine = JSON, stable key order)",
+    )
+
+
+def _check_arguments(p):
+    _input_arguments(p)
     p.add_argument(
         "--profile",
         choices=PROFILES + ("clan",),
@@ -86,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra clan verdicts treated as passing (e.g. pseudo-clan)",
     )
 
-    p = sub.add_parser("anomalies", help="evaluate anomaly tensors on inputs")
-    add_input(p)
+
+def _anomalies_arguments(p):
+    _input_arguments(p)
     p.add_argument(
         "sections", nargs="+",
         help="section inputs as comma-separated component polynomials",
@@ -97,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="function input for the Leibniz anomaly (default 1)",
     )
 
-    p = sub.add_parser(
-        "cohomology",
-        help="finite KV cohomology dimensions (exit 2 on a non-KV algebra)",
-    )
-    add_input(p)
+
+def _cohomology_arguments(p):
+    _input_arguments(p)
     p.add_argument("--degree", type=int, default=0)
     p.add_argument(
         "--coefficients", choices=(COEFF_SELF, COEFF_TRIVIAL), default=COEFF_SELF
@@ -112,17 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
         "functional or NON-EXACT",
     )
 
-    p = sub.add_parser("catalog", help="list or show built-in structures")
+
+def _catalog_arguments(p):
     csub = p.add_subparsers(dest="catalog_verb", required=True)
     pl = csub.add_parser("list", help="list entry names")
     pl.add_argument("--format", choices=("text", "machine"), default="text")
     ps = csub.add_parser("show", help="show one entry")
     ps.add_argument("name")
     ps.add_argument("--format", choices=("text", "machine"), default="text")
-
-    p = sub.add_parser("export", help="print the canonical file serialization")
-    add_input(p)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +331,13 @@ def _cmd_anomalies(args, out: TextIO) -> int:
     S = doc.structure
     if len(args.sections) < 3:
         raise UsageError("need three section inputs (s, s', s'')")
+    if len(args.sections) > 3:
+        raise UsageError(
+            f"need three section inputs (s, s', s''), got {len(args.sections)}"
+        )
     s, sp, spp = (
         _parse_section(t, S.rank, S.base_dim, f"section {n}")
-        for n, t in enumerate(args.sections[:3], 1)
+        for n, t in enumerate(args.sections, 1)
     )
     f = _parse_argument_poly(args.function, S.base_dim, "--function")
     results = {}
@@ -397,20 +429,30 @@ def _cmd_export(args, out: TextIO) -> int:
     return 0
 
 
+# verb -> (help, add_arguments, handler), in the order `--help` lists them
 _VERBS = {
-    "check": _cmd_check,
-    "anomalies": _cmd_anomalies,
-    "cohomology": _cmd_cohomology,
-    "catalog": _cmd_catalog,
-    "export": _cmd_export,
+    "check": ("run axiom-profile checks", _check_arguments, _cmd_check),
+    "anomalies": (
+        "evaluate anomaly tensors on inputs", _anomalies_arguments, _cmd_anomalies
+    ),
+    "cohomology": (
+        "finite KV cohomology dimensions (exit 2 on a non-KV algebra)",
+        _cohomology_arguments,
+        _cmd_cohomology,
+    ),
+    "catalog": ("list or show built-in structures", _catalog_arguments, _cmd_catalog),
+    "export": ("print the canonical file serialization", _input_arguments, _cmd_export),
 }
 
 
 def run(argv, out: TextIO, err: TextIO) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _VERBS[args.verb](args, out)
+        return _VERBS[args.verb][2](args, out)
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
+        return 0
     except (UsageError, FormatError, PolyParseError) as exc:
         err.write(f"error: {exc}\n")
         return 2

@@ -1,11 +1,13 @@
+import argparse
 import io
 import json
 import time
 
 import pytest
 
+from algebroid import cli
 from algebroid.catalog import catalog_names
-from algebroid.cli import run
+from algebroid.cli import build_parser, main, run
 from algebroid.fileformat import parse_document, serialize_document
 
 
@@ -121,6 +123,17 @@ def test_anomalies_usage_errors():
     assert code == 2 and "components" in err
     code, _, _ = invoke("anomalies", "--catalog", "vinberg-83", "1", "1", "1")
     assert code == 2
+
+
+def test_anomalies_extra_sections_exit_2(tmp_path):
+    """A fourth section input is an error, not silently dropped, with a
+    file and with --catalog (where the first positional is a section)."""
+    code, out0, _ = invoke("export", "--catalog", "witt-line")
+    f = tmp_path / "witt.alg"
+    f.write_text(out0)
+    message = "error: need three section inputs (s, s', s''), got 4\n"
+    for source in ([str(f)], ["--catalog", "witt-line"]):
+        assert invoke("anomalies", *source, "1", "x1", "x1", "garbage((") == (2, "", message)
 
 
 def test_anomalies_argument_errors_name_the_argument_and_column():
@@ -340,3 +353,104 @@ def test_output_byte_stable():
     for argv in commands:
         runs = [invoke(*argv) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2], argv
+
+
+# --- grammar --------------------------------------------------------------
+
+
+def _subparser(parser, *path):
+    """The parser `path` (verbs, then sub-verbs) leads to in `parser`."""
+    for name in path:
+        (action,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = action.choices[name]
+    return parser
+
+
+HELP_PATHS = (
+    (), ("check",), ("anomalies",), ("cohomology",), ("catalog",),
+    ("catalog", "list"), ("catalog", "show"), ("export",),
+)
+
+
+def test_help_is_written_to_out_and_returns_0():
+    """`-h` at the top level, after each verb and after each catalog
+    sub-verb writes that parser's help in the whole grammar to `out`."""
+    for path in HELP_PATHS:
+        expected = _subparser(build_parser(), *path).format_help()
+        for flag in ("--help", "-h"):
+            assert invoke(*path, flag) == (0, expected, ""), path
+
+
+def test_main_writes_help_to_stdout(capsys):
+    assert main(["cohomology", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _subparser(build_parser(), "cohomology").format_help()
+    assert captured.err == ""
+
+
+GRAMMAR_CORPUS = (
+    [], ["-h"], ["frobnicate"], ["chec"], ["--format", "machine", "check"],
+    ["--", "check"],
+    ["check", "--catalog", "witt-line", "--profile", "cc"],
+    ["check", "--catalog", "witt-line", "--prof", "kv", "--format", "machine"],
+    ["check", "--catalog", "witt-line", "--profile", "bogus"],
+    ["check", "--catalog", "witt-line", "--seed", "1"],
+    ["check", "--catalog", "witt-line", "--pro"],
+    ["check", "a.alg", "b.alg"],
+    ["check", "--profile", "bogus", "-h"],
+    ["check", "--catalog", "clan-84", "--profile", "clan", "--acc", "pseudo-clan"],
+    ["anomalies", "--catalog", "witt-line", "1", "x1", "x1^2", "--func", "x1"],
+    ["anomalies", "--catalog", "witt-line"],
+    ["anomalies", "--catalog", "witt-line", "1", "x1", "--function"],
+    ["anomalies", "--catalog", "witt-line", "1", "x1", "x1", "x1^2"],
+    ["cohomology", "--catalog", "clan-84", "--deg", "1"],
+    ["cohomology", "--catalog", "clan-84", "--degree", "x"],
+    ["cohomology", "--catalog", "clan-84", "--coefficients", "bad"],
+    ["cohomology", "--catalog", "clan-84", "--co", "trivial", "--format", "machine"],
+    ["cohomology", "--catalog", "vinberg-83", "--exactness", "--bogus"],
+    ["cohomology", "--", "--catalog"],
+    ["catalog"], ["catalog", "list"], ["catalog", "lis"], ["catalog", "list", "extra"],
+    ["catalog", "show"], ["catalog", "show", "clan-84", "--format", "machine"],
+    ["catalog", "show", "nope"], ["catalog", "list", "--format", "xml"],
+    ["export", "--catalog", "witt-line"], ["export"], ["export", "--bogus"],
+    ["export", "a.alg", "b.alg"], ["export", "--catalog", "witt-line", "--format", "xml"],
+)
+
+
+def test_reduced_grammar_matches_whole_grammar(monkeypatch):
+    """Every argv gives the same exit code, stdout and stderr as parsing
+    with the whole grammar, the oracle."""
+    reduced = [invoke(*argv) for argv in GRAMMAR_CORPUS]
+    whole_grammar = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: whole_grammar())
+    for argv, result in zip(GRAMMAR_CORPUS, reduced):
+        assert result == invoke(*argv), argv
+
+
+def test_parsers_built_per_call(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cases = (
+        (["check", "--catalog", "witt-line", "--profile", "cc"], 2),
+        (["anomalies", "--catalog", "witt-line", "1", "x1", "x1"], 2),
+        (["cohomology", "--catalog", "clan-84", "--degree", "1"], 2),
+        (["export", "--catalog", "witt-line"], 2),
+        (["catalog", "list"], 4),
+        (["catalog", "show", "clan-84"], 4),
+        ([], 8),
+        (["--help"], 8),
+        (["frobnicate"], 8),
+        (["--format", "machine", "check"], 8),
+    )
+    for argv, count in cases:
+        built.clear()
+        invoke(*argv)
+        assert len(built) == count, (argv, built)
