@@ -67,6 +67,9 @@ class UsageError(ValueError):
     pass
 
 
+_CLAN_VERDICTS = ("clan", "pseudo-clan", "neither")
+
+
 class _HelpRequested(Exception):
     """`-h` was given; the argument is the help text `run` writes to `out`."""
 
@@ -97,9 +100,13 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _input_arguments(p):
+def _source_arguments(p):
     p.add_argument("file", nargs="?", help="structure-definition file")
     p.add_argument("--catalog", help="built-in structure name")
+
+
+def _input_arguments(p):
+    _source_arguments(p)
     p.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="output format (machine = JSON, stable key order)",
@@ -115,7 +122,8 @@ def _check_arguments(p):
     )
     p.add_argument(
         "--accept", action="append", default=[],
-        help="extra clan verdicts treated as passing (e.g. pseudo-clan)",
+        help="extra clan verdict treated as passing: pseudo-clan or neither "
+        "(a finite KV algebra with a form only)",
     )
 
 
@@ -133,9 +141,11 @@ def _anomalies_arguments(p):
 
 def _cohomology_arguments(p):
     _input_arguments(p)
-    p.add_argument("--degree", type=int, default=0)
+    # None when not given, so that --exactness can refuse them
+    p.add_argument("--degree", type=int, help="0, 1 or 2 (default 0)")
     p.add_argument(
-        "--coefficients", choices=(COEFF_SELF, COEFF_TRIVIAL), default=COEFF_SELF
+        "--coefficients", choices=(COEFF_SELF, COEFF_TRIVIAL),
+        help="coefficient module (default self)",
     )
     p.add_argument(
         "--exactness", action="store_true",
@@ -242,7 +252,16 @@ def _kv_fail_text(witness) -> str:
 
 
 def _cmd_check(args, out: TextIO) -> int:
+    for verdict in args.accept:
+        if verdict not in _CLAN_VERDICTS:
+            raise UsageError(
+                f"--accept takes clan, pseudo-clan or neither, not {verdict!r}"
+            )
     doc = _load(args)
+    if args.accept and (doc.kind != "kvalgebra" or doc.form is None):
+        raise UsageError(
+            "--accept applies to the clan verdict of a finite KV algebra with a form"
+        )
     if doc.kind == "kvalgebra":
         return _cmd_check_finite(args, doc, out)
     S = doc.structure
@@ -284,6 +303,8 @@ def _cmd_check_finite(args, doc: ParsedDocument, out: TextIO) -> int:
             "--profile clan"
         )
     if doc.form is None:
+        if args.profile == "clan":
+            raise UsageError("profile 'clan' needs a [form] section or catalog form")
         witness = kv_defect_fin(A)
         passed = witness is None
         text = "kv: pass" if passed else _kv_fail_text(witness)
@@ -355,8 +376,12 @@ def _cmd_anomalies(args, out: TextIO) -> int:
 
 
 def _cmd_cohomology(args, out: TextIO) -> int:
-    if not args.exactness and args.degree not in (0, 1, 2):
-        raise UsageError(f"--degree must be 0, 1 or 2, not {args.degree}")
+    if args.exactness and (args.degree, args.coefficients) != (None, None):
+        raise UsageError("--exactness takes neither --degree nor --coefficients")
+    degree = 0 if args.degree is None else args.degree
+    coefficients = args.coefficients or COEFF_SELF
+    if degree not in (0, 1, 2):
+        raise UsageError(f"--degree must be 0, 1 or 2, not {degree}")
     doc = _load(args)
     if doc.kind != "kvalgebra":
         raise UsageError(
@@ -386,9 +411,9 @@ def _cmd_cohomology(args, out: TextIO) -> int:
         raise UsageError(
             "cohomology dimensions need a KV algebra; " + _kv_fail_text(witness)
         )
-    summary = cohomology_summary(A, args.coefficients, args.degree)
+    summary = cohomology_summary(A, coefficients, degree)
     text = (
-        f"degree {args.degree}, coefficients {args.coefficients}: "
+        f"degree {degree}, coefficients {coefficients}: "
         f"dim C = {summary['dim_cochains']}, dim ker = {summary['dim_kernel']}, "
         f"dim im = {summary['dim_image']}, dim H = {summary['dim_h']}"
     )
@@ -441,7 +466,7 @@ _VERBS = {
         _cmd_cohomology,
     ),
     "catalog": ("list or show built-in structures", _catalog_arguments, _cmd_catalog),
-    "export": ("print the canonical file serialization", _input_arguments, _cmd_export),
+    "export": ("print the canonical file serialization", _source_arguments, _cmd_export),
 }
 
 

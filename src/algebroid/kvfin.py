@@ -17,30 +17,31 @@ calibration KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
 Every reader works on one table built with the algebra: nz[i][j] lists the
 nonzero structure constants of e_i e_j as (m, num) pairs, integer
-numerators over the one positive common denominator A.den. A parsed file
-builds the table straight from its entries (`FinKVAlgebra.from_entries`),
-and a form keeps num/den and its nonzero entries per row in the same way
-(`SymForm.from_entries`), with one pass over the entries and no dense
-scaffold; the Fraction views A.c and beta.matrix are made only when
-something reads them (export, `product`, `commutator_bracket`). The KV
-defect, the Jacobi check of the commutator, the residual table of a form
-and the coboundary all read the table, so their inner loops multiply
-Python ints and turn a result into Fractions only once, when it is a
-witness. The KV defect is scattered from the chained pairs of nonzero
-constants (`_kv_anomalies`), one basis pair i < j at a time in ascending
-order, since the anomaly is skew in i, j: `kv_defect_fin` stops at the
-first pair with a nonzero anomaly, whose least nonzero triple is the first
-witness in basis-triple order.
+numerators over the one positive common denominator A.den. One builder
+makes it from (i, j, k, value) entries, for `from_entries`, the dense
+constructor and `commutator_bracket` alike; a form keeps num/den and its
+nonzero entries per row from one builder in the same way. A.c and
+beta.matrix are Fraction views made on first read. The KV defect, the
+Jacobi check of the commutator, the residual table of a form and the
+coboundary all read the table, so their inner loops multiply Python ints
+and turn a result into Fractions only once, when it is a witness. The KV
+anomaly is written once, in `_kv_anomalies`, scattered from the chained
+pairs of nonzero constants one basis pair i < j at a time, since it is
+skew in i, j: `kv_defect_fin` stops at the first pair, whose least nonzero
+triple is the first witness in basis-triple order, and `kv_nu` reads all
+of them off the table of the product nu.
 
+A cochain is one list of Fractions in `flatten` order (basis tuples in
+lexicographic order, each with its dim coefficients in the self module).
 The coboundary formula is written once, in `coboundary_rows`: on basis
-inputs every term is a single structure constant, so each nonzero constant
-c[p][q][r] is scattered into the rows of the coboundary matrix it reaches,
-as sparse integer rows {column: num}; the coboundary is those rows divided
-by A.den. The work follows the nonzero constants, not the d^{k+1} basis
-tuples, and the matrices are mostly zero: the degree-2 self matrix of a
-5-dimensional algebra is 625 x 125 with under 1% nonzeros.
-`fin_coboundary` multiplies these rows by the flattened cochain and
-`cohomology_summary` ranks them with the fraction-free
+inputs every term is a single structure constant, so each nonzero
+constant c[p][q][r] is scattered into the rows of the coboundary matrix it
+reaches, as sparse integer rows {column: num} over that order; the
+coboundary is those rows divided by A.den. The work follows the nonzero
+constants, not the d^{k+1} basis tuples, and the matrices are mostly zero:
+the degree-2 self matrix of a 5-dimensional algebra is 625 x 125 with
+under 1% nonzeros. `fin_coboundary` multiplies these rows by a cochain's
+list and `cohomology_summary` ranks them with the fraction-free
 `exactmath.sparse_rank`, which drops the empty rows and, since most of
 these matrices are taller than wide, eliminates the transpose.
 
@@ -76,10 +77,6 @@ def _fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
-def _frac_matrix(matrix):
-    return tuple(tuple(_fraction(v) for v in row) for row in matrix)
-
-
 _ZERO = Fraction(0)
 
 
@@ -94,8 +91,8 @@ class FinKVAlgebra:
     Every reader uses one table, built once with the algebra: nz[i][j] =
     ((m, num), ..) lists the nonzero constants of e_i e_j, m ascending, as
     integer numerators over the one positive common denominator `den`, so
-    c[i][j][m] == Fraction(num, den). `c` is the public Fraction view; an
-    algebra built with `from_entries` makes it only when it is first read.
+    c[i][j][m] == Fraction(num, den). `c` is the public Fraction view,
+    made when it is first read.
     """
 
     def __init__(self, dim: int, c):
@@ -106,22 +103,25 @@ class FinKVAlgebra:
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be dim x dim x dim")
-        den = _common_den(v for plane in c for row in plane for v in row)
-        self.dim, self.den, self._c = dim, den, c
-        self.nz = tuple(
-            tuple(
-                tuple((m, v.numerator * (den // v.denominator)) for m, v in enumerate(row) if v)
-                for row in plane
-            )
-            for plane in c
-        )
+        self._build(dim, (
+            (i, j, k, v)
+            for i, plane in enumerate(c)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+            if v
+        ))
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "FinKVAlgebra":
         """The algebra with e_i e_j = sum of value * e_k over its entries
         (i, j, k, value); each (i, j, k) appears at most once and the
-        constants of the missing ones are 0. The table is built straight
-        from the entries, in (i, j, k) order."""
+        constants of the missing ones are 0."""
+        out = cls.__new__(cls)
+        out._build(dim, entries)
+        return out
+
+    def _build(self, dim: int, entries):
+        """The table straight from the entries, in (i, j, k) order."""
         if dim <= 0:
             raise ValueError("dim must be positive")
         values = {}  # (i*dim + j)*dim + k -> value
@@ -138,10 +138,8 @@ class FinKVAlgebra:
             if value:
                 ij, m = divmod(key, dim)
                 flat[ij] += ((m, value.numerator * (den // value.denominator)),)
-        out = cls.__new__(cls)
-        out.dim, out.den, out._c = dim, den, None
-        out.nz = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
-        return out
+        self.dim, self.den, self._c = dim, den, None
+        self.nz = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
 
     @property
     def c(self):
@@ -180,12 +178,6 @@ class FinKVAlgebra:
             isinstance(other, FinKVAlgebra)
             and (self.dim, self.den, self.nz) == (other.dim, other.den, other.nz)
         )
-
-
-def _basis_vec(dim: int, k: int):
-    v = [Fraction(0)] * dim
-    v[k] = Fraction(1)
-    return v
 
 
 def _add_left(acc, nz, i, j, k, sign):
@@ -262,22 +254,20 @@ class BracketReport(namedtuple("BracketReport", "constants jacobi_ok witness")):
 
 
 def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
-    d = A.dim
-    b = tuple(
-        tuple(
-            tuple(A.c[i][j][k] - A.c[j][i][k] for k in range(d)) for j in range(d)
-        )
-        for i in range(d)
-    )
-    lie = FinKVAlgebra(d, b)
+    d, b = A.dim, {}
+    for i, j in itertools.product(range(d), repeat=2):
+        for m, x in A.nz[i][j]:
+            b[i, j, m] = b.get((i, j, m), 0) + x
+            b[j, i, m] = b.get((j, i, m), 0) - x
+    lie = FinKVAlgebra.from_entries(d, ((*key, Fraction(v, A.den)) for key, v in b.items()))
     for i, j, k in itertools.product(range(d), repeat=3):
         jac = [0] * d
         _add_left(jac, lie.nz, i, j, k, 1)
         _add_left(jac, lie.nz, j, k, i, 1)
         _add_left(jac, lie.nz, k, i, j, 1)
         if any(jac):
-            return BracketReport(b, False, (i, j, k, _over(jac, lie.den * lie.den)))
-    return BracketReport(b, True, None)
+            return BracketReport(lie.c, False, (i, j, k, _over(jac, lie.den * lie.den)))
+    return BracketReport(lie.c, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,84 +276,70 @@ def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
 
 
 class FinCochain:
-    """k-linear map on a dim-d space, stored densely on basis tuples.
-    Values are coefficient vectors (coefficients == "self") or rationals
-    (coefficients == "trivial")."""
+    """k-linear map on a dim-d space with values in the algebra
+    (coefficients == "self") or in the rationals ("trivial"). `coords` is
+    one list of Fractions in `flatten` order: the basis tuples in
+    lexicographic order, each followed by its dim coefficients (self) or
+    its one value (trivial)."""
 
     def __init__(self, dim: int, degree: int, coefficients: str, data=None):
         if coefficients not in (COEFF_SELF, COEFF_TRIVIAL):
             raise ValueError("coefficients must be 'self' or 'trivial'")
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        self.dim = dim
-        self.degree = degree
-        self.coefficients = coefficients
-        self.data = {}
+        self.dim, self.degree, self.coefficients = dim, degree, coefficients
+        self.coords = [_ZERO] * cochain_space_dim(dim, degree, coefficients)
         if data:
             for idx, value in (data.items() if isinstance(data, dict) else data):
-                idx = tuple(idx)
-                if len(idx) != degree or any(not 0 <= i < dim for i in idx):
-                    raise ValueError("bad basis index tuple")
                 self.set(idx, value)
 
-    def _zero_value(self):
-        if self.coefficients == COEFF_SELF:
-            return [Fraction(0)] * self.dim
-        return Fraction(0)
+    def _offset(self, idx) -> int:
+        """Where the value at the basis tuple idx starts in `coords`."""
+        idx = tuple(idx)
+        if len(idx) != self.degree or any(not 0 <= i < self.dim for i in idx):
+            raise ValueError("bad basis index tuple")
+        n = 0
+        for i in idx:
+            n = n * self.dim + i
+        return n * self.dim if self.coefficients == COEFF_SELF else n
 
     def get(self, idx):
-        idx = tuple(idx)
-        value = self.data.get(idx)
-        if value is None:
-            return self._zero_value()
-        return list(value) if self.coefficients == COEFF_SELF else value
+        n = self._offset(idx)
+        if self.coefficients == COEFF_SELF:
+            return self.coords[n : n + self.dim]
+        return self.coords[n]
 
     def set(self, idx, value):
-        idx = tuple(idx)
+        n = self._offset(idx)
         if self.coefficients == COEFF_SELF:
-            value = tuple(Fraction(v) for v in value)
+            value = [Fraction(v) for v in value]
             if len(value) != self.dim:
                 raise ValueError("value vector has the wrong length")
-            if any(value):
-                self.data[idx] = value
-            else:
-                self.data.pop(idx, None)
+            self.coords[n : n + self.dim] = value
         else:
-            value = Fraction(value)
-            if value:
-                self.data[idx] = value
-            else:
-                self.data.pop(idx, None)
-
-    def add_to(self, idx, value):
-        if self.coefficients == COEFF_SELF:
-            acc = self.get(idx)
-            self.set(idx, [a + Fraction(v) for a, v in zip(acc, value)])
-        else:
-            self.set(idx, self.get(idx) + Fraction(value))
+            self.coords[n] = Fraction(value)
 
     def value(self, *vectors):
-        """Evaluate multilinearly on coefficient vectors."""
+        """Evaluate multilinearly on coefficient vectors: each nonzero
+        coordinate, at basis tuple idx and component m, adds itself times
+        prod_pos vectors[pos][idx[pos]] to component m."""
         if len(vectors) != self.degree:
             raise ValueError(f"degree-{self.degree} cochain takes {self.degree} inputs")
-        out = self._zero_value()
-        for idx, value in self.data.items():
-            coeff = Fraction(1)
-            for pos, i in enumerate(idx):
-                coeff *= Fraction(vectors[pos][i])
-                if not coeff:
-                    break
-            if not coeff:
-                continue
-            if self.coefficients == COEFF_SELF:
-                for k in range(self.dim):
-                    out[k] += coeff * value[k]
-            else:
-                out += coeff * value
-        return out
+        width = self.dim if self.coefficients == COEFF_SELF else 1
+        out = [_ZERO] * width
+        for n, coeff in enumerate(self.coords):
+            if coeff:
+                n, m = divmod(n, width)
+                for vector in reversed(vectors):
+                    n, i = divmod(n, self.dim)
+                    coeff *= _fraction(vector[i])
+                    if not coeff:
+                        break
+                out[m] += coeff
+        return out if self.coefficients == COEFF_SELF else out[0]
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not any(self.coords)
 
     def __add__(self, other):
         if (self.dim, self.degree, self.coefficients) != (
@@ -372,60 +348,40 @@ class FinCochain:
             other.coefficients,
         ):
             raise ValueError("cochain shapes differ")
-        out = FinCochain(self.dim, self.degree, self.coefficients, self.data)
-        for idx, value in other.data.items():
-            out.add_to(idx, value)
-        return out
+        return self._like([a + b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        out = FinCochain(self.dim, self.degree, self.coefficients)
-        for idx, value in self.data.items():
-            if self.coefficients == COEFF_SELF:
-                out.set(idx, [-v for v in value])
-            else:
-                out.set(idx, -value)
-        return out
+        return self._like([-v for v in self.coords])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        out = FinCochain(self.dim, self.degree, self.coefficients)
-        for idx, value in self.data.items():
-            if self.coefficients == COEFF_SELF:
-                out.set(idx, [scalar * v for v in value])
-            else:
-                out.set(idx, scalar * value)
-        return out
+        return self._like([scalar * v for v in self.coords])
 
     def __eq__(self, other):
         return (
             isinstance(other, FinCochain)
             and (self.dim, self.degree, self.coefficients)
             == (other.dim, other.degree, other.coefficients)
-            and self.data == other.data
+            and self.coords == other.coords
         )
+
+    def _like(self, coords) -> "FinCochain":
+        return FinCochain.from_flat(self.dim, self.degree, self.coefficients, coords)
 
     def flatten(self):
         """Dense coordinate list (basis tuples in lexicographic order)."""
-        out = []
-        for idx in itertools.product(range(self.dim), repeat=self.degree):
-            value = self.get(idx)
-            if self.coefficients == COEFF_SELF:
-                out.extend(value)
-            else:
-                out.append(value)
-        return out
+        return list(self.coords)
 
     @classmethod
     def from_flat(cls, dim: int, degree: int, coefficients: str, values) -> "FinCochain":
         """Inverse of `flatten`."""
         out = cls(dim, degree, coefficients)
-        width = dim if coefficients == COEFF_SELF else 1
-        for n, idx in enumerate(itertools.product(range(dim), repeat=degree)):
-            chunk = values[n * width : (n + 1) * width]
-            out.set(idx, chunk if coefficients == COEFF_SELF else chunk[0])
+        if len(values) != len(out.coords):
+            raise ValueError("flat cochain has the wrong length")
+        out.coords = [_fraction(v) for v in values]
         return out
 
 
@@ -436,9 +392,10 @@ def fin_coboundary(A: FinKVAlgebra, coefficients: str, theta: FinCochain) -> Fin
     if theta.dim != A.dim:
         raise ValueError("cochain dimension does not match the algebra")
     rows = coboundary_rows(A, coefficients, theta.degree)
-    flat = theta.flatten()
-    values = [sum((v * flat[col] for col, v in row.items()), Fraction(0)) / A.den for row in rows]
-    return FinCochain.from_flat(A.dim, theta.degree + 1, coefficients, values)
+    x = theta.coords
+    out = FinCochain(A.dim, theta.degree + 1, coefficients)
+    out.coords = [sum((v * x[col] for col, v in row.items()), _ZERO) / A.den for row in rows]
+    return out
 
 
 def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
@@ -548,11 +505,10 @@ class SymForm:
 
     `num` holds the entries as integer numerators over the one positive
     common denominator `den`, and `rows[i]` lists the nonzero (j, num) of
-    row i. `matrix` is the Fraction view; a form built with
-    `from_entries` makes it only when it is first read."""
+    row i. `matrix` is the Fraction view, made when it is first read."""
 
     def __init__(self, matrix):
-        matrix = _frac_matrix(matrix)
+        matrix = tuple(tuple(_fraction(v) for v in row) for row in matrix)
         d = len(matrix)
         if any(len(row) != d for row in matrix):
             raise ValueError("form matrix must be square")
@@ -560,16 +516,21 @@ class SymForm:
             for j in range(i):
                 if matrix[i][j] != matrix[j][i]:
                     raise ValueError("form matrix must be symmetric")
-        den = _common_den(v for row in matrix for v in row)
-        self.dim, self.den, self._pass, self._matrix = d, den, None, matrix
-        self.num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix)
-        self.rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.num)
+        self._build(
+            d, ((i, j, matrix[i][j]) for i in range(d) for j in range(i, d) if matrix[i][j])
+        )
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SymForm":
         """The form with beta(e_i, e_j) = beta(e_j, e_i) = value for its
         entries (i, j, value); each pair {i, j} appears at most once and
         the missing entries are 0."""
+        out = cls.__new__(cls)
+        out._build(dim, entries)
+        return out
+
+    def _build(self, dim: int, entries):
+        """num and rows straight from the entries."""
         values = {}
         for i, j, value in entries:
             if not (0 <= i < dim and 0 <= j < dim):
@@ -590,11 +551,9 @@ class SymForm:
                 rows[i].append((j, n))
                 if i != j:
                     rows[j].append((i, n))
-        out = cls.__new__(cls)
-        out.dim, out.den, out._pass, out._matrix = dim, den, None, None
-        out.num = tuple(map(tuple, num))
-        out.rows = tuple(map(tuple, rows))
-        return out
+        self.dim, self.den, self._pass, self._matrix = dim, den, None, None
+        self.num = tuple(map(tuple, num))
+        self.rows = tuple(map(tuple, rows))
 
     @property
     def matrix(self):
@@ -619,11 +578,8 @@ class SymForm:
         return out
 
     def as_cochain(self) -> FinCochain:
-        data = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                data[(i, j)] = self.matrix[i][j]
-        return FinCochain(self.dim, 2, COEFF_TRIVIAL, data)
+        flat = [v for row in self.matrix for v in row]
+        return FinCochain.from_flat(self.dim, 2, COEFF_TRIVIAL, flat)
 
     def _eliminate(self):
         """One Bareiss pass over num, kept: (the leading principal minors
@@ -791,25 +747,21 @@ def clan_classify(A: FinKVAlgebra, beta: SymForm) -> ClanReport:
 
 def kv_nu(A: FinKVAlgebra, nu: FinCochain) -> FinCochain:
     """KV_nu(s,s',s'') = nu(s,nu(s',s'')) - nu(nu(s,s'),s'')
-                       - nu(s',nu(s,s'')) + nu(nu(s',s),s'')."""
+                       - nu(s',nu(s,s'')) + nu(nu(s',s),s''),
+    the KV anomaly of the product nu: `_kv_anomalies` on the table of nu
+    gives the pairs i < j, and K(j, i, k) = -K(i, j, k) the rest."""
     if nu.degree != 2 or nu.coefficients != COEFF_SELF or nu.dim != A.dim:
         raise ValueError("nu must be a degree-2 self-coefficient cochain")
     d = A.dim
-    basis = [_basis_vec(d, t) for t in range(d)]
+    N = FinKVAlgebra.from_entries(
+        d, ((*divmod(n // d, d), n % d, v) for n, v in enumerate(nu.coords) if v)
+    )
     out = FinCochain(d, 3, COEFF_SELF)
-    for i, j, k in itertools.product(range(d), repeat=3):
-        s, sp, spp = basis[i], basis[j], basis[k]
-        v = [
-            a - b - c + e
-            for a, b, c, e in zip(
-                nu.value(s, nu.value(sp, spp)),
-                nu.value(nu.value(s, sp), spp),
-                nu.value(sp, nu.value(s, spp)),
-                nu.value(nu.value(sp, s), spp),
-            )
-        ]
-        if any(v):
-            out.set((i, j, k), v)
+    den2, block = N.den * N.den, d * d
+    for i, j, acc in _kv_anomalies(N):
+        for key, v in acc.items():
+            out.coords[(i * d + j) * block + key] = Fraction(v, den2)
+            out.coords[(j * d + i) * block + key] = Fraction(-v, den2)
     return out
 
 

@@ -88,6 +88,53 @@ def test_check_profile_kind_mismatch():
     assert code == 2
 
 
+NOT_A_CLAN_INPUT = (
+    "error: --accept applies to the clan verdict of a finite KV algebra with a form\n"
+)
+
+
+def test_accept_takes_only_clan_verdicts():
+    for argv in (
+        ("check", "--catalog", "witt-line", "--accept", "bogus"),
+        ("check", "--catalog", "clan-84", "--profile", "clan", "--accept", "bogus"),
+        ("check", "--catalog", "clan-84", "--accept", "clan", "--accept", "Clan"),
+    ):
+        bad = argv[-1]
+        assert invoke(*argv) == (
+            2, "", f"error: --accept takes clan, pseudo-clan or neither, not {bad!r}\n"
+        ), argv
+    # each verdict is accepted where it applies
+    assert invoke("check", "--catalog", "clan-84-as-printed", "--profile", "clan")[0] == 1
+    for verdict in ("neither", "pseudo-clan"):
+        code, out, _ = invoke(
+            "check", "--catalog", "clan-84-as-printed", "--profile", "clan", "--accept", verdict
+        )
+        assert code == (0 if verdict == "neither" else 1)
+        assert out.startswith("classification: neither\n")
+
+
+def test_accept_needs_a_finite_algebra_with_a_form(tmp_path):
+    path = tmp_path / "noform.alg"
+    path.write_text("[kvalgebra]\ndim 2\n0 1 0 1\n")
+    for argv in (
+        ("check", "--catalog", "witt-line", "--accept", "pseudo-clan"),
+        ("check", "--catalog", "witt-line", "--profile", "lie", "--accept", "clan"),
+        ("check", str(path), "--accept", "neither"),
+        ("check", str(path), "--accept", "pseudo-clan", "--format", "machine"),
+    ):
+        assert invoke(*argv) == (2, "", NOT_A_CLAN_INPUT), argv
+
+
+def test_clan_profile_needs_a_form(tmp_path):
+    path = tmp_path / "noform.alg"
+    path.write_text("[kvalgebra]\ndim 2\n0 1 0 1\n")
+    error = "error: profile 'clan' needs a [form] section or catalog form\n"
+    assert invoke("check", str(path), "--profile", "clan") == (2, "", error)
+    assert invoke("check", str(path), "--profile", "clan", "--format", "machine") == (2, "", error)
+    # without --profile the algebra still gets its KV verdict
+    assert invoke("check", str(path)) == (0, "kv: pass\n", "")
+
+
 # --- anomalies -------------------------------------------------------------
 
 
@@ -202,6 +249,20 @@ def test_cohomology_exactness():
     assert code == 1 and out.strip() == "NON-EXACT"
 
 
+def test_exactness_refuses_degree_and_coefficients():
+    error = "error: --exactness takes neither --degree nor --coefficients\n"
+    for extra in (
+        ("--degree", "7"), ("--degree", "0"), ("--coefficients", "trivial"),
+        ("--coefficients", "self", "--degree", "2"),
+    ):
+        argv = ("cohomology", "--catalog", "clan-84", "--exactness", *extra)
+        assert invoke(*argv) == (2, "", error), argv
+    # the defaults still apply without --exactness
+    assert invoke("cohomology", "--catalog", "clan-84") == invoke(
+        "cohomology", "--catalog", "clan-84", "--degree", "0", "--coefficients", "self"
+    )
+
+
 def test_cohomology_unsupported_degree_is_usage_error():
     for degree in ("3", "-1"):
         code, out, err = invoke("cohomology", "--catalog", "vinberg-83", "--degree", degree)
@@ -257,6 +318,16 @@ def test_export_round_trips_every_entry():
         assert code == 0
         doc = parse_document(out)
         assert serialize_document(doc) == out
+
+
+def test_export_takes_no_format():
+    for value in ("machine", "text"):
+        assert invoke("export", "--catalog", "witt-line", "--format", value) == (
+            2, "", "error: unrecognized arguments: --format\n"
+        )
+    assert invoke("export", "--catalog", "witt-line", "--format=machine") == (
+        2, "", "error: unrecognized arguments: --format=machine\n"
+    )
 
 
 def test_export_missing_input():

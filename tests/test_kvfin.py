@@ -977,3 +977,121 @@ def test_entry_constructors_validate():
     assert A == alg(2, [(1, 1, 1, F(2, 3))]) and A.nz[0][1] == ()
     assert SymForm.from_entries(2, [(1, 0, F(5))]) == SymForm([[0, 5], [5, 0]])
     assert FinKVAlgebra.zero(3) == alg(3, []) and FinKVAlgebra.zero(3).c == alg(3, []).c
+
+
+# --- the flat cochain ------------------------------------------------------------------
+
+
+@st.composite
+def cochain_cases(draw):
+    """A cochain of dimension 1-3 and degree 0-3 in either module, built
+    from {basis tuple: value}, with the values it was given in
+    lexicographic order."""
+    d = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    coefficients = draw(st.sampled_from((COEFF_SELF, COEFF_TRIVIAL)))
+    entry = st.one_of(st.just(0), constants)
+    if coefficients == COEFF_SELF:
+        entry = st.lists(entry, min_size=d, max_size=d)
+    indices = list(itertools.product(range(d), repeat=degree))
+    values = draw(st.lists(entry, min_size=len(indices), max_size=len(indices)))
+    return FinCochain(d, degree, coefficients, dict(zip(indices, values))), indices, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(cochain_cases(), st.data())
+def test_flat_cochain_properties(case, data):
+    x, indices, values = case
+    d, degree, self_coeffs = x.dim, x.degree, x.coefficients == COEFF_SELF
+    flat = x.flatten()
+    assert flat == [F(v) for value in values for v in (value if self_coeffs else [value])]
+    assert len(flat) == cochain_space_dim(d, degree, x.coefficients)
+    # flatten and from_flat are copies
+    y = FinCochain.from_flat(d, degree, x.coefficients, flat)
+    assert y == x
+    flat.append(F(1))
+    y.coords[0] += 1
+    assert x.flatten() == flat[:-1] and y != x
+    width = d if self_coeffs else 1
+    for n, idx in enumerate(indices):
+        expected = flat[n * width : (n + 1) * width]
+        assert x.get(idx) == (expected if self_coeffs else expected[0])
+    vectors = [data.draw(st.lists(constants, min_size=d, max_size=d)) for _ in range(degree)]
+    expected = [F(0)] * d if self_coeffs else F(0)
+    for idx in indices:
+        coeff = F(1)
+        for vector, i in zip(vectors, idx):
+            coeff *= vector[i]
+        if self_coeffs:
+            expected = [e + coeff * v for e, v in zip(expected, x.get(idx))]
+        else:
+            expected += coeff * x.get(idx)
+    assert x.value(*vectors) == expected
+    # bad indices and wrong lengths
+    for idx in ((d,) * degree, (0,) * (degree + 1), (-1,) * degree):
+        if len(idx) != degree or degree:
+            with pytest.raises(ValueError, match="bad basis index tuple"):
+                x.get(idx)
+            with pytest.raises(ValueError, match="bad basis index tuple"):
+                x.set(idx, [0] * d if self_coeffs else 0)
+    if self_coeffs:
+        with pytest.raises(ValueError, match="wrong length"):
+            x.set((0,) * degree, [0] * (d + 1))
+    with pytest.raises(ValueError, match="wrong length"):
+        FinCochain.from_flat(d, degree, x.coefficients, flat)
+    with pytest.raises(ValueError, match="wrong length"):
+        FinCochain.from_flat(d, degree, x.coefficients, flat[:-2])
+    with pytest.raises(ValueError, match=f"takes {degree} inputs"):
+        x.value(*vectors, [0] * d)
+
+
+# --- the one KV anomaly ----------------------------------------------------------------
+
+
+def dense_kv_nu(A, nu):
+    """KV_nu written out on all d^3 basis triples through four
+    `FinCochain.value` compositions each: the oracle for `kv_nu`."""
+    d = A.dim
+    basis = basis_vectors(d)
+    out = FinCochain(d, 3, COEFF_SELF)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        s, sp, spp = basis[i], basis[j], basis[k]
+        v = [
+            a - b - c + e
+            for a, b, c, e in zip(
+                nu.value(s, nu.value(sp, spp)),
+                nu.value(nu.value(s, sp), spp),
+                nu.value(sp, nu.value(s, spp)),
+                nu.value(nu.value(sp, s), spp),
+            )
+        ]
+        if any(v):
+            out.set((i, j, k), v)
+    return out
+
+
+@st.composite
+def nu_cases(draw):
+    """(nu, whether nu is a KV product): the products of KV algebras of
+    dimension 1-4 in a random monomial frame, and random sparse and dense
+    degree-2 cochains."""
+    if draw(st.booleans()):
+        A = draw(st.sampled_from(
+            [truncated(d) for d in range(1, 5)] + [A83, A84, A84P, COMMUTATIVE]
+            + [direct_sum(A83, FinKVAlgebra.zero(1))]
+        ))
+        perm = draw(st.permutations(range(A.dim)))
+        diag = [draw(st.sampled_from((1, -1, 2, F(1, 2), F(-2, 3)))) for _ in range(A.dim)]
+        return product_cochain(frame_change(A, perm, diag)), True
+    return product_cochain(draw(algebras(4))), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu_cases())
+def test_kv_nu_matches_dense_oracle(case):
+    nu, is_kv = case
+    A = FinKVAlgebra.zero(nu.dim)
+    out = kv_nu(A, nu)
+    assert out == dense_kv_nu(A, nu)
+    if is_kv:
+        assert out.is_zero()
