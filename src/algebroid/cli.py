@@ -5,18 +5,18 @@ Exit codes: 0 = all requested checks pass, 1 = an axiom/verdict fails,
 2 = parse or usage error, 3 = internal error. Output is deterministic;
 --format machine emits one JSON document with sorted keys.
 
-Each call builds only the part of the argparse grammar its argv can reach,
-from the one table `_VERBS` (verb -> help, add_arguments, handler). When
-argv[0] names a verb, `build_parser` makes the top-level parser and that
-verb's subparser: 2 parsers, or 4 for `catalog` with its `list` and `show`.
-Any other argv (empty, `-h`, an unknown verb, an option before the verb)
-gets the whole grammar, 8 parsers, so help and error messages are those of
-the whole grammar. The whole grammar takes about 1 ms to build, one verb's
-0.2-0.45 ms, against about 0.3 ms of work in a finite-KV `cohomology` call.
-No parser is cached: a cache would save the remaining 0.3 ms a call but
-keeps a parser for the life of the process (ROADMAP item 2 has the
-measurements). Only the first two paragraphs of this docstring are the
-`--help` description.
+A call whose argv[0] names a verb parses the rest of argv with that verb's
+own parser alone, `_Parser(prog="algebroid VERB")` filled from the one
+table `_VERBS` (verb -> help, add_arguments, handler): 1 parser, or 3 for
+`catalog` with its `list` and `show`. That parser is the verb's subparser
+in the whole grammar, so its help, usage and errors are the same. Any
+other argv (empty, `-h`, an unknown verb, an option before the verb)
+parses with the whole grammar, `build_parser()`, 8 parsers. One verb's
+parser takes about 0.26 ms to build and parses in about 0.05 ms; the whole
+grammar takes about 1 ms and a two-level parse about 0.09 ms, against
+about 0.3 ms of work in a finite-KV `cohomology` call. No parser is cached
+(ROADMAP item 2 has the measurements). Only the first two paragraphs of
+this docstring are the `--help` description.
 """
 
 from __future__ import annotations
@@ -89,13 +89,12 @@ class _Parser(argparse.ArgumentParser):
 _DESCRIPTION = "\n\n".join((__doc__ or "").split("\n\n")[:2]) or None
 
 
-def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argparse grammar: the top-level parser and, when `verb` names a
-    verb, only that verb's subparser; otherwise every verb's."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse grammar: the top-level parser and every verb's
+    subparser."""
     parser = _Parser(prog="algebroid", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name in (verb,) if verb in _VERBS else _VERBS:
-        help_text, add_arguments, _ = _VERBS[name]
+    for name, (help_text, add_arguments, _) in _VERBS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -182,8 +181,20 @@ def _load(args) -> ParsedDocument:
             "kvalgebra", entry.name, algebra=entry.algebra, form=entry.form
         )
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
+        # decode the whole file at once, so a decode error's offset is the
+        # file's; `parse_document` splits lines as text mode would
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; count lines as the parser does
+            line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+            raise UsageError(
+                f"{args.file}: not UTF-8 at byte offset {exc.start} (line {line}): "
+                f"{exc.reason}"
+            ) from None
+        return parse_document(text)
     raise UsageError("no input: give a file or --catalog NAME")
 
 
@@ -471,9 +482,16 @@ _VERBS = {
 
 
 def run(argv, out: TextIO, err: TextIO) -> int:
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        verb = argv[0] if argv else None
+        if verb in _VERBS:
+            # the verb's own parser is its subparser in the whole grammar
+            parser = _Parser(prog="algebroid " + verb)
+            _VERBS[verb][1](parser)
+            args = parser.parse_args(argv[1:])
+            args.verb = verb
+        else:
+            args = build_parser().parse_args(argv)
         return _VERBS[args.verb][2](args, out)
     except _HelpRequested as exc:
         out.write(exc.args[0])

@@ -41,6 +41,15 @@ Limits, each a parse error with its line (and column for a literal):
   through `cli.run` took 2.9-3.3 s on dense KV algebras (clan-84 + clan-84
   and Q[x]/(x^6) after a unimodular change of basis) and 22.6-25.8 s on
   clan-84 + vinberg-83 after one (Intel Xeon, 2 cores, Python 3.11.7).
+- A [structure] rank is at most MAX_RANK (16) and its base_dim at most
+  MAX_BASE_DIM (8), which admits every catalog entry and courant_standard(n)
+  and tangent_lie(n) for n <= 8. A structure holds base_dim x rank anchor
+  entries (and rank x rank pairing entries with a pairing) whatever the
+  file lists, so without a limit a 4-line file with rank 200000 took
+  0.41 s and 43 MB to `export`. At the limits, `check FILE` (the
+  capability matrix) took 3.9 s on courant_standard(8) (rank 16, base_dim
+  8) and 0.16 s on tangent_lie(8) (same machine). These limits do not
+  bound the number of product lines, which the time also grows with.
 - A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
   polynomial that holds for each integer (the digits of a constant, a
   denominator, a variable index or an exponent), and for the numerators
@@ -117,6 +126,10 @@ class ParsedDocument:
 
 
 MAX_KV_DIM = 6
+MAX_RANK = 16
+MAX_BASE_DIM = 8
+# header key -> the largest value a file may give it
+_HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 
 _STRUCT_SECTIONS = ("structure", "mult", "anchor", "pairing", "dcochain")
 _KV_SECTIONS = ("kvalgebra", "form")
@@ -385,8 +398,6 @@ def parse_document(text: str) -> ParsedDocument:
         return ParsedDocument("structure", name, structure=structure)
 
     dim = _head_int(head, "dim", 1)
-    if dim > MAX_KV_DIM:
-        raise FormatError(f"dim {dim} exceeds the limit {MAX_KV_DIM}", head["dim"][1])
     for (k, i, j), (_, line) in kv_entries.items():
         if not (0 <= k < dim and 0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"product index out of range: {k} {i} {j}", line)
@@ -411,6 +422,8 @@ def _head_int(head: dict, key: str, lineno: int) -> int:
     out = _parse_int_field(value, key, keyline)
     if out <= 0:
         raise FormatError(f"{key} must be positive", keyline)
+    if out > _HEAD_LIMITS[key]:
+        raise FormatError(f"{key} {out} exceeds the limit {_HEAD_LIMITS[key]}", keyline)
     return out
 
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.catalog import catalog_get, catalog_names
+from algebroid.catalog import catalog_get, catalog_names, courant_standard, tangent_lie
 from algebroid.exactmath import MAX_LITERAL_DIGITS
 from algebroid.fileformat import (
+    MAX_BASE_DIM,
     MAX_KV_DIM,
+    MAX_RANK,
     FormatError,
     ParsedDocument,
     parse_document,
@@ -196,6 +198,40 @@ def test_kv_dim_limit():
             parse_document(KV.replace("dim 2", f"dim {dim}"))
         assert str(exc.value) == f"line 3: dim {dim} exceeds the limit {MAX_KV_DIM}"
         assert exc.value.line == 3
+
+
+def test_rank_and_base_dim_limits():
+    """rank and base_dim are refused just above their limits, at the line
+    of their header key, also when a data line is the first to read them."""
+    plain = "[structure]\nbase_dim {}\nrank {}\nskew false\n"
+    S = parse_document(plain.format(MAX_BASE_DIM, MAX_RANK)).structure
+    assert (S.base_dim, S.rank) == (MAX_BASE_DIM, MAX_RANK)
+    for text, message in (
+        (plain.format(1, MAX_RANK + 1), f"line 3: rank {MAX_RANK + 1} exceeds the limit {MAX_RANK}"),
+        (plain.format(1, 200000), f"line 3: rank 200000 exceeds the limit {MAX_RANK}"),
+        (plain.format(1, 10**12), f"line 3: rank {10**12} exceeds the limit {MAX_RANK}"),
+        (
+            plain.format(MAX_BASE_DIM + 1, 1),
+            f"line 2: base_dim {MAX_BASE_DIM + 1} exceeds the limit {MAX_BASE_DIM}",
+        ),
+        (
+            WITT.replace("base_dim 1", f"base_dim {MAX_BASE_DIM + 1}"),
+            f"line 3: base_dim {MAX_BASE_DIM + 1} exceeds the limit {MAX_BASE_DIM}",
+        ),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_document(text)
+        assert str(exc.value) == message
+
+
+def test_limits_admit_the_catalog_families():
+    """courant_standard(n) (rank 2n) and tangent_lie(n) for n <= 8 parse
+    back to their canonical text; n = 8 is at both limits."""
+    assert (MAX_RANK, MAX_BASE_DIM) == (16, 8)
+    for n in range(1, 9):
+        for S in (courant_standard(n), tangent_lie(n)):
+            text = serialize_structure(S, "family")
+            assert serialize_document(parse_document(text)) == text
 
 
 def test_bad_rational_and_skew():
