@@ -32,6 +32,11 @@ alpha/beta are comma-separated multi-indices of length base_dim; coeff is
 a polynomial in x1..xn; value is a rational literal. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
 
+An optional section ([pairing], [dcochain], [form]) whose header is
+present with no entries, or only zero ones, is the zero pairing, D or
+form; a missing header means the structure has none. The serializers
+write a zero object as its bare header, so export is a fixpoint.
+
 Limits, each a parse error with its line (and column for a literal):
 
 - A [kvalgebra] dim is at most MAX_KV_DIM (6). The dearest call on an
@@ -252,6 +257,7 @@ def parse_document(text: str) -> ParsedDocument:
     form_entries = {}
     where = {}  # (section, entry key) -> line of a [structure] document's entry
     seen_head_keys = set()
+    sections = set()  # the headers met; a header with no entries is the zero object
 
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
@@ -272,6 +278,7 @@ def parse_document(text: str) -> ParsedDocument:
             allowed = _STRUCT_SECTIONS if kind == "structure" else _KV_SECTIONS
             if section not in allowed:
                 raise FormatError(f"unknown section [{section}]", lineno)
+            sections.add(section)
             continue
         if section is None:
             raise FormatError("content before the first section header", lineno)
@@ -382,14 +389,14 @@ def parse_document(text: str) -> ParsedDocument:
         ]
         anchor = AnchorMap(base_dim, rank, anchor_matrix)
         pairing = None
-        if pairing_entries:
+        if "pairing" in sections:
             g = [[Poly.zero(base_dim) for _ in range(rank)] for _ in range(rank)]
             for (i, j), coeff in pairing_entries.items():
                 g[i][j] = coeff
                 g[j][i] = coeff
             pairing = Pairing(rank, base_dim, g)
         d_cochain = None
-        if d_entries:
+        if "dcochain" in sections:
             comps = [dict() for _ in range(rank)]
             for (k, alpha), coeff in d_entries.items():
                 comps[k][alpha] = coeff
@@ -405,7 +412,7 @@ def parse_document(text: str) -> ParsedDocument:
         dim, ((i, j, k, value) for (k, i, j), (value, _) in kv_entries.items())
     )
     form = None
-    if form_entries:
+    if "form" in sections:
         for (i, j), (_, line) in form_entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise FormatError(f"form index out of range: {i} {j}", line)

@@ -4,16 +4,18 @@ complex with coefficients in the algebra itself or in the trivial module,
 cohomology dimensions through H^2, exactness of symmetric 2-cocycles,
 clan classification, and the deformation (Maurer-Cartan type) residual.
 
-Coboundary convention, degree k <= 2, coefficients in the algebra:
+Coboundary convention, degree k <= 2, coefficients in a module M:
 
     dTheta(s_1..s_{k+1}) = sum_{j=1..k} (-1)^j [ (s_j . Theta)(.. s_j hat ..)
                                         + Theta(.. s_j hat .., s_j) . s_{k+1} ]
 
-with (a . Theta)(t_1..t_k) = a Theta(t..) - sum_i Theta(.., a t_i, ..) and a
-right-multiplication trailing term. Trivial coefficients delete the two
-module-action terms. The convention is pinned by two properties checked
-in the tests: d(d Theta) = 0 over KV algebras, and the deformation
-calibration KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
+with (a . Theta)(t_1..t_k) = a Theta(t..) - sum_i Theta(.., a t_i, ..) by
+the left action on M, and the trailing term by its right action. A module
+is a dimension and sparse tables of both actions: the algebra itself
+("self") has its structure constants as both, the trivial module Q is
+(1, (), ()). The convention is pinned by two properties checked in the
+tests: d(d Theta) = 0 over KV algebras, and the deformation calibration
+KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
 Every reader works on one table built with the algebra: nz[i][j] lists the
 nonzero structure constants of e_i e_j as (m, num) pairs, integer
@@ -32,10 +34,10 @@ triple is the first witness in basis-triple order, and `kv_nu` reads all
 of them off the table of the product nu.
 
 A cochain is one list of Fractions in `flatten` order (basis tuples in
-lexicographic order, each with its dim coefficients in the self module).
-The coboundary formula is written once, in `coboundary_rows`: on basis
-inputs every term is a single structure constant, so each nonzero
-constant c[p][q][r] is scattered into the rows of the coboundary matrix it
+lexicographic order, each with its coefficients in the module's basis).
+The coboundary is written once, in `coboundary_rows`, over the module's
+tables: on basis inputs every term is one action entry or constant, so
+each nonzero one is scattered into the rows of the coboundary matrix it
 reaches, as sparse integer rows {column: num} over that order; the
 coboundary is those rows divided by A.den. The work follows the nonzero
 constants, not the d^{k+1} basis tuples, and the matrices are mostly zero:
@@ -55,8 +57,8 @@ from one fraction-free Bareiss pass over the form's numerators
 (`exactmath.bareiss`): its pivots are the leading principal minors m_k, so
 beta is positive definite iff every m_k > 0, negative definite iff every
 (-1)^k m_k > 0, and the pass goes on with row exchanges past a zero minor
-to the determinant. Exactness solves the integer system of A.nz against
-beta's numerators with the same elimination (`exactmath.solve_linear`).
+to the determinant. Exactness solves the trivial coboundary's integer rows
+C^1 -> C^2 against beta's numerators the same way (`exactmath.solve_linear`).
 """
 
 from __future__ import annotations
@@ -279,16 +281,16 @@ class FinCochain:
     """k-linear map on a dim-d space with values in the algebra
     (coefficients == "self") or in the rationals ("trivial"). `coords` is
     one list of Fractions in `flatten` order: the basis tuples in
-    lexicographic order, each followed by its dim coefficients (self) or
-    its one value (trivial)."""
+    lexicographic order, each followed by its `width` values, one per
+    basis vector of the module. A trivial cochain's value at a tuple is
+    a scalar, a self cochain's a list."""
 
     def __init__(self, dim: int, degree: int, coefficients: str, data=None):
-        if coefficients not in (COEFF_SELF, COEFF_TRIVIAL):
-            raise ValueError("coefficients must be 'self' or 'trivial'")
+        self.width = _module(coefficients, dim)[0]
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.dim, self.degree, self.coefficients = dim, degree, coefficients
-        self.coords = [_ZERO] * cochain_space_dim(dim, degree, coefficients)
+        self.coords = [_ZERO] * (dim**degree * self.width)
         if data:
             for idx, value in (data.items() if isinstance(data, dict) else data):
                 self.set(idx, value)
@@ -301,21 +303,21 @@ class FinCochain:
         n = 0
         for i in idx:
             n = n * self.dim + i
-        return n * self.dim if self.coefficients == COEFF_SELF else n
+        return n * self.width
 
     def get(self, idx):
         n = self._offset(idx)
         if self.coefficients == COEFF_SELF:
-            return self.coords[n : n + self.dim]
+            return self.coords[n : n + self.width]
         return self.coords[n]
 
     def set(self, idx, value):
         n = self._offset(idx)
         if self.coefficients == COEFF_SELF:
             value = [Fraction(v) for v in value]
-            if len(value) != self.dim:
+            if len(value) != self.width:
                 raise ValueError("value vector has the wrong length")
-            self.coords[n : n + self.dim] = value
+            self.coords[n : n + self.width] = value
         else:
             self.coords[n] = Fraction(value)
 
@@ -325,11 +327,10 @@ class FinCochain:
         prod_pos vectors[pos][idx[pos]] to component m."""
         if len(vectors) != self.degree:
             raise ValueError(f"degree-{self.degree} cochain takes {self.degree} inputs")
-        width = self.dim if self.coefficients == COEFF_SELF else 1
-        out = [_ZERO] * width
+        out = [_ZERO] * self.width
         for n, coeff in enumerate(self.coords):
             if coeff:
-                n, m = divmod(n, width)
+                n, m = divmod(n, self.width)
                 for vector in reversed(vectors):
                     n, i = divmod(n, self.dim)
                     coeff *= _fraction(vector[i])
@@ -341,12 +342,11 @@ class FinCochain:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    def _shape(self):
+        return self.dim, self.degree, self.coefficients
+
     def __add__(self, other):
-        if (self.dim, self.degree, self.coefficients) != (
-            other.dim,
-            other.degree,
-            other.coefficients,
-        ):
+        if self._shape() != other._shape():
             raise ValueError("cochain shapes differ")
         return self._like([a + b for a, b in zip(self.coords, other.coords)])
 
@@ -363,9 +363,7 @@ class FinCochain:
     def __eq__(self, other):
         return (
             isinstance(other, FinCochain)
-            and (self.dim, self.degree, self.coefficients)
-            == (other.dim, other.degree, other.coefficients)
-            and self.coords == other.coords
+            and (self._shape(), self.coords) == (other._shape(), other.coords)
         )
 
     def _like(self, coords) -> "FinCochain":
@@ -398,35 +396,47 @@ def fin_coboundary(A: FinKVAlgebra, coefficients: str, theta: FinCochain) -> Fin
     return out
 
 
+def _module(coefficients: str, dim: int, constants=()) -> tuple:
+    """The module named `coefficients` of a dim-d algebra whose nonzero
+    constants are `constants`: (width, left, right), its dimension and its
+    actions as entries (p, q, r, num), e_p m_q (left) or m_p e_q (right)
+    having num / A.den on m_r. e_p e_q = sum c[p][q][r] e_r is both
+    actions of "self"; the trivial module has none."""
+    if coefficients == COEFF_SELF:
+        return dim, constants, constants
+    if coefficients == COEFF_TRIVIAL:
+        return 1, (), ()
+    raise ValueError("coefficients must be 'self' or 'trivial'")
+
+
 def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
-    base = dim**degree
-    return base * dim if coefficients == COEFF_SELF else base
+    return dim**degree * _module(coefficients, dim)[0]
 
 
 def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     """The coboundary C^k -> C^{k+1} as sparse integer rows {column: num}:
     the coboundary is these rows divided by A.den.
 
-    Rows and columns follow `FinCochain.flatten` order. Row
-    (i_1..i_{k+1}, m) collects, for each j with the sign (-1)^j and rest the
-    other k indices: the left action c[i_j][o][m] at column (rest, o); the
-    in-slot terms -c[i_j][rest[t]][a] at rest with a in slot t; and the
-    trailing right multiplication c[o][i_{k+1}][m] at (rest[:-1] + (i_j,), o).
-    Trivial coefficients keep only the in-slot terms.
+    Rows and columns follow `FinCochain.flatten` order over the module's
+    basis m_0..m_{w-1} (`_module`). Row (i_1..i_{k+1}, m) collects, for
+    each j with the sign (-1)^j and rest the other k indices: the left
+    action e_{i_j} m_o -> m_m at column (rest, o); the in-slot terms
+    -c[i_j][rest[t]][a] at (rest with a in slot t, m); and the trailing
+    right action m_o e_{i_{k+1}} -> m_m at (rest[:-1] + (i_j,), o).
 
-    Each term is one structure constant, so the rows are filled by
-    scattering every nonzero constant c[p][q][r] into the rows it reaches,
-    and the work follows the nonzeros; the rows nothing reaches stay
+    Each term is one action entry or constant, so the rows are filled by
+    scattering every nonzero one into the rows it reaches; the trivial
+    module's empty tables reach none, and the rows nothing reaches stay
     empty.
     """
-    if coefficients not in (COEFF_SELF, COEFF_TRIVIAL):
-        raise ValueError("coefficients must be 'self' or 'trivial'")
     if k > 2:
         raise ValueError("coboundary implemented for degree <= 2")
     d = A.dim
-    self_coeffs = coefficients == COEFF_SELF
-    width = d if self_coeffs else 1
-    rows = [{} for _ in range(d ** (k + 1) * width)]
+    constants = [
+        (p, q, r, v) for p, plane in enumerate(A.nz) for q, row in enumerate(plane) for r, v in row
+    ]
+    w, left, right = _module(coefficients, d, constants)
+    rows = [{} for _ in range(d ** (k + 1) * w)]
 
     def add(row, column, v):
         out = rows[row]
@@ -442,34 +452,30 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     for n, rest in enumerate(itertools.product(range(d), repeat=k)):
         for t, q in enumerate(rest):
             for_slot[t][q].append(n)
-    constants = [
-        (p, q, r, v) for p, plane in enumerate(A.nz) for q, row in enumerate(plane) for r, v in row
-    ]
     for j in range(1, k + 1):
         sign = -1 if j % 2 else 1
         # the flat number of (rest with s_j inserted before its slot j - 1)
         # is at[rest] + s_j * step
         step = d ** (k - j + 1)
         at = [(n // step) * step * d + n % step for n in range(d**k)]
-        if self_coeffs:
-            for p, q, r, v in constants:
-                # the left action s_j Theta(rest), s_j = e_p and Theta(rest) = e_q
-                for n in range(d**k):
-                    add((at[n] + p * step) * d + r, n * d + q, sign * v)
-                # the trailing term Theta(rest[:-1], s_j) e_q with rest[-1] = q,
-                # Theta(..) = e_p
-                for n in for_slot[k - 1][q]:
-                    for sj in range(d):
-                        add((at[n] + sj * step) * d + r, (n - q + sj) * d + p, sign * v)
-        # minus Theta(.., s_j rest[t], ..) with s_j = e_p and rest[t] = q, in
-        # both modules
+        # the left action s_j Theta(rest), s_j = e_p and Theta(rest) = m_q
+        for p, q, r, v in left:
+            for n in range(d**k):
+                add((at[n] + p * step) * w + r, n * w + q, sign * v)
+        # the trailing term Theta(rest[:-1], s_j) e_q with rest[-1] = q and
+        # Theta(..) = m_p
+        for p, q, r, v in right:
+            for n in for_slot[k - 1][q]:
+                for sj in range(d):
+                    add((at[n] + sj * step) * w + r, (n - q + sj) * w + p, sign * v)
+        # minus Theta(.., s_j rest[t], ..) with s_j = e_p and rest[t] = q
         for p, q, r, v in constants:
             for t in range(k):
                 shift = (r - q) * d ** (k - 1 - t)
                 for n in for_slot[t][q]:
-                    base = (at[n] + p * step) * width
-                    column = (n + shift) * width
-                    for m in range(width):
+                    base = (at[n] + p * step) * w
+                    column = (n + shift) * w
+                    for m in range(w):
                         add(base + m, column + m, -sign * v)
     return rows
 
@@ -666,24 +672,16 @@ def exactness_witness(A: FinKVAlgebra, beta: SymForm):
     beta must be a trivial-coefficient 2-cocycle (checked); returns the
     coefficient vector (Theta(e_k))_k or None when the system is
     infeasible, certifying a nonvanishing cohomology class. The system is
-    solved on the integer numerators: sum_k num_c[i][j][k] y_k =
-    num_beta[i][j], and Theta = y * A.den / beta.den.
+    the trivial coboundary C^1 -> C^2, row (i, j) of which is
+    sum_k num_c[i][j][k] y_k = num_beta[i][j]; Theta = y * A.den / beta.den.
     """
     if beta.dim != A.dim:
         raise ValueError("form dimension does not match the algebra")
     if not _is_symmetric(_residuals(A, beta), A.dim):
         raise ValueError("form is not a 2-cocycle")
-    d, B = A.dim, beta.num
-    rows, rhs = [], []
-    for i, plane in enumerate(A.nz):
-        for j, entries in enumerate(plane):
-            if entries or B[i][j]:
-                row = [0] * d
-                for k, x in entries:
-                    row[k] = x
-                rows.append(row)
-                rhs.append(B[i][j])
-    y = solve_linear(rows, rhs) if rows else [Fraction(0)] * d
+    d = A.dim
+    rows = [[row.get(k, 0) for k in range(d)] for row in coboundary_rows(A, COEFF_TRIVIAL, 1)]
+    y = solve_linear(rows, [v for row in beta.num for v in row])
     if y is None:
         return None
     scale = Fraction(A.den, beta.den)

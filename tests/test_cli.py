@@ -321,6 +321,37 @@ def test_export_round_trips_every_entry():
         assert serialize_document(doc) == out
 
 
+ZERO_SECTIONS = {
+    # a zero D: courant, cc and nonasym-courant apply to it
+    "dcochain": "[structure]\nbase_dim 1\nrank 1\nskew true\n[mult]\n0 0 0 0 1 1\n"
+    "0 0 0 1 0 -1\n[pairing]\n0 0 1\n[dcochain]\n0 0 0\n",
+    "pairing": "[structure]\nbase_dim 1\nrank 1\nskew true\n[mult]\n0 0 0 0 1 1\n"
+    "0 0 0 1 0 -1\n[pairing]\n0 0 0\n[dcochain]\n0 1 2\n",
+    "form": "[kvalgebra]\ndim 2\n1 0 0 1\n[form]\n0 1 0\n",
+}
+
+
+def test_zero_sections_survive_export(tmp_path):
+    """A section whose entries are all zero is the zero object, written as
+    its bare header: export is a fixpoint and every verdict stays."""
+    for section, text in ZERO_SECTIONS.items():
+        source = tmp_path / f"{section}.alg"
+        source.write_text(text)
+        verdicts = [invoke("check", str(source))]
+        if section == "form":
+            verdicts.append(invoke("cohomology", str(source), "--exactness"))
+        assert "not applicable" not in verdicts[0][1] and verdicts[-1][0] != 2
+        exported = invoke("export", str(source))
+        assert exported[0] == 0 and f"[{section}]\n" in exported[1]
+        for n in range(2):
+            again = tmp_path / f"{section}-{n}.alg"
+            again.write_text(exported[1])
+            assert invoke("export", str(again)) == exported
+            assert invoke("check", str(again)) == verdicts[0]
+            if section == "form":
+                assert invoke("cohomology", str(again), "--exactness") == verdicts[1]
+
+
 def test_export_takes_no_format():
     for value in ("machine", "text"):
         assert invoke("export", "--catalog", "witt-line", "--format", value) == (

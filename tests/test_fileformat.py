@@ -17,6 +17,7 @@ from algebroid.fileformat import (
     serialize_kvalgebra,
     serialize_structure,
 )
+from algebroid.kvfin import SymForm
 
 WITT = """\
 [structure]
@@ -245,6 +246,23 @@ def test_serialize_document_dispatch():
     assert serialize_document(parse_document(KV)) == serialize_kvalgebra(
         parse_document(KV).algebra, parse_document(KV).form, "demo"
     )
+
+
+def test_bare_header_is_the_zero_object():
+    """A section header with no entries, or only zero ones, gives the zero
+    pairing, D or form; without the header there is none."""
+    bare = WITT.replace("[pairing]\n0 0 1\n[dcochain]\n0 1 2\n", "[pairing]\n[dcochain]\n")
+    S = parse_document(bare).structure
+    zero = parse_document(WITT.replace("[pairing]\n0 0 1", "[pairing]\n0 0 0")).structure
+    assert S.pairing is not None and S.pairing == zero.pairing
+    assert S.d_cochain is not None and not S.d_cochain.components[0].terms
+    assert serialize_document(parse_document(bare)).endswith("[pairing]\n[dcochain]\n")
+    none = WITT.split("[pairing]")[0]
+    assert parse_document(none).structure.pairing is None
+    assert parse_document(none).structure.d_cochain is None
+    form = parse_document("[kvalgebra]\ndim 2\n[form]\n").form
+    assert form == SymForm.from_entries(2, ()) and not form.nondegenerate()
+    assert parse_document("[kvalgebra]\ndim 2\n").form is None
 
 
 # --- literal sizes -----------------------------------------------------------

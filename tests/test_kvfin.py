@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid.catalog import catalog_get, catalog_names, clan_84, vinberg_83
+from algebroid.exactmath import rank, solve_linear
 from algebroid.kvfin import (
     COEFF_SELF,
     COEFF_TRIVIAL,
@@ -563,6 +564,63 @@ def test_exactness_rejects_non_cocycle():
         exactness_witness(A84P, form)
 
 
+def reference_exactness(A, beta):
+    """Theta from the system built by hand from A.nz, one row
+    sum_k num_c[i][j][k] y_k = num_beta[i][j] for each (i, j) with a
+    nonzero product or form entry: the construction `exactness_witness`
+    replaced with the rows of the trivial coboundary C^1 -> C^2."""
+    d, B = A.dim, beta.num
+    rows, rhs = [], []
+    for i, plane in enumerate(A.nz):
+        for j, entries in enumerate(plane):
+            if entries or B[i][j]:
+                row = [0] * d
+                for k, x in entries:
+                    row[k] = x
+                rows.append(row)
+                rhs.append(B[i][j])
+    y = solve_linear(rows, rhs) if rows else [F(0)] * d
+    return None if y is None else [v * F(A.den, beta.den) for v in y]
+
+
+def check_exactness(A, beta):
+    """exactness_witness against the hand-built system; returns "exact",
+    "not exact" or "not a cocycle"."""
+    if not clan_classify(A, beta).cocycle:
+        with pytest.raises(ValueError, match="not a 2-cocycle"):
+            exactness_witness(A, beta)
+        return "not a cocycle"
+    theta = exactness_witness(A, beta)
+    assert theta == reference_exactness(A, beta)
+    return "not exact" if theta is None else "exact"
+
+
+def test_exactness_matches_hand_built_system():
+    outcomes = {check_exactness(A, beta) for A, beta in reader_cases() + cocycle_cases()}
+    assert outcomes == {"exact", "not exact", "not a cocycle"}
+
+
+@st.composite
+def exactness_cases(draw):
+    """Algebras of dimension 1-4 with the form
+    beta(e_i, e_j) = Theta(e_i e_j + e_j e_i), a coboundary where the
+    product is commutative, sometimes with one entry moved."""
+    A = draw(st.one_of(algebras(4), near_kv_algebras()))
+    d = A.dim
+    b = symmetrised_coboundary(A, draw(st.lists(constants, min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        b[i][j] += 1
+        b[j][i] = b[i][j]
+    return A, SymForm(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exactness_cases())
+def test_exactness_matches_hand_built_system_on_random_algebras(case):
+    check_exactness(*case)
+
+
 # --- clan classification ---------------------------------------------------------
 
 
@@ -767,11 +825,15 @@ def cocycle_cases():
     out = []
     for A, beta in reader_cases():
         theta = [F(rng.randint(-3, 3)) for _ in range(A.dim)]
-        d = A.dim
-        exact = [[sum((A.c[i][j][k] + A.c[j][i][k]) * theta[k] for k in range(d)) for j in range(d)] for i in range(d)]
-        out.append((A, SymForm(exact)))
+        out.append((A, SymForm(symmetrised_coboundary(A, theta))))
         out.append((A, beta))
     return out
+
+
+def symmetrised_coboundary(A, theta):
+    """The matrix of beta(e_i, e_j) = Theta(e_i e_j + e_j e_i)."""
+    d = A.dim
+    return [[sum((A.c[i][j][k] + A.c[j][i][k]) * theta[k] for k in range(d)) for j in range(d)] for i in range(d)]
 
 
 def test_residual_identity_against_coboundary_rows():
@@ -1095,3 +1157,126 @@ def test_kv_nu_matches_dense_oracle(case):
     assert out == dense_kv_nu(A, nu)
     if is_kv:
         assert out.is_zero()
+
+
+# --- frame changes on the finite track -------------------------------------------------
+
+
+def unimodular(d, moves):
+    """(P, P^-1) for the basis change f_a = e_a + t e_b, applied for each
+    move (a, b, t) in turn: the columns of P are the new basis vectors in
+    the old basis, P and P^-1 are integer and det P = 1."""
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    P_inv = [row[:] for row in P]
+    for a, b, t in moves:
+        # P := P (I + t E_ba) and P^-1 := (I - t E_ba) P^-1
+        for row in P:
+            row[a] += t * row[b]
+        P_inv[b] = [x - t * y for x, y in zip(P_inv[b], P_inv[a])]
+    return P, P_inv
+
+
+def change_basis(A, beta, P, P_inv):
+    """A and beta in the basis f_i = sum_a P[a][i] e_a."""
+    d = A.dim
+    c = [
+        [
+            [
+                sum(
+                    P[a][i] * P[b][j] * A.c[a][b][m] * P_inv[k][m]
+                    for a, b, m in itertools.product(range(d), repeat=3)
+                    if A.c[a][b][m]
+                )
+                for k in range(d)
+            ]
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    form = [
+        [sum(P[a][i] * P[b][j] * beta.matrix[a][b] for a in range(d) for b in range(d)) for j in range(d)]
+        for i in range(d)
+    ]
+    return FinKVAlgebra(d, c), SymForm(form)
+
+
+def block_form(*blocks):
+    d = sum(len(b) for b in blocks)
+    out, off = [[0] * d for _ in range(d)], 0
+    for b in blocks:
+        for i, j in itertools.product(range(len(b)), repeat=2):
+            out[off + i][off + j] = b[i][j]
+        off += len(b)
+    return SymForm(out)
+
+
+def frame_cases():
+    """KV algebras of dimension 1-4 with forms: the finite catalog entries
+    with their forms, direct sums, and truncated polynomial rings and the
+    zero algebra with exact and diagonal forms."""
+    _, form83 = vinberg_83(2, -1)
+    cases = [
+        (A84, FORM84), (A83, FORM83), (A83, form83),
+        (direct_sum(A84, FinKVAlgebra.zero(1)), block_form(FORM84.matrix, [[2]])),
+        (direct_sum(A83, FinKVAlgebra.zero(1)), block_form(FORM83.matrix, [[-1]])),
+        (direct_sum(truncated(2), truncated(2)), block_form([[1, 0], [0, 0]], [[0, 3], [3, 1]])),
+        (FinKVAlgebra.zero(3), block_form([[1, 1], [1, 2]], [[1]])),
+        (COMMUTATIVE, SymForm([[1, 0], [0, 0]])),
+    ]
+    for d in range(1, 5):
+        A = truncated(d)
+        cases.append((A, SymForm(symmetrised_coboundary(A, [F(k, 3) for k in range(1, d + 1)]))))
+        cases.append((A, SymForm([[int(i == j) for j in range(d)] for i in range(d)])))
+    return cases
+
+
+FRAME_CASES = frame_cases()
+
+
+@st.composite
+def framed_cases(draw):
+    """A case of `frame_cases`, or its algebra with a random form, and
+    up to five elementary moves e_a -> e_a + t e_b."""
+    A, beta = draw(st.sampled_from(FRAME_CASES))
+    d = A.dim
+    if draw(st.integers(0, 3)) == 0:
+        beta = draw(forms(d))
+    moves = []
+    if d > 1:
+        for _ in range(draw(st.integers(1, 5))):
+            a, off = draw(st.integers(0, d - 1)), draw(st.integers(1, d - 1))
+            moves.append((a, (a + off) % d, draw(st.sampled_from((1, -1, 2, -2)))))
+    return A, beta, unimodular(d, moves)
+
+
+def frame_invariants(A, beta):
+    dims = [cohomology_dim(A, co, k) for co in (COEFF_SELF, COEFF_TRIVIAL) for k in (0, 1, 2)]
+    report = clan_classify(A, beta)
+    return dims, report.verdict, report.sub_verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(framed_cases())
+def test_frame_changes_keep_finite_verdicts(case):
+    """A unimodular change of basis P keeps the H^k dims in both modules,
+    the clan verdict and its sub-verdicts, and exactness; a primitive
+    Theta' of the new form agrees with Theta o P on every product, so the
+    two are equal where the products span the algebra."""
+    A, beta, (P, P_inv) = case
+    B, beta_p = change_basis(A, beta, P, P_inv)
+    d = A.dim
+    assert frame_invariants(B, beta_p) == frame_invariants(A, beta)
+    if not clan_classify(A, beta).cocycle:
+        with pytest.raises(ValueError):
+            exactness_witness(B, beta_p)
+        return
+    theta, theta_p = exactness_witness(A, beta), exactness_witness(B, beta_p)
+    assert (theta is None) == (theta_p is None)
+    if theta is None:
+        return
+    pulled = [sum(P[b][k] * theta[b] for b in range(d)) for k in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        assert sum(B.c[i][j][k] * theta_p[k] for k in range(d)) == beta_p.matrix[i][j]
+        assert sum(B.c[i][j][k] * (theta_p[k] - pulled[k]) for k in range(d)) == 0
+    if rank([B.c[i][j] for i in range(d) for j in range(d)]) == d:
+        assert theta_p == pulled
