@@ -9,13 +9,15 @@ linear algebra runs on integers: a matrix's rows are cleared of their
 denominators first (a row that holds only nonzero ints is taken as it
 is). There is one dense elimination core, the fraction-free Bareiss
 elimination `bareiss` (Math. Comp. 22, 1968), behind determinants,
-leading principal minors, `solve_linear` and `mat_inverse`, and one sparse
-rank, `sparse_rank`, for the large, mostly zero coboundary matrices; it
-drops empty rows and eliminates the transpose of a matrix whose nonempty
-rows outnumber its columns. Only `poly_matrix_det` (Laplace expansion
-over memoised minors) works on polynomial entries, because Bareiss on
-`Poly` entries would need exact multivariate division. All values are
-immutable after construction.
+leading principal minors and `solve_linear`, and one sparse rank,
+`sparse_rank`, for the large, mostly zero coboundary matrices; it drops
+empty rows and eliminates the transpose of a matrix whose nonempty rows
+outnumber its columns. Only `poly_matrix_det` and `poly_matrix_inverse`
+(Laplace expansion over one table of memoised minors, and the adjugate
+over it) work on polynomial entries, because Bareiss on `Poly` entries
+would need exact multivariate division; the inverse exists only for a
+nonzero constant determinant. All values are immutable after
+construction.
 
 Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
 digits each, and so have the numerators and the denominator of every
@@ -29,6 +31,7 @@ the product is made.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -639,29 +642,16 @@ def solve_linear(m: Sequence[Sequence], b: Sequence) -> Optional[list]:
     return x
 
 
-def mat_inverse(m: Sequence[Sequence]) -> Optional[list]:
-    """Exact inverse of a square rational matrix, or None if singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    aug = _integer_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])
-    pivots, _, last = bareiss(aug, n, reduce=True)
-    if len(pivots) != n:
-        return None
-    return [[Fraction(v, last) for v in row[n:]] for row in aug]
-
-
-def poly_matrix_det(m: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of Poly, by Laplace expansion with
-    memoised minors (fine for the small ranks used here)."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
+def _minors(m: Sequence[Sequence[Poly]]):
+    """minor(rows, cols): the determinant of m's rows x cols submatrix, by
+    Laplace expansion along its first row, memoised across calls; the
+    empty minor is 1."""
     base_dim = m[0][0].base_dim
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def minor(rows: tuple, cols: tuple) -> Poly:
+        if not rows:
+            return Poly.constant(base_dim, 1)
         if len(rows) == 1:
             return m[rows[0]][cols[0]]
         total = Poly.zero(base_dim)
@@ -676,4 +666,34 @@ def poly_matrix_det(m: Sequence[Sequence[Poly]]) -> Poly:
             total = total + (term if k % 2 == 0 else -term)
         return total
 
-    return minor(tuple(range(n)), tuple(range(n)))
+    return minor
+
+
+def poly_matrix_det(m: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of Poly, by Laplace expansion with
+    memoised minors (fine for the small ranks used here)."""
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    return _minors(m)(tuple(range(n)), tuple(range(n)))
+
+
+def poly_matrix_inverse(m: Sequence[Sequence[Poly]]) -> Optional[list]:
+    """Inverse of a square matrix of Poly, the adjugate over the memoised
+    minors of `poly_matrix_det` divided by the determinant; None unless
+    the determinant is a nonzero constant, the case where the inverse
+    has polynomial entries again (the matrix is unimodular)."""
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    minor = _minors(m)
+    full = tuple(range(n))
+    det = minor(full, full)
+    if det.is_zero() or not det.is_constant():
+        return None
+    inv = Fraction(det.den, next(iter(det.num.values())))
+    drop = [full[:k] + full[k + 1 :] for k in full]
+    return [
+        [minor(drop[j], drop[i]).scale(inv if (i + j) % 2 == 0 else -inv) for j in full]
+        for i in full
+    ]

@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 from .exactmath import (
     Poly,
     grlex_key,
-    mat_inverse,
     monomials_upto,
     poly_matrix_det,
+    poly_matrix_inverse,
 )
 
 SECTION = "s"
@@ -424,6 +424,12 @@ def module_action(rank: int, base_dim: int) -> MultiDiffOp:
     }
     return MultiDiffOp(rank, base_dim, (FUNCTION, SECTION), SECTION, terms)
 
+def bundle_map(rank: int, base_dim: int, matrix) -> MultiDiffOp:
+    """s -> M s, (M s)_i = sum_p M[i][p] s_p, for a rank x rank matrix M."""
+    zero = (0,) * base_dim
+    terms = [((i, ((p, zero),)), row[p]) for i, row in enumerate(matrix) for p in range(rank)]
+    return MultiDiffOp(rank, base_dim, (SECTION,), SECTION, terms)
+
 def function_product(rank: int, base_dim: int) -> MultiDiffOp:
     """(f, g) -> f*g"""
     zero = (0,) * base_dim
@@ -517,18 +523,6 @@ class AnchorMap:
                 self.rank, self.base_dim, (SECTION, FUNCTION), FUNCTION, terms
             )
         return self._op
-
-    def vector_field(self, s: Section) -> DiffOp:
-        """rho(s) as a first-order differential operator on functions."""
-        terms = {}
-        for a in range(self.base_dim):
-            e_a = tuple(1 if i == a else 0 for i in range(self.base_dim))
-            coeff = Poly.zero(self.base_dim)
-            for j in range(self.rank):
-                coeff = coeff + self.matrix[a][j] * s.components[j]
-            if not coeff.is_zero():
-                terms[e_a] = coeff
-        return DiffOp(self.base_dim, terms)
 
     def __eq__(self, other):
         return isinstance(other, AnchorMap) and self.matrix == other.matrix
@@ -796,78 +790,58 @@ def operator_equal(
 
 
 # ---------------------------------------------------------------------------
-# Constant linear changes of frame (used to generate randomized instances).
+# Changes of frame, constant or polynomial (randomized instances and the
+# frame-invariance tests).
 # ---------------------------------------------------------------------------
 
 
+def _frame(A: Sequence[Sequence], rank: int, base_dim: int) -> list:
+    """A as a rank x rank matrix of Poly over base_dim, or a ValueError
+    that names what is wrong with it."""
+    if len(A) != rank or any(len(row) != rank for row in A):
+        raise ValueError(f"frame change must be a {rank} x {rank} matrix, the structure's rank")
+    A = [[v if isinstance(v, Poly) else Poly.constant(base_dim, v) for v in row] for row in A]
+    if any(v.base_dim != base_dim for row in A for v in row):
+        raise ValueError(f"frame change entries must be polynomials over base_dim {base_dim}")
+    return A
+
+
 def conjugate(S: AlgebroidStructure, A: Sequence[Sequence]) -> AlgebroidStructure:
-    """Pull the structure back along the constant frame change e -> A e:
-    mult'(s,s') = A^-1 mult(As, As'), anchor' = anchor o A, pairing' =
-    A^T g A, D' = A^-1 D. Every axiom profile is invariant under this."""
+    """Pull the structure back along the frame change e -> A e.
+
+    A is a rank x rank matrix of ints, Fractions or Poly over S's base.
+    Its determinant must be a nonzero constant, the case where A^-1 is
+    polynomial too; any other frame raises ValueError. With the bundle
+    map s -> A s and `compose`: mult' = A^-1 o mult o (A, A), anchor' =
+    anchor o A, pairing' = pairing o (A, A), D' = A^-1 o D. Every axiom
+    profile is invariant under this."""
     r, n = S.rank, S.base_dim
-    A = [[Fraction(v) for v in row] for row in A]
-    Ainv = mat_inverse(A)
-    if Ainv is None:
-        raise ValueError("frame change must be invertible")
+    A = _frame(A, r, n)
+    A_inv = poly_matrix_inverse(A)
+    if A_inv is None:
+        raise ValueError("frame change must have a nonzero constant determinant")
+    push, pull = bundle_map(r, n, A), bundle_map(r, n, A_inv)
 
-    mult_terms = []
-    for (k, i, j, alpha, beta), coeff in S.mult.terms:
-        for m in range(r):
-            if not Ainv[m][k]:
-                continue
-            for p in range(r):
-                if not A[i][p]:
-                    continue
-                for q in range(r):
-                    if not A[j][q]:
-                        continue
-                    mult_terms.append(
-                        (m, p, q, alpha, beta, coeff.scale(Ainv[m][k] * A[i][p] * A[j][q]))
-                    )
-    mult = BiDiffOp(r, n, mult_terms, skew=S.mult.skew)
-
-    anchor_matrix = [
-        [
-            sum(
-                (S.anchor.matrix[a][j].scale(A[j][q]) for j in range(r)),
-                Poly.zero(n),
-            )
-            for q in range(r)
-        ]
-        for a in range(n)
-    ]
-    anchor = AnchorMap(n, r, anchor_matrix)
-
+    mult_op = pull.compose(0, S.mult_op().compose(0, push).compose(1, push))
+    mult = BiDiffOp(
+        r, n,
+        [(k, i, j, alpha, beta, c) for (k, ((i, alpha), (j, beta))), c in mult_op.terms.items()],
+        skew=S.mult.skew,
+    )
+    anchor = [[Poly.zero(n)] * r for _ in range(n)]
+    for (_, ((j, _), (_, e_a))), c in S.anchor_op().compose(0, push).terms.items():
+        anchor[e_a.index(1)][j] = c
     pairing = None
     if S.pairing is not None:
-        g = S.pairing.matrix
-        new_g = [
-            [
-                sum(
-                    (g[i][j].scale(A[i][p] * A[j][q]) for i in range(r) for j in range(r)),
-                    Poly.zero(n),
-                )
-                for q in range(r)
-            ]
-            for p in range(r)
-        ]
-        pairing = Pairing(r, n, new_g)
-
+        g = [[Poly.zero(n)] * r for _ in range(r)]
+        pulled = S.pairing_op().compose(0, push).compose(1, push)
+        for (_, ((i, _), (j, _))), c in pulled.terms.items():
+            g[i][j] = c
+        pairing = Pairing(r, n, g)
     d_cochain = None
     if S.d_cochain is not None:
-        comps = []
-        for m in range(r):
-            terms = {}
-            for k in range(r):
-                if not Ainv[m][k]:
-                    continue
-                for alpha, coeff in S.d_cochain.components[k].terms.items():
-                    acc = terms.get(alpha, Poly.zero(n)) + coeff.scale(Ainv[m][k])
-                    if acc.is_zero():
-                        terms.pop(alpha, None)
-                    else:
-                        terms[alpha] = acc
-            comps.append(DiffOp(n, terms))
-        d_cochain = DCochain(r, n, comps)
-
-    return AlgebroidStructure(r, n, mult, anchor, pairing, d_cochain)
+        comps = [{} for _ in range(r)]
+        for (k, ((_, alpha),)), c in pull.compose(0, S.d_op()).terms.items():
+            comps[k][alpha] = c
+        d_cochain = DCochain(r, n, [DiffOp(n, t) for t in comps])
+    return AlgebroidStructure(r, n, mult, AnchorMap(n, r, anchor), pairing, d_cochain)

@@ -14,10 +14,10 @@ from algebroid.exactmath import (
     bareiss,
     grlex_key,
     integer_det,
-    mat_inverse,
     monomials_upto,
     parse_poly,
     poly_matrix_det,
+    poly_matrix_inverse,
     rank,
     solve_linear,
     sparse_rank,
@@ -61,8 +61,9 @@ def mat_mul(a, b) -> list:
 
 # --- test-only oracles: the Fraction row echelon and Gauss determinant -----
 # The dense Fraction eliminations the library used before its integer
-# Bareiss core: the oracles for `bareiss`, `solve_linear`, `mat_inverse`,
-# the determinant and `sparse_rank`.
+# Bareiss core: the oracles for `bareiss`, `solve_linear`,
+# `poly_matrix_inverse` on constant matrices, the determinant and
+# `sparse_rank`.
 
 
 def _as_matrix(m) -> list:
@@ -598,12 +599,48 @@ def test_solve_linear():
     assert solve_linear(m2, [Fraction(1), Fraction(2)]) is None
 
 
-def test_mat_inverse_round_trip():
+def constant_matrix(m) -> list:
+    return [[Poly.constant(1, v) for v in row] for row in m]
+
+
+def constant_values(m) -> list:
+    """The Fraction entries of a matrix of constant Poly."""
+    return [[v.terms.get((0,), Fraction(0)) for v in row] for row in m]
+
+
+def test_poly_matrix_inverse_round_trip():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = mat_inverse(a)
+    inv = constant_values(poly_matrix_inverse(constant_matrix(a)))
     prod = mat_mul(a, inv)
     assert prod == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert mat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) is None
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert poly_matrix_inverse(constant_matrix(singular)) is None
+
+
+def test_poly_matrix_inverse_of_a_unimodular_matrix():
+    # [[1, x1], [x2, 1 + x1*x2]] has determinant 1: the inverse is polynomial
+    p = lambda text: parse_poly(text, 2)
+    m = [[p("1"), p("x1")], [p("x2"), p("1 + x1*x2")]]
+    inv = poly_matrix_inverse(m)
+    assert inv == [[p("1 + x1*x2"), p("-x1")], [p("-x2"), p("1")]]
+    for a, b in ((m, inv), (inv, m)):
+        prod = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        assert prod == [[p("1"), p("0")], [p("0"), p("1")]]
+    # a 3 x 3 product of moves e_a -> e_a + t e_b, and a 1 x 1 unit
+    m3 = [[p("1"), p("x1"), p("0")], [p("0"), p("1"), p("0")], [p("x2"), p("x1*x2 + 2"), p("1")]]
+    inv3 = poly_matrix_inverse(m3)
+    prod = [[sum((m3[i][k] * inv3[k][j] for k in range(3)), p("0")) for j in range(3)] for i in range(3)]
+    assert prod == [[p("1") if i == j else p("0") for j in range(3)] for i in range(3)]
+    assert poly_matrix_inverse([[p("-3")]]) == [[p("-1/3")]]
+
+
+def test_poly_matrix_inverse_needs_a_constant_determinant():
+    p = lambda text: parse_poly(text, 1)
+    assert poly_matrix_inverse([[p("x1"), p("1")], [p("1"), p("x1")]]) is None  # det x1^2 - 1
+    assert poly_matrix_inverse([[p("1 + x1")]]) is None
+    assert poly_matrix_inverse([[p("x1"), p("x1")], [p("1"), p("1")]]) is None  # det 0
+    with pytest.raises(ValueError):
+        poly_matrix_inverse([[p("1"), p("0")]])
 
 
 def test_mat_vec():
@@ -682,15 +719,15 @@ def test_solve_linear_is_the_rref_solution(case):
 
 @settings(max_examples=100, deadline=None)
 @given(square(4, st.one_of(st.just(0), small_ints, fractions)))
-def test_mat_inverse_matches_rref_oracle(m):
+def test_poly_matrix_inverse_matches_rref_oracle(m):
     n = len(m)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
     pivots = row_echelon(aug)
-    inv = mat_inverse(m)
+    inv = poly_matrix_inverse(constant_matrix(m))
     if pivots != list(range(n)):
         assert inv is None and fraction_det(m) == 0
     else:
-        assert inv == [row[n:] for row in aug]
+        assert constant_values(inv) == [row[n:] for row in aug]
 
 
 def test_solve_linear_fixed_cases():

@@ -3,15 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from algebroid.catalog import (
     KIND_FUNCTION_MODEL,
     catalog_get,
     catalog_names,
+    courant_standard,
     tangent_lie,
     witt_line,
 )
-from algebroid.checkers import DEFAULT_JACOBI_FACTOR, PROFILE_TABLE, missing_requirement
+from algebroid.checkers import (
+    DEFAULT_JACOBI_FACTOR,
+    PROFILE_TABLE,
+    check_all_profiles,
+    missing_requirement,
+)
 from algebroid.exactmath import Poly, parse_poly
 from algebroid.funmodel import (
     FUNCTION,
@@ -24,6 +32,7 @@ from algebroid.funmodel import (
     MultiDiffOp,
     Pairing,
     Section,
+    apply_anchor,
     conjugate,
     find_witness,
     function_identity,
@@ -324,35 +333,139 @@ def test_structure_shape_validation():
 
 def test_anchor_vector_field():
     S = witt_line()
-    vf = S.anchor.vector_field(Section([parse_poly("x1", 1)]))
-    assert vf.apply(parse_poly("x1^2", 1)) == parse_poly("4*x1^2", 1)
+    got = apply_anchor(S, Section([parse_poly("x1", 1)]), parse_poly("x1^2", 1))
+    assert got == parse_poly("4*x1^2", 1)
 
 
 # --- conjugation ---------------------------------------------------------
 
+# Frame changes e -> A e as products of moves e_a -> e_a + t e_b, which put
+# t at A[b][a], then a scaling of every frame vector; the inverse is the
+# product of the inverse factors in reverse order, so the tests never call
+# the inverse under test.
 
-def test_conjugate_preserves_evaluation():
+FRAME_ENTRIES = sorted(
+    name
+    for name in catalog_names()
+    if catalog_get(name).kind == KIND_FUNCTION_MODEL and catalog_get(name).structure.rank <= 4
+)
+
+
+def poly_matrix(A, n):
+    return [[v if isinstance(v, Poly) else Poly.constant(n, v) for v in row] for row in A]
+
+
+def poly_mat_mul(a, b):
+    n = a[0][0].base_dim
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Poly.zero(n)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def push(A, s):
+    """Coordinates of A s: the section whose primed coordinates are s."""
+    n = s.base_dim
+    return Section(
+        [sum((a * c for a, c in zip(row, s.components)), Poly.zero(n)) for row in poly_matrix(A, n)]
+    )
+
+
+def elementary(rank, n, a, b, t):
+    """The move e_a -> e_a + t e_b: the identity with t at [b][a]."""
+    one, zero = Poly.constant(n, 1), Poly.zero(n)
+    return [
+        [one if i == j else t if (i, j) == (b, a) else zero for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+@hs.composite
+def frame_changes(draw, rank, n, dense=True, max_gauges=3):
+    """(A, A^-1): up to max_gauges moves whose t has degree <= 1 or, when
+    dense, also a dense constant frame (every lower, then every upper
+    move, each with a constant t)."""
+    nonzero = hs.fractions(-3, 3, max_denominator=3).filter(bool)
+    pairs = [(a, b) for a in range(rank) for b in range(rank) if a != b]
+    if pairs and dense and draw(hs.booleans()):
+        moves = [(a, b, Poly.constant(n, draw(nonzero)))
+                 for a, b in sorted(pairs, key=lambda p: p[0] < p[1])]
+    else:
+        linear = hs.lists(hs.integers(-2, 2), min_size=n + 1, max_size=n + 1).map(
+            lambda c: Poly(n, {tuple(int(i == v) for i in range(n)): c[v] for v in range(n)})
+            + Poly.constant(n, c[n])
+        )
+        picked = draw(hs.lists(hs.sampled_from(pairs), max_size=max_gauges)) if pairs else []
+        moves = [(a, b, draw(linear)) for a, b in picked]
+    A = A_inv = [[Poly.constant(n, int(i == j)) for j in range(rank)] for i in range(rank)]
+    for a, b, t in moves:
+        A = poly_mat_mul(A, elementary(rank, n, a, b, t))
+        A_inv = poly_mat_mul(elementary(rank, n, a, b, -t), A_inv)
+    scales = [draw(nonzero) for _ in range(rank)]
+    A = [[v.scale(c) for v, c in zip(row, scales)] for row in A]
+    A_inv = [[v.scale(1 / c) for v in row] for row, c in zip(A_inv, scales)]
+    return A, A_inv
+
+
+def draw_frames(data, **kw):
+    """One drawn frame change (A, A^-1) per entry of FRAME_ENTRIES."""
+    for name in FRAME_ENTRIES:
+        S = catalog_get(name).structure
+        yield S, data.draw(frame_changes(S.rank, S.base_dim, **kw), label=name)
+
+
+@settings(max_examples=10, deadline=None)
+@given(hs.data())
+def test_conjugate_preserves_evaluation(data):
+    # the four parts through `apply`, `Pairing.value` and `DCochain.apply`
+    # only: A.mult'(a, b) = mult(Aa, Ab), anchor'(a) = anchor(Aa),
+    # pairing'(a, b) = pairing(Aa, Ab), A.D'(f) = D(f); a fixed upper
+    # triangular frame first, then one drawn frame per entry
+    fixed = (catalog_get("courant-standard-1").structure, ([[2, 1], [0, 3]], None))
     rng = random.Random(11)
-    S = catalog_get("courant-standard-1").structure  # rank 2 over one variable
-    A = [[2, 1], [0, 3]]
-    S2 = conjugate(S, A)
+    for S, (A, _) in (fixed, *draw_frames(data)):
+        S2 = conjugate(S, A)
+        r, n = S.rank, S.base_dim
+        for _ in range(3):
+            a, b = rand_section(rng, r, n), rand_section(rng, r, n)
+            f = rand_poly(rng, n)
+            assert push(A, S2.mult_op().apply(a, b)) == S.mult_op().apply(push(A, a), push(A, b))
+            assert apply_anchor(S2, a, f) == apply_anchor(S, push(A, a), f)
+            if S.pairing is not None:
+                assert S2.pairing.value(a, b) == S.pairing.value(push(A, a), push(A, b))
+            if S.d_cochain is not None:
+                assert push(A, S2.d_cochain.apply(f)) == S.d_cochain.apply(f)
 
-    def push(s):
-        # e -> A e means coordinates transform by A: s = A s'
-        comps = []
-        for i in range(2):
-            acc = Poly.zero(1)
-            for j in range(2):
-                acc = acc + s.components[j].scale(Fraction(A[i][j]))
-            comps.append(acc)
-        return Section(comps)
 
-    for _ in range(5):
-        a, b = rand_section(rng, 2, 1), rand_section(rng, 2, 1)
-        lhs = push(S2.mult_op().apply(a, b))
-        rhs = S.mult_op().apply(push(a), push(b))
-        assert lhs == rhs
-        assert S2.pairing.value(a, b) == S.pairing.value(push(a), push(b))
+@settings(max_examples=5, deadline=None)
+@given(hs.data())
+def test_frame_changes_keep_the_capability_matrix(data):
+    """Every axiom is stated for sections, so a gauge keeps each
+    profile's applicability and failing labels; a witness of S', pushed
+    through A, is an input on which S's own defect is nonzero (A times the
+    witness's residual for a section-valued defect, the residual itself
+    otherwise); and A^-1 pulls S' back to S."""
+    # dense frames and a third gauge are left to the evaluation test: each
+    # can take the capability matrix of courant-standard-2 to seconds
+    for S, (A, A_inv) in draw_frames(data, dense=False, max_gauges=2):
+        S2 = conjugate(S, A)
+        assert conjugate(S2, A_inv) == S
+        before, after = check_all_profiles(S), check_all_profiles(S2)
+        for profile, report in after.items():
+            if isinstance(report, str):
+                assert before[profile] == report
+                continue
+            assert report.failing_labels() == before[profile].failing_labels(), profile
+            factor = DEFAULT_JACOBI_FACTOR.get(profile)
+            for label, build in PROFILE_TABLE[profile][1]:
+                w = report.entry(label).witness
+                if w is None:
+                    continue
+                inputs = [push(A, v) if isinstance(v, Section) else v for v in w.inputs]
+                residual = build(S, factor).apply(*inputs)
+                assert not residual.is_zero(), (profile, label)
+                pushed = push(A, w.residual) if isinstance(w.residual, Section) else w.residual
+                assert pushed == residual, (profile, label)
 
 
 def test_conjugate_preserves_profiles():
@@ -366,3 +479,28 @@ def test_conjugate_preserves_profiles():
 def test_conjugate_rejects_singular():
     with pytest.raises(ValueError):
         conjugate(witt_line(), [[0]])
+
+
+WRONG_RANK_1 = "frame change must be a 1 x 1 matrix, the structure's rank"
+WRONG_RANK_2 = "frame change must be a 2 x 2 matrix, the structure's rank"
+NOT_UNIMODULAR = "frame change must have a nonzero constant determinant"
+
+
+@pytest.mark.parametrize(
+    "S,A,message",
+    [
+        (witt_line(), [[1, 0], [0, 1]], WRONG_RANK_1),
+        (witt_line(), [], WRONG_RANK_1),
+        (courant_standard(1), [[1]], WRONG_RANK_2),
+        (courant_standard(1), [[1, 0], [0]], WRONG_RANK_2),
+        (witt_line(), [[Poly.constant(2, 1)]], "frame change entries must be polynomials over base_dim 1"),
+        (witt_line(), [[0]], NOT_UNIMODULAR),
+        (witt_line(), [[parse_poly("1 + x1", 1)]], NOT_UNIMODULAR),
+        (tangent_lie(2), [[1, parse_poly("x1", 2)], [parse_poly("x2", 2), 1]], NOT_UNIMODULAR),
+    ],
+    ids=["too-big", "empty", "too-small", "ragged", "other-base", "singular", "poly-det", "gauge-det"],
+)
+def test_conjugate_rejects_bad_frames(S, A, message):
+    with pytest.raises(ValueError) as err:
+        conjugate(S, A)
+    assert str(err.value) == message
