@@ -9,7 +9,7 @@ Function-model structure:
     name <identifier>          # optional
     base_dim <n>
     rank <r>
-    skew <true|false>
+    skew <true|false>          # optional, false if absent
     [mult]
     k i j alpha beta coeff     # mu(s,s')_k += coeff * d^alpha(s_i) d^beta(s'_j)
     [anchor]
@@ -29,8 +29,20 @@ Finite KV algebra:
     i j value                  # symmetric rational form
 
 alpha/beta are comma-separated multi-indices of length base_dim; coeff is
-a polynomial in x1..xn; value is a rational literal. Serialization is
-canonical (sorted term order), so parse -> serialize is bit-stable.
+a polynomial in x1..xn; value is a rational literal. Repeated [mult] lines
+for one term add up; any other repeated entry is an error. Serialization
+is canonical (sorted term order), so parse -> serialize is bit-stable.
+
+The opening section holds the header keys, and only those listed above
+for its kind: `name`, `base_dim`, `rank`, `skew` in [structure], `name`
+and `dim` in [kvalgebra]. A key line is one that does not start with a
+digit or `-`. Each section appears at most once, and a data line needs
+the keys it reads (base_dim, rank or dim) above it. `_SECTIONS` is the
+table of sections; one reader checks each data line completely when it
+reads it (field count, indices, multi-indices, the value, then the index
+ranges), so the error reported is the first in line order. A missing
+required key is reported at the first data line that reads it, or at the
+last line of a file that has none.
 
 An optional section ([pairing], [dcochain], [form]) whose header is
 present with no entries, or only zero ones, is the zero pairing, D or
@@ -75,6 +87,7 @@ Limits, each a parse error with its line (and column for a literal):
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -100,44 +113,60 @@ class FormatError(ValueError):
         self.column = column
 
 
-class ParsedDocument:
+class ParsedDocument(
+    namedtuple("ParsedDocument", "kind name structure algebra form", defaults=(None, None, None))
+):
     """A parsed file: its kind ("structure" | "kvalgebra"), its name, and
     the structure, or the algebra with its optional form."""
 
-    _FIELDS = ("kind", "name", "structure", "algebra", "form")
-
-    def __init__(
-        self,
-        kind: str,
-        name: str,
-        structure: Optional[AlgebroidStructure] = None,
-        algebra: Optional[FinKVAlgebra] = None,
-        form: Optional[SymForm] = None,
-    ):
-        self.kind = kind
-        self.name = name
-        self.structure = structure
-        self.algebra = algebra
-        self.form = form
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"ParsedDocument({fields})"
+    __slots__ = ()
 
 
 MAX_KV_DIM = 6
 MAX_RANK = 16
 MAX_BASE_DIM = 8
-# header key -> the largest value a file may give it
+# header key -> the largest value a file may give it; these keys are required
 _HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 
-_STRUCT_SECTIONS = ("structure", "mult", "anchor", "pairing", "dcochain")
-_KV_SECTIONS = ("kvalgebra", "form")
+# One row per section. The section that opens a document gives its `kind`
+# and the header `keys` it allows. A data line is `usage`: an index per
+# header key in `bounds` (the key bounds it), `multi` multi-indices of
+# length base_dim, and the value, a polynomial coefficient if `poly` (which
+# also reads base_dim) or else a rational. In a `symmetric` section (i, j)
+# is also (j, i); repeats of an entry add up if `adds`, else they are an
+# error that names the entry by `noun`. `what` names an index out of range.
+_Section = namedtuple(
+    "_Section",
+    "kind keys usage bounds multi poly symmetric adds noun what",
+    defaults=((), None, (), 0, False, False, False, "", ""),
+)
+_SECTIONS = {
+    "structure": _Section("structure", keys=("name", "base_dim", "rank", "skew")),
+    "mult": _Section(
+        "structure", usage="k i j alpha beta coeff", bounds=("rank",) * 3, multi=2, poly=True,
+        adds=True, what="mult component index",
+    ),
+    "anchor": _Section(
+        "structure", usage="a j coeff", bounds=("base_dim", "rank"), poly=True, noun="anchor",
+        what="anchor index",
+    ),
+    "pairing": _Section(
+        "structure", usage="i j coeff", bounds=("rank", "rank"), poly=True, symmetric=True,
+        noun="pairing", what="pairing index",
+    ),
+    "dcochain": _Section(
+        "structure", usage="k alpha coeff", bounds=("rank",), multi=1, poly=True, noun="dcochain",
+        what="dcochain component",
+    ),
+    "kvalgebra": _Section(
+        "kvalgebra", keys=("name", "dim"), usage="k i j value", bounds=("dim",) * 3,
+        noun="product", what="product index",
+    ),
+    "form": _Section(
+        "kvalgebra", usage="i j value", bounds=("dim", "dim"), symmetric=True, noun="form",
+        what="form index",
+    ),
+}
 
 
 def _strip_comment(line: str) -> str:
@@ -161,13 +190,12 @@ def _parse_multi_index(text: str, base_dim: int, lineno: int):
     return idx
 
 
-def _parse_coeff(text: str, base_dim: int, lineno: int, end: int) -> Poly:
-    """Parse the coefficient that ends the line at raw column `end`."""
+def _parse_coeff(text: str, base_dim: int, lineno: int, column: int) -> Poly:
+    """Parse the coefficient that starts at raw column `column`."""
     try:
         return parse_poly(text, base_dim)
     except PolyParseError as exc:
-        col = end - len(text) + exc.position + 1
-        raise FormatError(f"bad polynomial: {exc.message}", lineno, col) from None
+        raise FormatError(f"bad polynomial: {exc.message}", lineno, column + exc.position) from None
 
 
 # The syntax Fraction(text) accepts: n, n/m and decimal notation with an
@@ -242,213 +270,152 @@ def _parse_indices(fields, lineno: int) -> tuple:
         raise
 
 
+def _read_key(section: str, keys, line: str, lineno: int, head: dict) -> None:
+    """Check a header key line of `section`, then store its value in head."""
+    key, _, text = line.partition(" ")
+    text = text.strip()
+    if not text:
+        raise FormatError(f"key {key!r} has no value", lineno)
+    if key not in keys:
+        raise FormatError(f"unknown key {key!r} in [{section}]", lineno)
+    if key in head:
+        raise FormatError(f"duplicate key {key!r}", lineno)
+    value = text
+    if key in _HEAD_LIMITS:
+        value = _parse_int_field(text, key, lineno)
+        if value <= 0:
+            raise FormatError(f"{key} must be positive", lineno)
+        if value > _HEAD_LIMITS[key]:
+            raise FormatError(f"{key} {value} exceeds the limit {_HEAD_LIMITS[key]}", lineno)
+    elif key == "skew":
+        if text not in ("true", "false"):
+            raise FormatError("skew must be true or false", lineno)
+        value = text == "true"
+    head[key] = value
+
+
+def _read_entry(row: _Section, line: str, end: int, lineno: int, head: dict, limits, store: dict):
+    """Check a data line of `row`'s section completely, in the order syntax,
+    indices, the header keys it reads, multi-indices, the value and the
+    index ranges, then store it, where a repeated entry adds up or is an
+    error; `end` is the raw column after its text. `limits` is (base_dim,
+    the bound of each index) or None, looked up here at a section's first
+    data line; it is returned for the next line."""
+    _, _, usage, bound_keys, multi, poly, symmetric, adds, noun, what = row
+    count = len(bound_keys)
+    parts = line.split(None, count + multi) if poly else line.split()
+    if len(parts) != count + multi + 1:
+        raise FormatError(f"expected: {usage}", lineno)
+    idx = _parse_indices(parts[:count], lineno)
+    if limits is None:
+        try:
+            limits = (head["base_dim"] if poly else 0, [head[key] for key in bound_keys])
+        except KeyError as exc:
+            raise FormatError(f"missing required key {exc.args[0]!r}", lineno) from None
+    base_dim, bounds = limits
+    if multi:
+        alphas = tuple(_parse_multi_index(text, base_dim, lineno) for text in parts[count:-1])
+    text = parts[-1]
+    column = end - len(text) + 1
+    if poly:
+        value = _parse_coeff(text, base_dim, lineno, column)
+    else:
+        value = _parse_rational(text, lineno, column)
+    key = idx[::-1] if symmetric and idx[0] > idx[1] else idx
+    for i, bound in zip(key, bounds):
+        if not 0 <= i < bound:
+            raise FormatError(f"{what} out of range: " + " ".join(map(str, key)), lineno)
+    if multi:
+        key += alphas
+    old = store.get(key)
+    if old is not None:
+        if adds:
+            value = old + value
+        elif symmetric and old != value:
+            raise FormatError("conflicting {} entries for ({},{})".format(noun, *idx), lineno)
+        else:
+            shown = " ".join(map(str, idx + tuple(parts[count:-1])))
+            raise FormatError(f"duplicate {noun} entry {shown}", lineno)
+    store[key] = value
+    return limits
+
+
 def parse_document(text: str) -> ParsedDocument:
     lines = text.splitlines()
-    # locate the first header to decide the document kind
-    section = None
-    kind = None
-    name = ""
-    head: dict = {}
-    mult_terms = []
-    anchor_entries = {}
-    pairing_entries = {}
-    d_entries = {}
-    kv_entries = {}  # entry key -> (value, line of the entry)
-    form_entries = {}
-    where = {}  # (section, entry key) -> line of a [structure] document's entry
-    seen_head_keys = set()
-    sections = set()  # the headers met; a header with no entries is the zero object
-
+    kind = row = None
+    head: dict = {}  # header key -> its checked value
+    entries: dict = {}  # section -> {entry key: value}; a header with no entries is the zero object
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        end = len(raw) - len(raw.lstrip()) + len(line)  # raw column after the content
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
+            row = _SECTIONS.get(section)
             if kind is None:
-                if section == "structure":
-                    kind = "structure"
-                elif section == "kvalgebra":
-                    kind = "kvalgebra"
-                else:
-                    raise FormatError(
-                        "document must open with [structure] or [kvalgebra]", lineno
-                    )
-            allowed = _STRUCT_SECTIONS if kind == "structure" else _KV_SECTIONS
-            if section not in allowed:
+                if row is None or not row.keys:
+                    raise FormatError("document must open with [structure] or [kvalgebra]", lineno)
+                kind = row.kind
+            if row is None or row.kind != kind:
                 raise FormatError(f"unknown section [{section}]", lineno)
-            sections.add(section)
+            if section in entries:
+                raise FormatError(f"repeated section [{section}]", lineno)
+            store = entries[section] = {}
+            limits = None
             continue
-        if section is None:
+        if row is None:
             raise FormatError("content before the first section header", lineno)
-
-        if section in ("structure", "kvalgebra") and not line[0].isdigit() and line[0] != "-":
-            key, _, value = line.partition(" ")
-            value = value.strip()
-            if not value:
-                raise FormatError(f"key {key!r} has no value", lineno)
-            if key in seen_head_keys:
-                raise FormatError(f"duplicate key {key!r}", lineno)
-            seen_head_keys.add(key)
-            head[key] = (value, lineno)
-            continue
-
-        fields = line.split()
-        if section == "mult":
-            parts = line.split(None, 5)
-            if len(parts) != 6:
-                raise FormatError("expected: k i j alpha beta coeff", lineno)
-            k, i, j = (_parse_int_field(p, "index", lineno) for p in parts[:3])
-            base_dim = _head_int(head, "base_dim", lineno)
-            alpha = _parse_multi_index(parts[3], base_dim, lineno)
-            beta = _parse_multi_index(parts[4], base_dim, lineno)
-            coeff = _parse_coeff(parts[5], base_dim, lineno, end)
-            where[("mult", len(mult_terms))] = lineno
-            mult_terms.append((k, i, j, alpha, beta, coeff))
-        elif section == "anchor":
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise FormatError("expected: a j coeff", lineno)
-            a = _parse_int_field(parts[0], "index", lineno)
-            j = _parse_int_field(parts[1], "index", lineno)
-            base_dim = _head_int(head, "base_dim", lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
-            if (a, j) in anchor_entries:
-                raise FormatError(f"duplicate anchor entry {a} {j}", lineno)
-            anchor_entries[(a, j)] = coeff
-            where[("anchor", (a, j))] = lineno
-        elif section == "pairing":
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise FormatError("expected: i j coeff", lineno)
-            i = _parse_int_field(parts[0], "index", lineno)
-            j = _parse_int_field(parts[1], "index", lineno)
-            base_dim = _head_int(head, "base_dim", lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
-            key = (min(i, j), max(i, j))
-            if key in pairing_entries:
-                if pairing_entries[key] != coeff:
-                    raise FormatError(
-                        f"conflicting pairing entries for ({i},{j})", lineno
-                    )
-                raise FormatError(f"duplicate pairing entry {i} {j}", lineno)
-            pairing_entries[key] = coeff
-            where[("pairing", key)] = lineno
-        elif section == "dcochain":
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise FormatError("expected: k alpha coeff", lineno)
-            k = _parse_int_field(parts[0], "index", lineno)
-            base_dim = _head_int(head, "base_dim", lineno)
-            alpha = _parse_multi_index(parts[1], base_dim, lineno)
-            coeff = _parse_coeff(parts[2], base_dim, lineno, end)
-            if (k, alpha) in d_entries:
-                raise FormatError(f"duplicate dcochain entry {k} {parts[1]}", lineno)
-            d_entries[(k, alpha)] = coeff
-            where[("dcochain", (k, alpha))] = lineno
-        elif section == "kvalgebra":
-            if len(fields) != 4:
-                raise FormatError("expected: k i j value", lineno)
-            key = _parse_indices(fields[:3], lineno)
-            if key in kv_entries:
-                raise FormatError("duplicate product entry {} {} {}".format(*key), lineno)
-            kv_entries[key] = (_parse_rational(fields[3], lineno, end - len(fields[3]) + 1), lineno)
-        elif section == "form":
-            if len(fields) != 3:
-                raise FormatError("expected: i j value", lineno)
-            i, j = _parse_indices(fields[:2], lineno)
-            value = _parse_rational(fields[2], lineno, end - len(fields[2]) + 1)
-            key = (i, j) if i <= j else (j, i)
-            if key in form_entries:
-                if form_entries[key][0] != value:
-                    raise FormatError(f"conflicting form entries for ({i},{j})", lineno)
-                raise FormatError(f"duplicate form entry {i} {j}", lineno)
-            form_entries[key] = (value, lineno)
-        else:
+        if row.keys and not line[0].isdigit() and line[0] != "-":
+            _read_key(section, row.keys, line, lineno, head)
+        elif row.usage is None:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
+        else:
+            end = len(raw) - len(raw.lstrip()) + len(line)  # raw column after the content
+            limits = _read_entry(row, line, end, lineno, head, limits, store)
 
     if kind is None:
         raise FormatError("empty document", max(len(lines), 1))
-
-    name = head.get("name", ("", 0))[0]
-
+    for key in _SECTIONS[kind].keys:
+        if key in _HEAD_LIMITS and key not in head:
+            raise FormatError(f"missing required key {key!r}", len(lines))
+    name = head.get("name", "")
     if kind == "structure":
-        base_dim = _head_int(head, "base_dim", 1)
-        rank = _head_int(head, "rank", 1)
-        skew_text, skew_line = head.get("skew", ("false", 0))
-        if skew_text not in ("true", "false"):
-            raise FormatError("skew must be true or false", skew_line)
-        _validate_indices(
-            mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries, where
-        )
-        mult = BiDiffOp(rank, base_dim, mult_terms, skew=(skew_text == "true"))
-        anchor_matrix = [
-            [anchor_entries.get((a, j), Poly.zero(base_dim)) for j in range(rank)]
-            for a in range(base_dim)
-        ]
-        anchor = AnchorMap(base_dim, rank, anchor_matrix)
-        pairing = None
-        if "pairing" in sections:
-            g = [[Poly.zero(base_dim) for _ in range(rank)] for _ in range(rank)]
-            for (i, j), coeff in pairing_entries.items():
-                g[i][j] = coeff
-                g[j][i] = coeff
-            pairing = Pairing(rank, base_dim, g)
-        d_cochain = None
-        if "dcochain" in sections:
-            comps = [dict() for _ in range(rank)]
-            for (k, alpha), coeff in d_entries.items():
-                comps[k][alpha] = coeff
-            d_cochain = DCochain(rank, base_dim, [DiffOp(base_dim, c) for c in comps])
-        structure = AlgebroidStructure(rank, base_dim, mult, anchor, pairing, d_cochain)
-        return ParsedDocument("structure", name, structure=structure)
-
-    dim = _head_int(head, "dim", 1)
-    for (k, i, j), (_, line) in kv_entries.items():
-        if not (0 <= k < dim and 0 <= i < dim and 0 <= j < dim):
-            raise FormatError(f"product index out of range: {k} {i} {j}", line)
-    algebra = FinKVAlgebra.from_entries(
-        dim, ((i, j, k, value) for (k, i, j), (value, _) in kv_entries.items())
-    )
-    form = None
-    if "form" in sections:
-        for (i, j), (_, line) in form_entries.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise FormatError(f"form index out of range: {i} {j}", line)
-        form = SymForm.from_entries(
-            dim, ((i, j, value) for (i, j), (value, _) in form_entries.items())
-        )
-    return ParsedDocument("kvalgebra", name, algebra=algebra, form=form)
+        return ParsedDocument(kind, name, structure=_build_structure(head, entries))
+    algebra, form = _build_kvalgebra(head, entries)
+    return ParsedDocument(kind, name, algebra=algebra, form=form)
 
 
-def _head_int(head: dict, key: str, lineno: int) -> int:
-    if key not in head:
-        raise FormatError(f"missing required key {key!r}", lineno)
-    value, keyline = head[key]
-    out = _parse_int_field(value, key, keyline)
-    if out <= 0:
-        raise FormatError(f"{key} must be positive", keyline)
-    if out > _HEAD_LIMITS[key]:
-        raise FormatError(f"{key} {out} exceeds the limit {_HEAD_LIMITS[key]}", keyline)
-    return out
+def _build_structure(head: dict, entries: dict):
+    base_dim, rank = head["base_dim"], head["rank"]
+    terms = [key + (coeff,) for key, coeff in entries.get("mult", {}).items()]
+    mult = BiDiffOp(rank, base_dim, terms, skew=head.get("skew", False))
+    anchor = entries.get("anchor", {})
+    anchor = AnchorMap(base_dim, rank, [
+        [anchor.get((a, j), Poly.zero(base_dim)) for j in range(rank)] for a in range(base_dim)
+    ])
+    pairing = entries.get("pairing")
+    if pairing is not None:
+        g = [[Poly.zero(base_dim) for _ in range(rank)] for _ in range(rank)]
+        for (i, j), coeff in pairing.items():
+            g[i][j] = g[j][i] = coeff
+        pairing = Pairing(rank, base_dim, g)
+    d_cochain = entries.get("dcochain")
+    if d_cochain is not None:
+        comps = [{} for _ in range(rank)]
+        for (k, alpha), coeff in d_cochain.items():
+            comps[k][alpha] = coeff
+        d_cochain = DCochain(rank, base_dim, [DiffOp(base_dim, c) for c in comps])
+    return AlgebroidStructure(rank, base_dim, mult, anchor, pairing, d_cochain)
 
 
-def _validate_indices(mult_terms, rank, base_dim, anchor_entries, pairing_entries, d_entries, where):
-    for n, (k, i, j, alpha, beta, _) in enumerate(mult_terms):
-        if not all(0 <= t < rank for t in (k, i, j)):
-            raise FormatError(f"mult component index out of range: {k} {i} {j}", where[("mult", n)])
-    for a, j in anchor_entries:
-        if not (0 <= a < base_dim and 0 <= j < rank):
-            raise FormatError(f"anchor index out of range: {a} {j}", where[("anchor", (a, j))])
-    for i, j in pairing_entries:
-        if not (0 <= i < rank and 0 <= j < rank):
-            raise FormatError(f"pairing index out of range: {i} {j}", where[("pairing", (i, j))])
-    for k, alpha in d_entries:
-        if not 0 <= k < rank:
-            raise FormatError(
-                f"dcochain component out of range: {k}", where[("dcochain", (k, alpha))]
-            )
+def _build_kvalgebra(head: dict, entries: dict):
+    dim = head["dim"]
+    products = entries["kvalgebra"].items()
+    algebra = FinKVAlgebra.from_entries(dim, ((i, j, k, value) for (k, i, j), value in products))
+    form = entries.get("form")
+    if form is not None:
+        form = SymForm.from_entries(dim, ((i, j, value) for (i, j), value in form.items()))
+    return algebra, form
 
 
 # ---------------------------------------------------------------------------

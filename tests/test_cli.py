@@ -376,6 +376,27 @@ def test_file_errors_exit_2(tmp_path):
     assert code == 2 and "base_dim" in err
 
 
+def test_unknown_header_key_exits_2_through_check(tmp_path):
+    """`skw true` for `skew true` used to read as skew false and turn the
+    witt-line's `cc: PASS` (exit 0) into exit 1; now it is a parse error."""
+    _, text, _ = invoke("export", "--catalog", "witt-line")
+    good, bad = tmp_path / "witt.alg", tmp_path / "skw.alg"
+    good.write_text(text)
+    bad.write_text(text.replace("skew true", "skw true"))
+    code, out, _ = invoke("check", str(good), "--profile", "cc")
+    assert code == 0 and "PASS" in out
+    for argv in (["check", str(bad)], ["check", str(bad), "--profile", "cc"]):
+        assert invoke(*argv) == (2, "", "error: line 5: unknown key 'skw' in [structure]\n")
+
+
+def test_repeated_section_exits_2(tmp_path):
+    _, text, _ = invoke("export", "--catalog", "witt-line")
+    path = tmp_path / "twice.alg"
+    path.write_text(text + "[mult]\n0 0 0 0 0 1\n")
+    line = text.count("\n") + 1
+    assert invoke("check", str(path)) == (2, "", f"error: line {line}: repeated section [mult]\n")
+
+
 def test_kv_dim_over_limit_exits_2(tmp_path):
     big = tmp_path / "big.alg"
     big.write_text("[kvalgebra]\n# one product line\ndim 400\n0 1 2 1\n")

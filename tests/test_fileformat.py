@@ -1,4 +1,7 @@
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from algebroid.fileformat import (
     serialize_structure,
 )
 from algebroid.kvfin import SymForm
+from format_corpus import FORMAT_CORPUS, mismatches
 
 WITT = """\
 [structure]
@@ -151,6 +155,112 @@ def test_index_out_of_range_reports_entry_line():
 def test_missing_required_key():
     with pytest.raises(FormatError, match="base_dim"):
         parse_document("[structure]\nrank 1\nskew true\n")
+
+
+def error_of(text):
+    with pytest.raises(FormatError) as exc:
+        parse_document(text)
+    return str(exc.value)
+
+
+def test_unknown_header_keys_are_errors():
+    """Each kind allows its own header keys; a misspelt `skew` no longer
+    reads as skew false."""
+    assert error_of(WITT.replace("skew true", "skw true")) == "line 5: unknown key 'skw' in [structure]"
+    assert error_of(KV.replace("dim 2", "dim 2\nrank 5")) == "line 4: unknown key 'rank' in [kvalgebra]"
+    assert error_of("[structure]\nbase_dim 1\nrank 1\ndim 3\n") == (
+        "line 4: unknown key 'dim' in [structure]"
+    )
+    assert error_of(KV.replace("name demo", "skew true")) == "line 2: unknown key 'skew' in [kvalgebra]"
+
+
+def test_each_section_at_most_once():
+    assert error_of(WITT + "[mult]\n0 0 0 0 0 1\n") == "line 15: repeated section [mult]"
+    assert error_of(KV + "[form]\n0 1 1\n") == "line 8: repeated section [form]"
+    assert error_of("[structure]\nbase_dim 1\nrank 1\n[structure]\nskew true\n") == (
+        "line 4: repeated section [structure]"
+    )
+    # a second [structure] can no longer bring rank after the data that needs it
+    text = "[structure]\nbase_dim 1\n[mult]\n0 0 0 0 0 1\n[structure]\nrank 1\n"
+    assert error_of(text) == "line 4: missing required key 'rank'"
+
+
+def test_repeated_mult_lines_add_up():
+    split = WITT.replace("0 0 0 0 1 1", "0 0 0 0 1 x1\n0 0 0 0 1 1 - x1")
+    assert parse_document(split) == parse_document(WITT)
+    cancel = WITT.replace("0 0 0 0 1 1", "0 0 0 0 1 1\n0 0 0 0 1 -1")
+    assert len(parse_document(cancel).structure.mult.terms) == 1
+
+
+def test_keys_come_before_the_data_that_reads_them():
+    assert error_of("[kvalgebra]\n0 0 0 1\ndim 1\n") == "line 2: missing required key 'dim'"
+    # a missing key is reported at the first data line that reads it ...
+    assert error_of("[structure]\nbase_dim 1\n[anchor]\n\n0 0 x1\n") == (
+        "line 5: missing required key 'rank'"
+    )
+    # ... or, in a file with none, at its last line
+    assert error_of("[structure]\nbase_dim 1\n# no rank\n") == "line 3: missing required key 'rank'"
+    # name reads nothing, so it may follow the products
+    doc = parse_document("[kvalgebra]\ndim 1\n0 0 0 1\nname late\n")
+    assert doc.name == "late" and doc.algebra.c[0][0][0] == 1
+
+
+def test_first_error_in_line_order():
+    """Each line is checked completely when it is read, ranges included, so
+    the error reported is the first in the file, whatever its section."""
+    text = (
+        "[structure]\nbase_dim 1\nrank 1\nskew true\n"
+        "[anchor]\n0 3 x1\n[mult]\n0 0 5 0 1 1\n0 0 0 1 0 1+*\n"
+    )
+    assert error_of(text) == "line 6: anchor index out of range: 0 3"
+    assert error_of(text.replace("0 3 x1", "0 0 x1")) == "line 8: mult component index out of range: 0 0 5"
+    assert error_of(text.replace("rank 1", "rank 99")) == "line 3: rank 99 exceeds the limit 16"
+    assert error_of(text.replace("skew true", "skew yes")) == "line 4: skew must be true or false"
+    kv = "[kvalgebra]\ndim 2\n0 2 0 1\n0 0 0 x\n[form]\n0 5 1\n"
+    assert error_of(kv) == "line 3: product index out of range: 0 2 0"
+    # within one line the value comes before the ranges
+    in_range = text.replace("0 3 x1", "0 0 x1")
+    assert error_of(in_range.replace("0 0 5 0 1 1", "0 0 5 0 1 x2")).startswith("line 8, column 11:")
+
+
+def test_format_corpus_gives_the_recorded_output():
+    assert mismatches() == []
+
+
+def message_patterns():
+    """A regular expression for each FormatError message in fileformat.py,
+    any formatted part matching any text."""
+    source = Path(__file__).resolve().parent.parent / "src" / "algebroid" / "fileformat.py"
+
+    def pattern(node):
+        if isinstance(node, ast.Constant):
+            return re.escape(node.value)
+        if isinstance(node, ast.JoinedStr):
+            return "".join(pattern(part) for part in node.values)
+        if isinstance(node, ast.BinOp):  # "text" + " ".join(...)
+            return pattern(node.left) + ".+"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "format":  # "...{}...".format(...)
+                return ".+".join(map(re.escape, node.func.value.value.split("{}")))
+        return ".+"
+
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FormatError":
+            if node.args:
+                yield pattern(node.args[0])
+
+
+def test_format_corpus_covers_every_message_and_section():
+    errors = [case.err for case in FORMAT_CORPUS if case.code == 2]
+    assert len(errors) >= 40
+    patterns = list(message_patterns())
+    assert len(patterns) >= 25
+    for regex in patterns:
+        assert any(re.search(f"line \\d+(, column \\d+)?: {regex}\n", err) for err in errors), regex
+    for section in ("structure", "mult", "anchor", "pairing", "dcochain", "kvalgebra", "form"):
+        assert any(f"[{section}]" in case.text for case in FORMAT_CORPUS), section
+    # entries with two or more errors
+    assert sum("-then-" in case.label for case in FORMAT_CORPUS) >= 5
 
 
 def test_duplicate_head_key():
