@@ -59,13 +59,11 @@ def witt_line() -> AlgebroidStructure:
     """Rank-1 line over one variable: [f,g] = f g' - g f', rho(f) = 2 f d/dx,
     <f,g> = f g, D(f) = f'."""
     n, r = 1, 1
-    mult = BiDiffOp(
-        r, n, [(0, 0, 0, (0,), (1,), 1), (0, 0, 0, (1,), (0,), -1)], skew=True
-    )
+    mult = BiDiffOp(r, n, [(0, 0, 0, (0,), (1,), 1), (0, 0, 0, (1,), (0,), -1)])
     anchor = AnchorMap(n, r, [[Poly.constant(n, 2)]])
     pairing = Pairing(r, n, [[Poly.constant(n, 1)]])
     d = DCochain(r, n, [DiffOp(n, {(1,): 1})])
-    return AlgebroidStructure(r, n, mult, anchor, pairing, d)
+    return AlgebroidStructure(r, n, mult, anchor, pairing, d, skew=True)
 
 
 def tangent_lie(n: int) -> AlgebroidStructure:
@@ -76,12 +74,12 @@ def tangent_lie(n: int) -> AlgebroidStructure:
         for a in range(n):
             terms.append((k, a, k, _zero_idx(n), _unit(n, a), 1))
             terms.append((k, k, a, _unit(n, a), _zero_idx(n), -1))
-    mult = BiDiffOp(r, n, terms, skew=True)
+    mult = BiDiffOp(r, n, terms)
     anchor = AnchorMap(
         n, r,
         [[Poly.constant(n, 1 if a == j else 0) for j in range(r)] for a in range(n)],
     )
-    return AlgebroidStructure(r, n, mult, anchor)
+    return AlgebroidStructure(r, n, mult, anchor, skew=True)
 
 
 def courant_standard(n: int) -> AlgebroidStructure:
@@ -108,7 +106,7 @@ def courant_standard(n: int) -> AlgebroidStructure:
             terms.append((n + k, n + k, a, _unit(n, a), z, -1))     # -Y_a d_a xi_k
             terms.append((n + k, n + a, a, z, _unit(n, k), -half))  # -(1/2) xi_a d_k Y_a
             terms.append((n + k, n + a, a, _unit(n, k), z, half))   # (1/2) Y_a d_k xi_a
-    mult = BiDiffOp(r, n, terms, skew=True)
+    mult = BiDiffOp(r, n, terms)
     anchor = AnchorMap(
         n, r,
         [[Poly.constant(n, 1 if a == j else 0) for j in range(r)] for a in range(n)],
@@ -122,7 +120,7 @@ def courant_standard(n: int) -> AlgebroidStructure:
         DiffOp(n, {_unit(n, a): 1}) for a in range(n)
     ]
     d = DCochain(r, n, comps)
-    return AlgebroidStructure(r, n, mult, anchor, pairing, d)
+    return AlgebroidStructure(r, n, mult, anchor, pairing, d, skew=True)
 
 
 def _koszul_structure(n: int, pi) -> AlgebroidStructure:
@@ -152,9 +150,9 @@ def _koszul_structure(n: int, pi) -> AlgebroidStructure:
                     terms.append((k, c, a, z, z, dk_p))   # from d_k(#alpha)
                     terms.append((k, a, c, z, z, -dk_p))  # from -d_k(#beta)
                     terms.append((k, c, a, z, z, -dk_p))  # from -d_k Pi(alpha,beta)
-    mult = BiDiffOp(r, n, terms, skew=True)
+    mult = BiDiffOp(r, n, terms)
     anchor = AnchorMap(n, r, [[pi[j][a] for j in range(r)] for a in range(n)])
-    return AlgebroidStructure(r, n, mult, anchor)
+    return AlgebroidStructure(r, n, mult, anchor, skew=True)
 
 
 def poisson_cotangent() -> AlgebroidStructure:

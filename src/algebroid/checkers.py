@@ -158,7 +158,7 @@ DEFAULT_JACOBI_FACTOR = {"cc": 1, "courant": 3}
 _REQUIREMENTS = {
     "pairing": (lambda S: S.pairing is not None, "a pairing"),
     "d": (lambda S: S.d_cochain is not None, "a D cochain"),
-    "skew": (lambda S: S.mult.skew, "a multiplication declared skew"),
+    "skew": (lambda S: S.skew, "a multiplication declared skew"),
 }
 
 
@@ -212,7 +212,7 @@ def verify_anchor_morphism(S: AlgebroidStructure) -> Optional[Witness]:
     Returns None on pass; on failure, a witness (s, s') whose residual is
     the nonzero defect as a differential operator on functions.
     """
-    if not S.mult.skew:
+    if not S.skew:
         raise ValueError("anchor-morphism check needs a skew multiplication")
     defect = st.anchor_morphism_defect_op(S)  # slots (s, s', f)
     if defect.is_zero():

@@ -373,12 +373,12 @@ def _cmd_anomalies(args, out: TextIO) -> int:
     )
     f = _parse_argument_poly(args.function, S.base_dim, "--function")
     results = {}
-    if S.mult.skew:
+    if S.skew:
         results["J"] = str(jacobiator(S, s, sp, spp))
     results["KV"] = str(kv_anomaly(S, s, sp, spp))
     results["L"] = str(leibniz_anomaly(S, s, f, sp))
     if S.pairing is not None:
-        if S.mult.skew:
+        if S.skew:
             results["T"] = str(courant_T(S, s, sp, spp))
         results["delta_pairing"] = str(pairing_coboundary(S, s, sp, spp))
     text = "\n".join(f"{key} = {results[key]}" for key in sorted(results))

@@ -12,11 +12,14 @@ elimination `bareiss` (Math. Comp. 22, 1968), behind determinants,
 leading principal minors and `solve_linear`, and one sparse rank,
 `sparse_rank`, for the large, mostly zero coboundary matrices; it drops
 empty rows and eliminates the transpose of a matrix whose nonempty rows
-outnumber its columns. Only `poly_matrix_det` and `poly_matrix_inverse`
-(Laplace expansion over one table of memoised minors, and the adjugate
-over it) work on polynomial entries, because Bareiss on `Poly` entries
-would need exact multivariate division; the inverse exists only for a
-nonzero constant determinant. All values are immutable after
+outnumber its columns. Only `poly_matrix_inverse` and `poly_matrix_det`
+work on polynomial entries, both over one table of minors memoised by
+Laplace expansion, because Bareiss on `Poly` entries would need exact
+multivariate division. The inverse, the adjugate over those minors,
+exists only for a nonzero constant determinant; it is what
+`funmodel.conjugate` needs for a frame change. Nothing in the package
+calls `poly_matrix_det`: it is the same determinant, kept with its test
+as the check on the minors. All values are immutable after
 construction.
 
 Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS

@@ -28,19 +28,20 @@ Finite KV algebra:
     [form]
     i j value                  # symmetric rational form
 
-alpha/beta are comma-separated multi-indices of length base_dim; coeff is
-a polynomial in x1..xn; value is a rational literal. Repeated [mult] lines
-for one term add up; any other repeated entry is an error. Serialization
-is canonical (sorted term order), so parse -> serialize is bit-stable.
+alpha/beta are comma-separated multi-indices of length base_dim, and a
+[dcochain] alpha has order (entry sum) at most 1; coeff is a polynomial
+in x1..xn; value is a rational literal. Repeated [mult] lines for one
+term add up; any other repeated entry is an error. Serialization is
+canonical (sorted term order), so parse -> serialize is bit-stable.
 
 The opening section holds the header keys, and only those listed above
 for its kind: `name`, `base_dim`, `rank`, `skew` in [structure], `name`
 and `dim` in [kvalgebra]. A key line is one that does not start with a
-digit or `-`. Each section appears at most once, and a data line needs
-the keys it reads (base_dim, rank or dim) above it. `_SECTIONS` is the
-table of sections; one reader checks each data line completely when it
-reads it (field count, indices, multi-indices, the value, then the index
-ranges), so the error reported is the first in line order. A missing
+digit, `+` or `-`. Each section appears at most once, and a data line
+needs the keys it reads (base_dim, rank or dim) above it. `_SECTIONS` is
+the table of sections; one reader checks each data line completely when
+it reads it (field count, indices, multi-indices, the value, then the
+index ranges), so the error reported is the first in line order. A missing
 required key is reported at the first data line that reads it, or at the
 last line of a file that has none.
 
@@ -131,14 +132,15 @@ _HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 # One row per section. The section that opens a document gives its `kind`
 # and the header `keys` it allows. A data line is `usage`: an index per
 # header key in `bounds` (the key bounds it), `multi` multi-indices of
-# length base_dim, and the value, a polynomial coefficient if `poly` (which
-# also reads base_dim) or else a rational. In a `symmetric` section (i, j)
-# is also (j, i); repeats of an entry add up if `adds`, else they are an
-# error that names the entry by `noun`. `what` names an index out of range.
+# length base_dim (of total order at most `order`, if set), and the value,
+# a polynomial coefficient if `poly` (which also reads base_dim) or else a
+# rational. In a `symmetric` section (i, j) is also (j, i); repeats of an
+# entry add up if `adds`, else they are an error that names the entry by
+# `noun`. `what` names an index out of range.
 _Section = namedtuple(
     "_Section",
-    "kind keys usage bounds multi poly symmetric adds noun what",
-    defaults=((), None, (), 0, False, False, False, "", ""),
+    "kind keys usage bounds multi order poly symmetric adds noun what",
+    defaults=((), None, (), 0, None, False, False, False, "", ""),
 )
 _SECTIONS = {
     "structure": _Section("structure", keys=("name", "base_dim", "rank", "skew")),
@@ -155,8 +157,8 @@ _SECTIONS = {
         noun="pairing", what="pairing index",
     ),
     "dcochain": _Section(
-        "structure", usage="k alpha coeff", bounds=("rank",), multi=1, poly=True, noun="dcochain",
-        what="dcochain component",
+        "structure", usage="k alpha coeff", bounds=("rank",), multi=1, order=1, poly=True,
+        noun="dcochain", what="dcochain component",
     ),
     "kvalgebra": _Section(
         "kvalgebra", keys=("name", "dim"), usage="k i j value", bounds=("dim",) * 3,
@@ -174,7 +176,7 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-def _parse_multi_index(text: str, base_dim: int, lineno: int):
+def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: int):
     parts = text.split(",")
     if len(parts) != base_dim:
         raise FormatError(
@@ -187,6 +189,10 @@ def _parse_multi_index(text: str, base_dim: int, lineno: int):
         raise FormatError(f"bad multi-index {text!r}", lineno) from None
     if any(i < 0 for i in idx):
         raise FormatError(f"negative entry in multi-index {text!r}", lineno)
+    if order is not None and sum(idx) > order:
+        raise FormatError(
+            f"multi-index {text!r} has order {sum(idx)}, expected at most {order}", lineno
+        )
     return idx
 
 
@@ -301,7 +307,7 @@ def _read_entry(row: _Section, line: str, end: int, lineno: int, head: dict, lim
     error; `end` is the raw column after its text. `limits` is (base_dim,
     the bound of each index) or None, looked up here at a section's first
     data line; it is returned for the next line."""
-    _, _, usage, bound_keys, multi, poly, symmetric, adds, noun, what = row
+    _, _, usage, bound_keys, multi, order, poly, symmetric, adds, noun, what = row
     count = len(bound_keys)
     parts = line.split(None, count + multi) if poly else line.split()
     if len(parts) != count + multi + 1:
@@ -314,7 +320,9 @@ def _read_entry(row: _Section, line: str, end: int, lineno: int, head: dict, lim
             raise FormatError(f"missing required key {exc.args[0]!r}", lineno) from None
     base_dim, bounds = limits
     if multi:
-        alphas = tuple(_parse_multi_index(text, base_dim, lineno) for text in parts[count:-1])
+        alphas = tuple(
+            _parse_multi_index(text, base_dim, order, lineno) for text in parts[count:-1]
+        )
     text = parts[-1]
     column = end - len(text) + 1
     if poly:
@@ -365,7 +373,7 @@ def parse_document(text: str) -> ParsedDocument:
             continue
         if row is None:
             raise FormatError("content before the first section header", lineno)
-        if row.keys and not line[0].isdigit() and line[0] != "-":
+        if row.keys and not line[0].isdigit() and line[0] not in "+-":
             _read_key(section, row.keys, line, lineno, head)
         elif row.usage is None:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
@@ -387,8 +395,7 @@ def parse_document(text: str) -> ParsedDocument:
 
 def _build_structure(head: dict, entries: dict):
     base_dim, rank = head["base_dim"], head["rank"]
-    terms = [key + (coeff,) for key, coeff in entries.get("mult", {}).items()]
-    mult = BiDiffOp(rank, base_dim, terms, skew=head.get("skew", False))
+    mult = BiDiffOp(rank, base_dim, [key + (c,) for key, c in entries.get("mult", {}).items()])
     anchor = entries.get("anchor", {})
     anchor = AnchorMap(base_dim, rank, [
         [anchor.get((a, j), Poly.zero(base_dim)) for j in range(rank)] for a in range(base_dim)
@@ -405,7 +412,9 @@ def _build_structure(head: dict, entries: dict):
         for (k, alpha), coeff in d_cochain.items():
             comps[k][alpha] = coeff
         d_cochain = DCochain(rank, base_dim, [DiffOp(base_dim, c) for c in comps])
-    return AlgebroidStructure(rank, base_dim, mult, anchor, pairing, d_cochain)
+    return AlgebroidStructure(
+        rank, base_dim, mult, anchor, pairing, d_cochain, skew=head.get("skew", False)
+    )
 
 
 def _build_kvalgebra(head: dict, entries: dict):
@@ -433,30 +442,31 @@ def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
         lines.append(f"name {name}")
     lines.append(f"base_dim {S.base_dim}")
     lines.append(f"rank {S.rank}")
-    lines.append(f"skew {'true' if S.mult.skew else 'false'}")
-    if S.mult.terms:
+    mult, anchor, pairing, d_cochain = S.mult, S.anchor, S.pairing, S.d_cochain
+    lines.append(f"skew {'true' if mult.skew else 'false'}")
+    if mult.terms:
         lines.append("[mult]")
-        for (k, i, j, alpha, beta), coeff in S.mult.terms:
+        for (k, i, j, alpha, beta), coeff in mult.terms:
             lines.append(f"{k} {i} {j} {_fmt_idx(alpha)} {_fmt_idx(beta)} {coeff}")
     anchor_lines = []
     for a in range(S.base_dim):
         for j in range(S.rank):
-            coeff = S.anchor.matrix[a][j]
+            coeff = anchor.matrix[a][j]
             if not coeff.is_zero():
                 anchor_lines.append(f"{a} {j} {coeff}")
     if anchor_lines:
         lines.append("[anchor]")
         lines.extend(anchor_lines)
-    if S.pairing is not None:
+    if pairing is not None:
         lines.append("[pairing]")
         for i in range(S.rank):
             for j in range(i, S.rank):
-                coeff = S.pairing.matrix[i][j]
+                coeff = pairing.matrix[i][j]
                 if not coeff.is_zero():
                     lines.append(f"{i} {j} {coeff}")
-    if S.d_cochain is not None:
+    if d_cochain is not None:
         lines.append("[dcochain]")
-        for k, op in enumerate(S.d_cochain.components):
+        for k, op in enumerate(d_cochain.components):
             for alpha in sorted(op.terms, key=grlex_key):
                 lines.append(f"{k} {_fmt_idx(alpha)} {op.terms[alpha]}")
     return "\n".join(lines) + "\n"

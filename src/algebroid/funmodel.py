@@ -15,6 +15,15 @@ graded-lexicographic order, one slot at a time (see :func:`find_witness`).
 An operator of order m is determined by its action on monomials of
 degree <= m, so the sweep bound makes the witness search complete, never
 a sampling heuristic.
+
+A structure (:class:`AlgebroidStructure`) is its `skew` flag and four
+canonical operators, for mult, anchor, pairing and D, and nothing else.
+The part names `BiDiffOp`, `AnchorMap`, `Pairing` and `DCochain` are
+constructors: each checks its frame-term input and returns the operator.
+`S.mult`, `S.anchor`, `S.pairing` and `S.d_cochain` are read-only views
+in frame terms, decoded from the operators for the serializer. A frame
+change (:func:`conjugate`) composes new operators and keeps them as they
+are.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .exactmath import (
     Poly,
     grlex_key,
     monomials_upto,
-    poly_matrix_det,
     poly_matrix_inverse,
 )
 
@@ -440,249 +448,194 @@ def function_product(rank: int, base_dim: int) -> MultiDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Structure data.
+# Structure data: each part is its canonical operator. The part names are
+# constructors that check their input and return the operator.
 # ---------------------------------------------------------------------------
 
 
-class BiDiffOp:
-    """Bilinear bidifferential operator on sections, given in frame terms:
+def BiDiffOp(rank: int, base_dim: int, terms) -> MultiDiffOp:
+    """The multiplication from its frame terms (k, i, j, alpha, beta, coeff):
 
         mu(s, s')_k += coeff * d^alpha(s_i) * d^beta(s'_j)
 
-    The skew flag is a declaration; checkers verify it, never assume it.
-    """
-
-    def __init__(self, rank: int, base_dim: int, terms, skew: bool = False):
-        self.rank = rank
-        self.base_dim = base_dim
-        merged = {}
-        for k, i, j, alpha, beta, coeff in terms:
-            alpha, beta = tuple(alpha), tuple(beta)
-            if not isinstance(coeff, Poly):
-                coeff = Poly.constant(base_dim, coeff)
-            key = (k, i, j, alpha, beta)
-            acc = merged.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                merged.pop(key, None)
-            else:
-                merged[key] = coeff
-        self.terms = tuple(sorted(merged.items()))
-        self.skew = skew
-        self._op = None
-
-    def as_op(self) -> MultiDiffOp:
-        if self._op is None:
-            terms = [
-                ((k, ((i, alpha), (j, beta))), coeff)
-                for (k, i, j, alpha, beta), coeff in self.terms
-            ]
-            self._op = MultiDiffOp(
-                self.rank, self.base_dim, (SECTION, SECTION), SECTION, terms
-            )
-        return self._op
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiDiffOp)
-            and (self.rank, self.base_dim, self.skew) == (other.rank, other.base_dim, other.skew)
-            and self.terms == other.terms
-        )
+    Repeated terms add up."""
+    return MultiDiffOp(rank, base_dim, (SECTION, SECTION), SECTION, [
+        ((k, ((i, tuple(alpha)), (j, tuple(beta)))), coeff)
+        for k, i, j, alpha, beta, coeff in terms
+    ])
 
 
-class AnchorMap:
-    """rho(e_j) = sum_a p[a][j] d/dx_a; extends F(M)-linearly to sections."""
-
-    def __init__(self, base_dim: int, rank: int, matrix: Sequence[Sequence[Poly]]):
-        self.base_dim = base_dim
-        self.rank = rank
-        if len(matrix) != base_dim or any(len(row) != rank for row in matrix):
-            raise ValueError("anchor matrix must be base_dim x rank")
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self._op = None
-
-    @staticmethod
-    def zero(base_dim: int, rank: int) -> "AnchorMap":
-        z = Poly.zero(base_dim)
-        return AnchorMap(base_dim, rank, [[z] * rank for _ in range(base_dim)])
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.matrix for p in row)
-
-    def as_op(self) -> MultiDiffOp:
-        if self._op is None:
-            zero = (0,) * self.base_dim
-            terms = []
-            for a in range(self.base_dim):
-                e_a = tuple(1 if i == a else 0 for i in range(self.base_dim))
-                for j in range(self.rank):
-                    coeff = self.matrix[a][j]
-                    if not coeff.is_zero():
-                        terms.append(((None, ((j, zero), (None, e_a))), coeff))
-            self._op = MultiDiffOp(
-                self.rank, self.base_dim, (SECTION, FUNCTION), FUNCTION, terms
-            )
-        return self._op
-
-    def __eq__(self, other):
-        return isinstance(other, AnchorMap) and self.matrix == other.matrix
+def AnchorMap(base_dim: int, rank: int, matrix: Sequence[Sequence[Poly]]) -> MultiDiffOp:
+    """rho(e_j) = sum_a p[a][j] d/dx_a, as the operator (s, f) -> rho(s)(f)."""
+    if len(matrix) != base_dim or any(len(row) != rank for row in matrix):
+        raise ValueError("anchor matrix must be base_dim x rank")
+    zero = (0,) * base_dim
+    terms = []
+    for a, row in enumerate(matrix):
+        e_a = tuple(int(i == a) for i in range(base_dim))
+        terms.extend(((None, ((j, zero), (None, e_a))), row[j]) for j in range(rank))
+    return MultiDiffOp(rank, base_dim, (SECTION, FUNCTION), FUNCTION, terms)
 
 
-class Pairing:
+def Pairing(rank: int, base_dim: int, matrix: Sequence[Sequence[Poly]]) -> MultiDiffOp:
     """Symmetric bilinear form <s, s'> = sum g_ij s_i s'_j with g_ij Poly."""
-
-    def __init__(self, rank: int, base_dim: int, matrix: Sequence[Sequence[Poly]]):
-        self.rank = rank
-        self.base_dim = base_dim
-        if len(matrix) != rank or any(len(row) != rank for row in matrix):
-            raise ValueError("pairing matrix must be rank x rank")
-        for i in range(rank):
-            for j in range(i):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValueError("pairing matrix must be symmetric")
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self._op = None
-
-    def value(self, s: Section, sp: Section) -> Poly:
-        out = Poly.zero(self.base_dim)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                g = self.matrix[i][j]
-                if not g.is_zero():
-                    out = out + g * s.components[i] * sp.components[j]
-        return out
-
-    def det(self) -> Poly:
-        return poly_matrix_det(self.matrix)
-
-    def nondegenerate(self, strict: bool = False) -> bool:
-        """Generic mode: det(g) is a nonzero polynomial. Strict mode: det(g)
-        is a nonzero constant (pointwise nondegeneracy over the base)."""
-        d = self.det()
-        if strict:
-            return d.is_constant() and not d.is_zero()
-        return not d.is_zero()
-
-    def as_op(self) -> MultiDiffOp:
-        if self._op is None:
-            zero = (0,) * self.base_dim
-            terms = []
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    g = self.matrix[i][j]
-                    if not g.is_zero():
-                        terms.append(((None, ((i, zero), (j, zero))), g))
-            self._op = MultiDiffOp(
-                self.rank, self.base_dim, (SECTION, SECTION), FUNCTION, terms
-            )
-        return self._op
-
-    def __eq__(self, other):
-        return isinstance(other, Pairing) and self.matrix == other.matrix
+    if len(matrix) != rank or any(len(row) != rank for row in matrix):
+        raise ValueError("pairing matrix must be rank x rank")
+    for i in range(rank):
+        for j in range(i):
+            if matrix[i][j] != matrix[j][i]:
+                raise ValueError("pairing matrix must be symmetric")
+    zero = (0,) * base_dim
+    terms = [
+        ((None, ((i, zero), (j, zero))), row[j]) for i, row in enumerate(matrix) for j in range(rank)
+    ]
+    return MultiDiffOp(rank, base_dim, (SECTION, SECTION), FUNCTION, terms)
 
 
-class DCochain:
+def DCochain(rank: int, base_dim: int, components: Sequence[DiffOp]) -> MultiDiffOp:
     """Degree-1 cochain D(f) = sum_k D_k(f) e_k with each D_k of order <= 1."""
+    if len(components) != rank:
+        raise ValueError("need one DiffOp per fibre component")
+    if any(op.order > 1 for op in components):
+        raise ValueError("D components must be differential operators of order <= 1")
+    terms = [
+        ((k, ((None, alpha),)), c) for k, op in enumerate(components) for alpha, c in op.terms.items()
+    ]
+    return MultiDiffOp(rank, base_dim, (FUNCTION,), SECTION, terms)
 
-    def __init__(self, rank: int, base_dim: int, components: Sequence[DiffOp]):
-        if len(components) != rank:
-            raise ValueError("need one DiffOp per fibre component")
-        for op in components:
-            if op.order > 1:
-                raise ValueError("D components must be differential operators of order <= 1")
-        self.rank = rank
-        self.base_dim = base_dim
-        self.components = tuple(components)
-        self._op = None
 
-    @staticmethod
-    def zero(rank: int, base_dim: int) -> "DCochain":
-        return DCochain(rank, base_dim, [DiffOp(base_dim)] * rank)
+# Read-only views of the parts in frame terms, decoded from the operators:
+# the [mult] terms ((k, i, j, alpha, beta), coeff) sorted, with the skew
+# flag; the base_dim x rank anchor and rank x rank pairing matrices; and one
+# DiffOp per fibre component of D.
+MultView = namedtuple("MultView", "terms skew")
+AnchorView = namedtuple("AnchorView", "matrix")
+PairingView = namedtuple("PairingView", "matrix")
+DCochainView = namedtuple("DCochainView", "components")
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def apply(self, f: Poly) -> Section:
-        return Section([op.apply(f) for op in self.components])
-
-    def as_op(self) -> MultiDiffOp:
-        if self._op is None:
-            terms = []
-            for k, op in enumerate(self.components):
-                for alpha, coeff in op.terms.items():
-                    terms.append(((k, ((None, alpha),)), coeff))
-            self._op = MultiDiffOp(
-                self.rank, self.base_dim, (FUNCTION,), SECTION, terms
-            )
-        return self._op
-
-    def __eq__(self, other):
-        return isinstance(other, DCochain) and self.components == other.components
+# part -> (slots, output) of its operator
+_SIGNATURES = (
+    ("mult", (SECTION, SECTION), SECTION),
+    ("anchor", (SECTION, FUNCTION), FUNCTION),
+    ("pairing", (SECTION, SECTION), FUNCTION),
+    ("D", (FUNCTION,), SECTION),
+)
 
 
 class AlgebroidStructure:
-    """Bundle data: rank, base dimension, multiplication, anchor, and the
-    optional pairing / D decorations consumed by the axiom profiles."""
+    """A bundle of rank `rank` over R^base_dim: the skew flag and four
+    canonical operators, the multiplication (s, s') -> s s', the anchor
+    (s, f) -> rho(s)(f), and the optional pairing (s, s') -> <s, s'> and
+    D f -> D(f) consumed by the axiom profiles.
+
+    The operators come from the part constructors (BiDiffOp, AnchorMap,
+    Pairing, DCochain) or from `compose` on theirs. The skew flag is a
+    declaration; checkers verify it, never assume it. `mult`, `anchor`,
+    `pairing` and `d_cochain` are views in frame terms, decoded on each
+    access; `pairing` and `d_cochain` are None when the part is absent."""
+
+    __slots__ = ("rank", "base_dim", "skew", "_mult", "_anchor", "_pairing", "_d")
 
     def __init__(
         self,
         rank: int,
         base_dim: int,
-        mult: BiDiffOp,
-        anchor: AnchorMap,
-        pairing: Optional[Pairing] = None,
-        d_cochain: Optional[DCochain] = None,
+        mult: MultiDiffOp,
+        anchor: MultiDiffOp,
+        pairing: Optional[MultiDiffOp] = None,
+        d_cochain: Optional[MultiDiffOp] = None,
+        skew: bool = False,
     ):
+        ops = (mult, anchor, pairing, d_cochain)
+        for op, (part, slots, output) in zip(ops, _SIGNATURES):
+            if op is None and part in ("pairing", "D"):
+                continue
+            if not isinstance(op, MultiDiffOp):
+                raise ValueError(f"the {part} part must be a MultiDiffOp")
+            if (op.rank, op.base_dim) != (rank, base_dim):
+                raise ValueError("structure parts disagree on rank/base_dim")
+            if (op.slots, op.output) != (slots, output):
+                raise ValueError(f"the {part} operator has the wrong slots or output")
         self.rank = rank
         self.base_dim = base_dim
-        self.mult = mult
-        self.anchor = anchor
-        self.pairing = pairing
-        self.d_cochain = d_cochain
-        for part in (mult, anchor, pairing, d_cochain):
-            if part is not None and (part.rank != rank or part.base_dim != base_dim):
-                raise ValueError("structure parts disagree on rank/base_dim")
+        self.skew = skew
+        self._mult, self._anchor, self._pairing, self._d = ops
 
     def __repr__(self):
+        ops = (self._mult, self._anchor, self._pairing, self._d)
+        counts = tuple(None if op is None else len(op.terms) for op in ops)
         return (
             f"AlgebroidStructure(rank={self.rank!r}, base_dim={self.base_dim!r}, "
-            f"mult={self.mult!r}, anchor={self.anchor!r}, pairing={self.pairing!r}, "
-            f"d_cochain={self.d_cochain!r})"
+            f"skew={self.skew!r}, term counts (mult, anchor, pairing, D)={counts!r})"
         )
 
     # primitive operators
     def mult_op(self) -> MultiDiffOp:
-        return self.mult.as_op()
+        return self._mult
 
     def anchor_op(self) -> MultiDiffOp:
-        return self.anchor.as_op()
+        return self._anchor
 
     def pairing_op(self) -> MultiDiffOp:
-        if self.pairing is None:
+        if self._pairing is None:
             raise ValueError("structure has no pairing")
-        return self.pairing.as_op()
+        return self._pairing
 
     def d_op(self) -> MultiDiffOp:
-        if self.d_cochain is None:
+        if self._d is None:
             raise ValueError("structure has no D cochain")
-        return self.d_cochain.as_op()
+        return self._d
+
+    # views in frame terms
+    @property
+    def mult(self) -> MultView:
+        terms = self._mult.terms.items()
+        terms = [((k, i, j, alpha, beta), c) for (k, ((i, alpha), (j, beta))), c in terms]
+        return MultView(tuple(sorted(terms)), self.skew)
+
+    @property
+    def anchor(self) -> AnchorView:
+        matrix = [[Poly.zero(self.base_dim)] * self.rank for _ in range(self.base_dim)]
+        for (_, ((j, _), (_, e_a))), c in self._anchor.terms.items():
+            matrix[e_a.index(1)][j] = c
+        return AnchorView(tuple(map(tuple, matrix)))
+
+    @property
+    def pairing(self) -> Optional[PairingView]:
+        if self._pairing is None:
+            return None
+        g = [[Poly.zero(self.base_dim)] * self.rank for _ in range(self.rank)]
+        for (_, ((i, _), (j, _))), c in self._pairing.terms.items():
+            g[i][j] = c
+        return PairingView(tuple(map(tuple, g)))
+
+    @property
+    def d_cochain(self) -> Optional[DCochainView]:
+        if self._d is None:
+            return None
+        comps = [{} for _ in range(self.rank)]
+        for (k, ((_, alpha),)), c in self._d.terms.items():
+            comps[k][alpha] = c
+        return DCochainView(tuple(DiffOp(self.base_dim, t) for t in comps))
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebroidStructure)
-            and (self.rank, self.base_dim) == (other.rank, other.base_dim)
-            and self.mult == other.mult
-            and self.anchor == other.anchor
-            and self.pairing == other.pairing
-            and self.d_cochain == other.d_cochain
+            and (self.rank, self.base_dim, self.skew) == (other.rank, other.base_dim, other.skew)
+            and (self._mult, self._anchor, self._pairing, self._d)
+            == (other._mult, other._anchor, other._pairing, other._d)
         )
 
 
-def apply_mult(S: AlgebroidStructure, s: Section, sp: Section) -> Section:
-    if s.rank != S.rank or sp.rank != S.rank:
+def _check_sections(S: AlgebroidStructure, *sections: Section) -> None:
+    if any(s.rank != S.rank for s in sections):
         raise ValueError("section rank != structure rank")
-    if s.base_dim != S.base_dim or sp.base_dim != S.base_dim:
+    if any(s.base_dim != S.base_dim for s in sections):
         raise ValueError("section base_dim != structure base_dim")
+
+
+def apply_mult(S: AlgebroidStructure, s: Section, sp: Section) -> Section:
+    _check_sections(S, s, sp)
     return S.mult_op().apply(s, sp)
 
 
@@ -693,9 +646,9 @@ def apply_anchor(S: AlgebroidStructure, s: Section, f: Poly) -> Poly:
 
 
 def pairing_value(S: AlgebroidStructure, s: Section, sp: Section) -> Poly:
-    if S.pairing is None:
-        raise ValueError("structure has no pairing")
-    return S.pairing.value(s, sp)
+    pairing = S.pairing_op()
+    _check_sections(S, s, sp)
+    return pairing.apply(s, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -821,27 +774,8 @@ def conjugate(S: AlgebroidStructure, A: Sequence[Sequence]) -> AlgebroidStructur
     if A_inv is None:
         raise ValueError("frame change must have a nonzero constant determinant")
     push, pull = bundle_map(r, n, A), bundle_map(r, n, A_inv)
-
-    mult_op = pull.compose(0, S.mult_op().compose(0, push).compose(1, push))
-    mult = BiDiffOp(
-        r, n,
-        [(k, i, j, alpha, beta, c) for (k, ((i, alpha), (j, beta))), c in mult_op.terms.items()],
-        skew=S.mult.skew,
-    )
-    anchor = [[Poly.zero(n)] * r for _ in range(n)]
-    for (_, ((j, _), (_, e_a))), c in S.anchor_op().compose(0, push).terms.items():
-        anchor[e_a.index(1)][j] = c
-    pairing = None
-    if S.pairing is not None:
-        g = [[Poly.zero(n)] * r for _ in range(r)]
-        pulled = S.pairing_op().compose(0, push).compose(1, push)
-        for (_, ((i, _), (j, _))), c in pulled.terms.items():
-            g[i][j] = c
-        pairing = Pairing(r, n, g)
-    d_cochain = None
-    if S.d_cochain is not None:
-        comps = [{} for _ in range(r)]
-        for (k, ((_, alpha),)), c in pull.compose(0, S.d_op()).terms.items():
-            comps[k][alpha] = c
-        d_cochain = DCochain(r, n, [DiffOp(n, t) for t in comps])
-    return AlgebroidStructure(r, n, mult, AnchorMap(n, r, anchor), pairing, d_cochain)
+    mult = pull.compose(0, S.mult_op().compose(0, push).compose(1, push))
+    anchor = S.anchor_op().compose(0, push)
+    pairing = None if S._pairing is None else S._pairing.compose(0, push).compose(1, push)
+    d_cochain = None if S._d is None else pull.compose(0, S._d)
+    return AlgebroidStructure(r, n, mult, anchor, pairing, d_cochain, skew=S.skew)

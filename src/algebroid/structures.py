@@ -52,7 +52,7 @@ def cyclic_sum(op: MultiDiffOp) -> MultiDiffOp:
 def jacobiator(S: AlgebroidStructure, s: Section, sp: Section, spp: Section) -> Section:
     """Cyclic sum of iterated brackets [[s,s'],s'']; the multiplication
     must be declared skew."""
-    if not S.mult.skew:
+    if not S.skew:
         raise ValueError("jacobiator requires a skew multiplication")
     return (
         apply_mult(S, apply_mult(S, s, sp), spp)
@@ -86,7 +86,7 @@ def courant_T(S: AlgebroidStructure, s: Section, sp: Section, spp: Section) -> P
     """Cyclic sum of <[s,s'],s''>; needs a pairing and a skew bracket."""
     if S.pairing is None:
         raise ValueError("courant_T requires a pairing")
-    if not S.mult.skew:
+    if not S.skew:
         raise ValueError("courant_T requires a skew multiplication")
     return (
         pairing_value(S, apply_mult(S, s, sp), spp)

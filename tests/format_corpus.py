@@ -7,8 +7,9 @@ An entry with `was` answers differently from the parser that read each
 section with its own branch and checked index ranges after the last line;
 `was` is that parser's (exit code, stderr). Those entries are the intended
 changes: the first error in line order, header keys outside the kind's
-list, repeated sections, and keys that come after the data lines that
-read them. Every other entry gives that parser's output byte for byte.
+list, repeated sections, keys that come after the data lines that read
+them, and a [dcochain] term of order above 1, which exited 3. Every
+other entry gives that parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -151,6 +152,11 @@ FORMAT_CORPUS = (
          2, "error: line 7: bad multi-index 'a'\n"),
     Case("mult-negative-multi-index", witt("0 0 0 0 1 1", "0 0 0 -1 1 1"),
          2, "error: line 7: negative entry in multi-index '-1'\n"),
+    Case("dcochain-order-2",
+         lines("[structure]", "base_dim 1", "rank 1", "skew false", "[dcochain]", "0 2 1"),
+         2, "error: line 6: multi-index '2' has order 2, expected at most 1\n",
+         was=(3, "internal error: ValueError: D components must be differential operators "
+                 "of order <= 1\n")),
     Case("mult-bad-polynomial", witt("0 0 0 0 1 1", "0 0 0 0 1 x1 + * 2"),
          2, "error: line 7, column 16: bad polynomial: expected polynomial atom\n"),
     Case("mult-variable-out-of-range", witt("0 0 0 0 1 1", "  0 0 0 0 1   x2"),
@@ -268,9 +274,6 @@ FORMAT_CORPUS = (
          was=(0, "")),
     Case("unknown-key-dim-in-structure", lines("[structure]", "base_dim 1", "rank 1", "dim 3"),
          2, "error: line 4: unknown key 'dim' in [structure]\n",
-         was=(0, "")),
-    Case("signed-product-line", kv("1 0 0 1", "+1 0 0 1"),
-         2, "error: line 4: unknown key '+1' in [kvalgebra]\n",
          was=(0, "")),
     Case("repeated-mult", witt() + "[mult]\n0 0 0 0 0 1\n",
          2, "error: line 15: repeated section [mult]\n",

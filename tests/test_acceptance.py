@@ -125,10 +125,11 @@ def _random_cc_structures(rng, count):
             out.append(
                 AlgebroidStructure(
                     rank, n,
-                    BiDiffOp(rank, n, [], skew=True),
+                    BiDiffOp(rank, n, []),
                     AnchorMap(n, rank, [[Poly.zero(n)] * rank]),
                     Pairing(rank, n, g),
                     DCochain(rank, n, [DiffOp(n) for _ in range(rank)]),
+                    skew=True,
                 )
             )
     return out

@@ -33,7 +33,7 @@ def constant_structure(rank, pairing_diag=None, d_first=0, skew=False):
     """Rank-r structure over one variable with zero product and anchor,
     an optional diagonal pairing, and D = (d_first * d/dx) e_1."""
     n = 1
-    mult = BiDiffOp(rank, n, [], skew=skew)
+    mult = BiDiffOp(rank, n, [])
     anchor = AnchorMap(n, rank, [[Poly.zero(n)] * rank])
     pairing = None
     if pairing_diag is not None:
@@ -43,7 +43,7 @@ def constant_structure(rank, pairing_diag=None, d_first=0, skew=False):
         ]
         pairing = Pairing(rank, n, g)
     comps = [DiffOp(n, {(1,): d_first} if k == 0 else None) for k in range(rank)]
-    return AlgebroidStructure(rank, n, mult, anchor, pairing, DCochain(rank, n, comps))
+    return AlgebroidStructure(rank, n, mult, anchor, pairing, DCochain(rank, n, comps), skew=skew)
 
 
 # --- profile checks -------------------------------------------------------
@@ -76,8 +76,8 @@ def test_skew_flag_gate():
 def test_skew_declaration_verified_not_assumed():
     # declared skew but actually symmetric: mu(s,s') = s_1 s'_1 e_1
     n = 1
-    mult = BiDiffOp(1, n, [(0, 0, 0, (0,), (0,), 1)], skew=True)
-    S = AlgebroidStructure(1, n, mult, AnchorMap.zero(n, 1))
+    mult = BiDiffOp(1, n, [(0, 0, 0, (0,), (0,), 1)])
+    S = AlgebroidStructure(1, n, mult, AnchorMap(n, 1, [[Poly.zero(n)]]), skew=True)
     report = check_profile(S, "lie")
     assert "skew" in report.failing_labels()
 

@@ -205,6 +205,24 @@ def test_keys_come_before_the_data_that_reads_them():
     assert doc.name == "late" and doc.algebra.c[0][0][0] == 1
 
 
+def test_signed_product_line_is_data():
+    """A data line may start with `+`, as every index field may: no header
+    key starts with one."""
+    signed = parse_document(KV.replace("1 0 0 1", "+1 0 0 1"))
+    assert signed == parse_document(KV)
+    assert signed.algebra.c[0][0][1] == 1
+
+
+def test_dcochain_order_above_one_is_a_format_error():
+    """D is a first-order operator, so a [dcochain] term of order 2 is a
+    format error at its line, like the other multi-index errors."""
+    text = "[structure]\nbase_dim 2\nrank 1\nskew false\n[dcochain]\n0 1,0 1\n0 1,1 x1\n"
+    assert error_of(text) == "line 7: multi-index '1,1' has order 2, expected at most 1"
+    assert error_of(WITT.replace("0 1 2", "0 2 2")) == (
+        "line 14: multi-index '2' has order 2, expected at most 1"
+    )
+
+
 def test_first_error_in_line_order():
     """Each line is checked completely when it is read, ranges included, so
     the error reported is the first in the file, whatever its section."""

@@ -135,14 +135,19 @@ def test_record_properties_and_text():
 def test_structure_rejects_parts_of_the_wrong_rank():
     S = catalog_get("tangent-lie-2").structure
     with pytest.raises(ValueError, match="rank/base_dim"):
-        AlgebroidStructure(3, 2, S.mult, S.anchor)
+        AlgebroidStructure(3, 2, S.mult_op(), S.anchor_op(), skew=True)
     with pytest.raises(ValueError, match="rank/base_dim"):
-        AlgebroidStructure(2, 2, S.mult, AnchorMap(2, 1, [[Poly.zero(2)], [Poly.zero(2)]]))
+        AlgebroidStructure(
+            2, 2, S.mult_op(), AnchorMap(2, 1, [[Poly.zero(2)], [Poly.zero(2)]]), skew=True
+        )
     with pytest.raises(ValueError, match="rank/base_dim"):
-        AlgebroidStructure(2, 2, S.mult, S.anchor, catalog_get("witt-line").structure.pairing)
-    T = AlgebroidStructure(2, 2, S.mult, S.anchor)
+        AlgebroidStructure(
+            2, 2, S.mult_op(), S.anchor_op(), catalog_get("witt-line").structure.pairing_op(),
+            skew=True,
+        )
+    T = AlgebroidStructure(2, 2, S.mult_op(), S.anchor_op(), skew=True)
     assert T == S and T.pairing is None and T.d_cochain is None
-    assert T != AlgebroidStructure(2, 2, BiDiffOp(2, 2, [], skew=True), S.anchor)
+    assert T != AlgebroidStructure(2, 2, BiDiffOp(2, 2, []), S.anchor_op(), skew=True)
     assert check_profile(T, "lie").passed
 
 

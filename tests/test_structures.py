@@ -56,8 +56,8 @@ def test_jacobiator_requires_skew():
 
     S2 = AlgebroidStructure(
         S.rank, S.base_dim,
-        BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), 1)], skew=False),
-        S.anchor, S.pairing, S.d_cochain,
+        BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), 1)]),
+        S.anchor_op(), S.pairing_op(), S.d_op(), skew=False,
     )
     with pytest.raises(ValueError):
         st.jacobiator(S2, *(Section.zero(1, 1),) * 3)
