@@ -85,9 +85,8 @@ class AxiomReport:
 
 def _identity_entry(label: str, diff: MultiDiffOp, note: str = "") -> AxiomEntry:
     """Entry for the identity diff == 0."""
-    if diff.is_zero():
-        return AxiomEntry(label, True, None, note)
-    return AxiomEntry(label, False, find_witness(diff, diff.order() + 1), note)
+    w = find_witness(diff)
+    return AxiomEntry(label, w is None, w, note)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +214,10 @@ def verify_anchor_morphism(S: AlgebroidStructure) -> Optional[Witness]:
     if not S.skew:
         raise ValueError("anchor-morphism check needs a skew multiplication")
     defect = st.anchor_morphism_defect_op(S)  # slots (s, s', f)
-    if defect.is_zero():
+    w = find_witness(defect)
+    if w is None:
         return None
-    s, sp, _ = find_witness(defect, defect.order() + 1).inputs
+    s, sp, _ = w.inputs
     # one FUNCTION slot remains; read it off as a DiffOp
     residual = defect.bind(0, s).bind(0, sp)
     terms = {skeys[0][1]: coeff for (_, skeys), coeff in residual.terms.items()}

@@ -9,12 +9,13 @@ multidifferential operator: a sum of terms
 
 with polynomial coefficients. Every "for all sections / functions" axiom
 is decided by composing structure operators into this canonical form and
-subtracting: the canonical form of a nonzero operator is nonzero, and a
-witness input is then recovered from monomial test inputs in
-graded-lexicographic order, one slot at a time (see :func:`find_witness`).
-An operator of order m is determined by its action on monomials of
-degree <= m, so the sweep bound makes the witness search complete, never
-a sampling heuristic.
+subtracting: the canonical form of a nonzero operator is nonzero.
+:func:`find_witness` is the one decision of such a defect: None when it
+is zero, else a witness input recovered from monomial test inputs in
+graded-lexicographic order, one slot at a time. An operator of order m
+is determined by its action on monomials of degree <= m, so its bound,
+order + 1, makes the witness search complete, never a sampling
+heuristic.
 
 A structure (:class:`AlgebroidStructure`) is its `skew` flag and four
 canonical operators, for mult, anchor, pairing and D, and nothing else.
@@ -682,20 +683,26 @@ class Witness(namedtuple("Witness", "inputs residual")):
         return f"inputs=({ins}); residual={self.residual}"
 
 
-def find_witness(diff: MultiDiffOp, max_degree: int) -> Witness:
-    """First input tuple (canonical order) on which a nonzero canonical
-    operator evaluates to a nonzero residual.
+def find_witness(diff: MultiDiffOp) -> Optional[Witness]:
+    """The identity decision: None iff diff is the zero operator, else the
+    first input tuple (canonical order) on which diff evaluates to a
+    nonzero residual.
 
     The search fixes one slot at a time: each slot takes the first test
-    input (monomials of degree <= max_degree, in the order of
+    input (monomials of degree <= diff.order() + 1, in the order of
     function_inputs / section_inputs) whose bound operator is nonzero, and
     the residual is diff applied to the chosen inputs. This is the first
     witness in the product order of the test inputs: an input whose bound
     operator is zero starts no witness, and a nonzero bound operator has
     one among the remaining inputs, because binding a slot never raises
     the order and a nonzero operator of order m is nonzero on monomials of
-    degree <= m (max_degree is at least diff.order()).
+    degree <= m. The pools are in grlex degree order, so any larger bound
+    only appends inputs after the first nonzero one and finds the same
+    witness.
     """
+    if diff.is_zero():
+        return None
+    max_degree = diff.order() + 1
     inputs, bound = [], diff
     for kind in diff.slots:
         if kind == FUNCTION:
@@ -716,30 +723,12 @@ def find_witness(diff: MultiDiffOp, max_degree: int) -> Witness:
     return Witness(tuple(inputs), residual)
 
 
-def operator_equal(
-    lhs: MultiDiffOp, rhs: MultiDiffOp, order_bound: Optional[int] = None
-) -> Optional[Witness]:
-    """Decide lhs == rhs as operators on all polynomial inputs.
-
-    Returns None when equal, else the first failing monomial input (in
-    graded-lexicographic enumeration order) with its nonzero residual.
-    The decision is complete: an operator of order m is determined by its
-    action on monomials of degree <= m, and the sweep bound is
-    order_bound + 1.
-    """
+def operator_equal(lhs: MultiDiffOp, rhs: MultiDiffOp) -> Optional[Witness]:
+    """Decide lhs == rhs as operators on all polynomial inputs: None when
+    equal, else :func:`find_witness` of lhs - rhs."""
     if not lhs.same_signature(rhs):
         raise ValueError("operator signatures differ")
-    needed = max(lhs.order(), rhs.order())
-    if order_bound is None:
-        order_bound = needed
-    elif order_bound < needed:
-        raise ValueError(
-            f"order_bound {order_bound} below the computed composition order {needed}"
-        )
-    diff = lhs - rhs
-    if diff.is_zero():
-        return None
-    return find_witness(diff, order_bound + 1)
+    return find_witness(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

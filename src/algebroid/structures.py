@@ -1,11 +1,11 @@
-"""Anomaly tensors and function-side cochain calculus.
+"""Anomaly tensors and the defect operators of the axioms.
 
 Evaluation entry points (jacobiator, kv_anomaly, leibniz_anomaly,
 courant_T, pairing_coboundary) compute exact values on concrete
 sections/functions. The *_op builders assemble the same quantities as
 canonical multidifferential operators, which is what the axiom checkers
-subtract and decide; `fun_coboundary_op` is the coboundary of a degree-0
-or degree-1 function cochain, which the D-cocycle check needs.
+subtract and decide; `d_cocycle_defect_op` builds the coboundary of D in
+the function complex C(F(M), V), which the D-cocycle check needs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Sequence
 
 from .exactmath import Poly
 from .funmodel import (
-    FUNCTION,
-    SECTION,
     AlgebroidStructure,
     MultiDiffOp,
     Section,
@@ -110,52 +108,6 @@ def pairing_coboundary(S: AlgebroidStructure, s: Section, sp: Section, spp: Sect
 
 
 # ---------------------------------------------------------------------------
-# Cochains C^k(F(M), V) for k <= 1 and their coboundaries.
-# ---------------------------------------------------------------------------
-
-
-class FunCochain:
-    """Element of C^k(F(M),V), k <= 1: a Section for k = 0, otherwise a
-    one-slot function-input, section-output multidifferential operator."""
-
-    def __init__(self, degree: int, payload):
-        if degree not in (0, 1):
-            raise ValueError("supported cochain degrees are 0, 1")
-        if degree == 0:
-            if not isinstance(payload, Section):
-                raise ValueError("degree-0 cochain payload must be a Section")
-        else:
-            if not isinstance(payload, MultiDiffOp):
-                raise ValueError("cochain payload must be a MultiDiffOp")
-            if payload.slots != (FUNCTION,) or payload.output != SECTION:
-                raise ValueError("cochain operator has the wrong signature")
-        self.degree = degree
-        self.payload = payload
-
-    def value(self, *args: Poly) -> Section:
-        if len(args) != self.degree:
-            raise ValueError(f"degree-{self.degree} cochain takes {self.degree} arguments")
-        if self.degree == 0:
-            return self.payload
-        return self.payload.apply(*args)
-
-
-def fun_coboundary_op(S: AlgebroidStructure, theta: FunCochain) -> MultiDiffOp:
-    """The coboundary of theta as a canonical operator (degree <= 1 input)."""
-    r, n = S.rank, S.base_dim
-    if theta.degree == 0:
-        return MultiDiffOp(r, n, (FUNCTION,), SECTION, {})
-    if theta.degree != 1:
-        raise ValueError("operator form implemented for input degree <= 1")
-    T = theta.payload
-    # module_action slots (f, s); plug Theta into the section slot: (f_a1, f_a2)
-    fT = module_action(r, n).compose(1, T)  # (a1, a2) -> a1 * Theta(a2)
-    mid = T.compose(0, function_product(r, n))  # Theta(a1*a2)
-    gT = rearranged(fT, (1, 0))  # a2 * Theta(a1)
-    return -(fT - mid + gT)
-
-
-# ---------------------------------------------------------------------------
 # Operator builders used by the axiom checkers.
 # ---------------------------------------------------------------------------
 
@@ -207,8 +159,13 @@ def pairing_coboundary_op(S: AlgebroidStructure) -> MultiDiffOp:
 
 
 def d_cocycle_defect_op(S: AlgebroidStructure) -> MultiDiffOp:
-    """The coboundary of D as a 2-slot operator; zero iff D is a cocycle."""
-    return fun_coboundary_op(S, FunCochain(1, S.d_op()))
+    """The coboundary of D in C(F(M), V), slots (a1, a2):
+    -(a1 D(a2) - D(a1 a2) + a2 D(a1)); zero iff D is a cocycle."""
+    r, n = S.rank, S.base_dim
+    D = S.d_op()
+    aD = module_action(r, n).compose(1, D)  # a1 * D(a2)
+    mid = D.compose(0, function_product(r, n))  # D(a1 * a2)
+    return -(aD - mid + rearranged(aD, (1, 0)))
 
 
 def anchor_morphism_defect_op(S: AlgebroidStructure) -> MultiDiffOp:

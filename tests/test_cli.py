@@ -48,6 +48,19 @@ def test_check_matrix_fails_when_nothing_passes(tmp_path):
     assert code == 1
 
 
+def test_non_cocycle_d_fails_delta_d_with_its_witness(tmp_path):
+    # witt-line with D(f) = f' + f: dD(1, 1) = -D(1) = -1
+    _, text, _ = invoke("export", "--catalog", "witt-line")
+    f = tmp_path / "witt-d.alg"
+    f.write_text(text + "0 0 1\n")
+    for profile in ("cc", "courant", "nonasym-courant"):
+        code, out, _ = invoke("check", str(f), "--profile", profile, "--format", "machine")
+        assert code == 1, profile
+        entry = {a["label"]: a for a in json.loads(out)["axioms"]}["deltaD"]
+        assert entry["passed"] is False, profile
+        assert entry["witness"] == {"inputs": ["1", "1"], "residual": "(-1)"}, profile
+
+
 def test_check_missing_requirement_is_usage_error():
     code, out, err = invoke("check", "--catalog", "tangent-lie-2", "--profile", "courant")
     assert code == 2

@@ -154,14 +154,6 @@ def test_operator_equal_signature_mismatch():
         operator_equal(S.mult_op(), S.pairing_op())
 
 
-def test_operator_equal_rejects_low_bound():
-    S = witt_line()
-    lhs = S.mult_op()
-    rhs = MultiDiffOp(1, 1, (SECTION, SECTION), SECTION, {})
-    with pytest.raises(ValueError):
-        operator_equal(lhs, rhs, order_bound=0)
-
-
 def test_operator_equal_symmetric_verdict():
     S = witt_line()
     zero = MultiDiffOp(1, 1, (SECTION, FUNCTION), FUNCTION, {})
@@ -280,21 +272,23 @@ def test_find_witness_matches_product_order(name, change):
             continue
         for label, build in axioms:
             diff = build(S, DEFAULT_JACOBI_FACTOR.get(profile))
-            if diff.is_zero():
+            w = find_witness(diff)
+            if w is None:
+                assert diff.is_zero(), (profile, label)
                 continue
             bound = diff.order() + 1
-            w = find_witness(diff, bound)
             inputs, residual = product_order_witness(diff, bound)
             assert w.inputs == inputs, (profile, label)
             assert str(w.residual) == str(residual), (profile, label)
+            # a larger bound only appends inputs after the first witness
+            assert product_order_witness(diff, bound + 2)[0] == inputs, (profile, label)
             searched += 1
     assert searched > 0
 
 
 def test_find_witness_rejects_zero_operator():
     zero = st.anchor_morphism_defect_op(witt_line())._like({})
-    with pytest.raises(AssertionError):
-        find_witness(zero, 2)
+    assert find_witness(zero) is None
 
 
 # --- structure data -----------------------------------------------------

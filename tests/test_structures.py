@@ -10,9 +10,9 @@ from algebroid.catalog import (
     witt_line,
 )
 from algebroid.exactmath import Poly, parse_poly
+from algebroid.fileformat import parse_document, serialize_structure
 from algebroid.funmodel import FUNCTION, SECTION, MultiDiffOp, Section, operator_equal
 from algebroid import structures as st
-from algebroid.structures import FunCochain, fun_coboundary_op
 
 
 def rand_poly(rng, base_dim, degree=2):
@@ -51,7 +51,6 @@ def test_op_builders_match_direct_evaluation(name):
 
 def test_jacobiator_requires_skew():
     S = witt_line()
-    unskewed = st.AlgebroidStructure = None  # noqa: F841 - keep namespace clean
     from algebroid.funmodel import AlgebroidStructure, BiDiffOp
 
     S2 = AlgebroidStructure(
@@ -119,24 +118,25 @@ def test_witt_line_pointwise_values():
 
 # --- function-complex cochains ------------------------------------------
 # The coboundary evaluated term by term on concrete functions, in degrees
-# 0-2: the test oracle for `fun_coboundary_op`. The library builds the
-# coboundary only as an operator, and only of degree-0 and degree-1
-# cochains (`FunCochain`); a degree-2 cochain here is a 2-slot operator.
+# 0-2: the test oracle for `d_cocycle_defect_op`. The library builds the
+# coboundary only of D, and only as an operator.
 
 
-class Degree2Cochain:
-    """An element of C^2(F(M), V): a two-slot function-input,
-    section-output operator."""
+class Cochain:
+    """An element of C^k(F(M), V), k <= 2: a Section for k = 0, else a
+    k-slot function-input, section-output operator."""
 
-    degree = 2
-
-    def __init__(self, payload: MultiDiffOp):
-        if payload.slots != (FUNCTION, FUNCTION) or payload.output != SECTION:
+    def __init__(self, payload):
+        if isinstance(payload, Section):
+            self.degree = 0
+        elif payload.slots in ((FUNCTION,), (FUNCTION, FUNCTION)) and payload.output == SECTION:
+            self.degree = len(payload.slots)
+        else:
             raise ValueError("cochain operator has the wrong signature")
         self.payload = payload
 
-    def value(self, a1: Poly, a2: Poly) -> Section:
-        return self.payload.apply(a1, a2)
+    def value(self, *args: Poly) -> Section:
+        return self.payload if self.degree == 0 else self.payload.apply(*args)
 
 
 def fun_coboundary(S, theta, args) -> Section:
@@ -174,37 +174,27 @@ def fun_coboundary(S, theta, args) -> Section:
     return -j1 + j2
 
 
-
-def test_fun_cochain_validation():
-    S = witt_line()
-    with pytest.raises(ValueError):
-        FunCochain(3, S.d_op())
-    with pytest.raises(ValueError):
-        FunCochain(2, S.d_op())  # degree 2 is the tests' Degree2Cochain
-    with pytest.raises(ValueError):
-        FunCochain(0, S.d_op())
-    with pytest.raises(ValueError):
-        FunCochain(1, S.mult_op())  # wrong signature
-    theta = FunCochain(1, S.d_op())
-    with pytest.raises(ValueError):
-        theta.value(parse_poly("x1", 1), parse_poly("x1", 1))
+def witt_line_d_plus_identity():
+    """witt-line with D(f) = f' + f: `[dcochain]` plus the line `0 0 1`.
+    D is no cocycle: its coboundary is -D(1) = -1 on (1, 1)."""
+    text = serialize_structure(witt_line(), "witt-line") + "0 0 1\n"
+    return parse_document(text).structure
 
 
 def test_fun_coboundary_degree0_is_zero():
     S = witt_line()
-    theta = FunCochain(0, Section([parse_poly("x1^2", 1)]))
+    theta = Cochain(Section([parse_poly("x1^2", 1)]))
     assert fun_coboundary(S, theta, [parse_poly("x1", 1)]).is_zero()
-    assert fun_coboundary_op(S, theta).is_zero()
 
 
 def test_fun_coboundary_eval_matches_op():
-    S = witt_line()
     rng = random.Random(13)
-    theta = FunCochain(1, S.d_op())
-    op = fun_coboundary_op(S, theta)
-    for _ in range(6):
-        a, b = rand_poly(rng, 1), rand_poly(rng, 1)
-        assert fun_coboundary(S, theta, [a, b]) == op.apply(a, b)
+    for S in (witt_line(), witt_line_d_plus_identity()):
+        theta = Cochain(S.d_op())
+        op = st.d_cocycle_defect_op(S)
+        for _ in range(6):
+            a, b = rand_poly(rng, 1), rand_poly(rng, 1)
+            assert fun_coboundary(S, theta, [a, b]) == op.apply(a, b)
 
 
 def test_fun_coboundary_degree2():
@@ -217,7 +207,7 @@ def test_fun_coboundary_degree2():
         r, n, (FUNCTION, FUNCTION), SECTION,
         {(0, ((None, (0,)), (None, (1,)))): Poly.constant(n, 1)},
     )
-    theta = Degree2Cochain(theta_op)
+    theta = Cochain(theta_op)
     rng = random.Random(17)
     for _ in range(4):
         a1, a2, a3 = (rand_poly(rng, 1) for _ in range(3))
@@ -242,6 +232,18 @@ def test_d_cocycle_defect_is_fun_coboundary_of_D():
     for name in ("witt-line", "courant-standard-2"):
         S = catalog_get(name).structure
         assert st.d_cocycle_defect_op(S).is_zero(), name
+    assert not st.d_cocycle_defect_op(witt_line_d_plus_identity()).is_zero()
+
+
+def test_d_cocycle_defect_is_a_cocycle():
+    """The oracle's degree-2 coboundary kills the library's coboundary of
+    a D that is no cocycle."""
+    S = witt_line_d_plus_identity()
+    defect = st.d_cocycle_defect_op(S)
+    rng = random.Random(19)
+    for _ in range(4):
+        args = [rand_poly(rng, 1) for _ in range(3)]
+        assert fun_coboundary(S, Cochain(defect), args).is_zero()
 
 
 def test_d_forcing_nonzero_for_nonzero_D():
