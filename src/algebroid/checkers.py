@@ -17,8 +17,9 @@ Profiles:
   nonasym-courant  deltaD, R1 (KV = D of the pairing coboundary),
                  R2 ((fs)s' = f(ss')), R3 (pairing invariance)
 
-The J-versus-D(T) constant is an explicit parameter (jacobi_factor):
-cc defaults to 1, courant to 3.
+The J-versus-D(T) constant is a parameter of check_profile only
+(jacobi_factor): cc defaults to 1, courant to 3. The derived checks
+accept either normalization: their CC gate tries factor 1, then 3.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ DEFAULT_JACOBI_FACTOR = {"cc": 1, "courant": 3}
 
 # requirement -> (test on the structure, what the message says is needed)
 _REQUIREMENTS = {
-    "pairing": (lambda S: S.pairing is not None, "a pairing"),
-    "d": (lambda S: S.d_cochain is not None, "a D cochain"),
+    "pairing": (lambda S: S.has("pairing"), "a pairing"),
+    "d": (lambda S: S.has("D"), "a D cochain"),
     "skew": (lambda S: S.skew, "a multiplication declared skew"),
 }
 
@@ -185,11 +186,6 @@ def check_profile(
         note = f"jacobi_factor={factor}" if build is _jacobi_defect else ""
         report.entries.append(_identity_entry(label, build(S, factor), note))
     return report
-
-
-def _axiom(profile: str, label: str):
-    """The builder of one labelled axiom in the table."""
-    return dict(PROFILE_TABLE[profile][1])[label]
 
 
 def check_all_profiles(S: AlgebroidStructure) -> dict:
@@ -244,35 +240,40 @@ class EquivalenceReport(namedtuple("EquivalenceReport", "a1 a2 a1_witness a2_wit
         )
 
 
-def _cc_gate(S: AlgebroidStructure, jacobi_factor: Optional[int], caller: str):
-    """Require the CC axioms; with no explicit factor, accept either the
-    J = D(T) or the 3J = D(T) normalization."""
-    factors = (jacobi_factor,) if jacobi_factor is not None else (1, 3)
-    last = None
-    for factor in factors:
-        last = check_profile(S, "cc", jacobi_factor=factor)
-        if last.passed:
+def _cc_gate(S: AlgebroidStructure, caller: str):
+    """Require the CC axioms in the J = D(T) or the 3J = D(T)
+    normalization: the paper's "up to a constant factor"."""
+    for factor in (1, 3):
+        report = check_profile(S, "cc", jacobi_factor=factor)
+        if report.passed:
             return
     raise ValueError(
         f"{caller} needs a structure passing the CC axioms; "
-        f"failing: {last.failing_labels()}"
+        f"failing: {report.failing_labels()}"
     )
 
 
-def verify_equivalence_A1_A2(
-    S: AlgebroidStructure, jacobi_factor: Optional[int] = None
-) -> EquivalenceReport:
-    _cc_gate(S, jacobi_factor, "equivalence check")
-    a1, a2 = (
-        _identity_entry(label, _axiom("courant", label)(S, None))
-        for label in ("Ax2", "Ax4")
-    )
+_COURANT_ROWS = dict(PROFILE_TABLE["courant"][1])
+
+
+def _courant_entries(S: AlgebroidStructure, relabel, note: str = "") -> list:
+    """The entries of the courant rows named by `relabel`, pairs (new
+    label, courant label), under their new labels; a failing one carries
+    `note`."""
+    entries = []
+    for label, axiom in relabel:
+        w = find_witness(_COURANT_ROWS[axiom](S, None))
+        entries.append(AxiomEntry(label, w is None, w, "" if w is None else note))
+    return entries
+
+
+def verify_equivalence_A1_A2(S: AlgebroidStructure) -> EquivalenceReport:
+    _cc_gate(S, "equivalence check")
+    a1, a2 = _courant_entries(S, (("A1", "Ax2"), ("A2", "Ax4")))
     return EquivalenceReport(a1.passed, a2.passed, a1.witness, a2.witness)
 
 
-def verify_prop_64(
-    S: AlgebroidStructure, jacobi_factor: Optional[int] = None
-) -> AxiomReport:
+def verify_prop_64(S: AlgebroidStructure) -> AxiomReport:
     """For a CC structure of rank > 3, the three consequences:
     (i) Leibniz with the -<s,s'>D(f) correction, (ii) anchor morphism,
     (iii) rho(D(f)) = 0. All must pass; a failure is escalated in the
@@ -283,20 +284,10 @@ def verify_prop_64(
             "'witt-line' satisfies the CC axioms yet violates all three "
             "consequences, so the derivation needs rank > 3"
         )
-    _cc_gate(S, jacobi_factor, "consequence check")
-    report = AxiomReport("prop-64-consequences")
-    for label, axiom in (("i", "Ax3"), ("ii", "Ax2"), ("iii", "Ax4")):
-        entry = _identity_entry(label, _axiom("courant", axiom)(S, None))
-        if not entry.passed:
-            entry = AxiomEntry(
-                label,
-                False,
-                entry.witness,
-                "theorem-violation diagnostic: a rank>3 CC structure must "
-                "satisfy this identity",
-            )
-        report.entries.append(entry)
-    return report
+    _cc_gate(S, "consequence check")
+    note = "theorem-violation diagnostic: a rank>3 CC structure must satisfy this identity"
+    relabel = (("i", "Ax3"), ("ii", "Ax2"), ("iii", "Ax4"))
+    return AxiomReport("prop-64-consequences", _courant_entries(S, relabel, note))
 
 
 class NonasymReport(
@@ -312,24 +303,12 @@ class NonasymReport(
 
     @property
     def passed(self) -> bool:
-        return all(
-            e.passed
-            for e in (
-                self.leibniz_identity,
-                self.anchor_identity,
-                self.d_forced_zero,
-                self.rho_forced_zero,
-            )
-        )
+        return all(e.passed for e in self.entries)
 
     @property
     def entries(self):
-        return [
-            self.leibniz_identity,
-            self.anchor_identity,
-            self.d_forced_zero,
-            self.rho_forced_zero,
-        ]
+        """The four identity entries: every field after `profile`."""
+        return list(self[1:])
 
 
 def derive_nonasym_consequences(S: AlgebroidStructure) -> NonasymReport:
@@ -347,7 +326,7 @@ def derive_nonasym_consequences(S: AlgebroidStructure) -> NonasymReport:
         raise ValueError("consequence derivation needs a pairing and a D cochain")
     profile = check_profile(S, "nonasym-courant")
 
-    leibniz = _identity_entry("leibniz_identity", _leibniz_defect(S, None))
+    (leibniz,) = _courant_entries(S, (("leibniz_identity", "Ax3"),))
     if S.rank > 2:
         anchor = _identity_entry(
             "anchor_identity", st.anchor_commutator_defect_op(S)

@@ -377,7 +377,7 @@ def _cmd_anomalies(args, out: TextIO) -> int:
         results["J"] = str(jacobiator(S, s, sp, spp))
     results["KV"] = str(kv_anomaly(S, s, sp, spp))
     results["L"] = str(leibniz_anomaly(S, s, f, sp))
-    if S.pairing is not None:
+    if S.has("pairing"):
         if S.skew:
             results["T"] = str(courant_T(S, s, sp, spp))
         results["delta_pairing"] = str(pairing_coboundary(S, s, sp, spp))

@@ -420,7 +420,7 @@ class _PolyParser:
     def parse_integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
@@ -445,7 +445,7 @@ class _PolyParser:
             if not 1 <= index <= self.base_dim:
                 self.error(f"variable x{index} out of range for base_dim {self.base_dim}", start)
             return Poly.variable(self.base_dim, index - 1)
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.parse_integer()
             if self.peek() == "/":
                 self.pos += 1

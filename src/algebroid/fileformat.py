@@ -28,8 +28,8 @@ Finite KV algebra:
     [form]
     i j value                  # symmetric rational form
 
-alpha/beta are comma-separated multi-indices of length base_dim, and a
-[dcochain] alpha has order (entry sum) at most 1; coeff is a polynomial
+alpha/beta are comma-separated multi-indices of length base_dim, each of
+order (entry sum) at most 1 (see Limits); coeff is a polynomial
 in x1..xn; value is a rational literal. Repeated [mult] lines for one
 term add up; any other repeated entry is an error. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
@@ -68,6 +68,13 @@ Limits, each a parse error with its line (and column for a literal):
   capability matrix) took 3.9 s on courant_standard(8) (rank 16, base_dim
   8) and 0.16 s on tangent_lie(8) (same machine). These limits do not
   bound the number of product lines, which the time also grows with.
+- Each [mult] and [dcochain] multi-index has order at most 1, which
+  admits every catalog entry and courant_standard(n) and tangent_lie(n)
+  for n <= 8. The witness search grows with the order: a one-term [mult]
+  of order 10^20 made `check FILE` hang, and at rank 16, base_dim 8, a
+  two-term skew [mult] took 59 s and 608 MB at order 2 against 2.8 s and
+  46 MB at order 1 (same machine). A structure built in code with a
+  higher order serializes, but its file does not read back.
 - A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
   polynomial that holds for each integer (the digits of a constant, a
   denominator, a variable index or an exponent), and for the numerators
@@ -145,8 +152,8 @@ _Section = namedtuple(
 _SECTIONS = {
     "structure": _Section("structure", keys=("name", "base_dim", "rank", "skew")),
     "mult": _Section(
-        "structure", usage="k i j alpha beta coeff", bounds=("rank",) * 3, multi=2, poly=True,
-        adds=True, what="mult component index",
+        "structure", usage="k i j alpha beta coeff", bounds=("rank",) * 3, multi=2, order=1,
+        poly=True, adds=True, what="mult component index",
     ),
     "anchor": _Section(
         "structure", usage="a j coeff", bounds=("base_dim", "rank"), poly=True, noun="anchor",

@@ -22,7 +22,8 @@ canonical operators, for mult, anchor, pairing and D, and nothing else.
 The part names `BiDiffOp`, `AnchorMap`, `Pairing` and `DCochain` are
 constructors: each checks its frame-term input and returns the operator.
 `S.mult`, `S.anchor`, `S.pairing` and `S.d_cochain` are read-only views
-in frame terms, decoded from the operators for the serializer. A frame
+in frame terms, decoded from the operators for the serializer;
+`S.has(part)` tells whether a pairing or D is present without one. A frame
 change (:func:`conjugate`) composes new operators and keeps them as they
 are.
 """
@@ -521,6 +522,8 @@ _SIGNATURES = (
     ("pairing", (SECTION, SECTION), FUNCTION),
     ("D", (FUNCTION,), SECTION),
 )
+# optional part -> the slot that holds its operator, or None
+_OPTIONAL = {"pairing": "_pairing", "D": "_d"}
 
 
 class AlgebroidStructure:
@@ -549,7 +552,7 @@ class AlgebroidStructure:
     ):
         ops = (mult, anchor, pairing, d_cochain)
         for op, (part, slots, output) in zip(ops, _SIGNATURES):
-            if op is None and part in ("pairing", "D"):
+            if op is None and part in _OPTIONAL:
                 continue
             if not isinstance(op, MultiDiffOp):
                 raise ValueError(f"the {part} part must be a MultiDiffOp")
@@ -586,6 +589,11 @@ class AlgebroidStructure:
         if self._d is None:
             raise ValueError("structure has no D cochain")
         return self._d
+
+    def has(self, part: str) -> bool:
+        """Whether the optional part "pairing" or "D" is present, read off
+        its slot without decoding a view."""
+        return getattr(self, _OPTIONAL[part]) is not None
 
     # views in frame terms
     @property

@@ -82,7 +82,7 @@ def leibniz_anomaly(S: AlgebroidStructure, s: Section, f: Poly, sp: Section) -> 
 
 def courant_T(S: AlgebroidStructure, s: Section, sp: Section, spp: Section) -> Poly:
     """Cyclic sum of <[s,s'],s''>; needs a pairing and a skew bracket."""
-    if S.pairing is None:
+    if not S.has("pairing"):
         raise ValueError("courant_T requires a pairing")
     if not S.skew:
         raise ValueError("courant_T requires a skew multiplication")
@@ -96,7 +96,7 @@ def courant_T(S: AlgebroidStructure, s: Section, sp: Section, spp: Section) -> P
 def pairing_coboundary(S: AlgebroidStructure, s: Section, sp: Section, spp: Section) -> Poly:
     """Six-term coboundary of the pairing seen as a scalar 2-cochain on
     sections; each term is computed independently and summed."""
-    if S.pairing is None:
+    if not S.has("pairing"):
         raise ValueError("pairing_coboundary requires a pairing")
     t1 = -apply_anchor(S, s, pairing_value(S, sp, spp))
     t2 = pairing_value(S, apply_mult(S, s, sp), spp)

@@ -8,8 +8,11 @@ section with its own branch and checked index ranges after the last line;
 `was` is that parser's (exit code, stderr). Those entries are the intended
 changes: the first error in line order, header keys outside the kind's
 list, repeated sections, keys that come after the data lines that read
-them, and a [dcochain] term of order above 1, which exited 3. Every
-other entry gives that parser's output byte for byte.
+them, and a [dcochain] term of order above 1, which exited 3. Two later
+changes are marked the same way: a [mult] multi-index of order above 1,
+which was read (and could make `check` hang), and a superscript digit in
+a polynomial, which exited 3. Every other entry gives that parser's
+output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -157,6 +160,17 @@ FORMAT_CORPUS = (
          2, "error: line 6: multi-index '2' has order 2, expected at most 1\n",
          was=(3, "internal error: ValueError: D components must be differential operators "
                  "of order <= 1\n")),
+    Case("mult-order-2", witt("0 0 0 0 1 1", "0 0 0 0 2 1"),
+         2, "error: line 7: multi-index '2' has order 2, expected at most 1\n",
+         was=(0, "")),
+    Case("mult-order-10-to-20",
+         lines("[structure]", "base_dim 1", "rank 1", "[mult]", "0 0 0 99999999999999999999 0 1"),
+         2, "error: line 5: multi-index '99999999999999999999' has order 99999999999999999999, "
+            "expected at most 1\n",
+         was=(0, "")),
+    Case("mult-superscript-digit", witt("0 0 0 0 1 1", "0 0 0 0 1 ²"),
+         2, "error: line 7, column 11: bad polynomial: expected polynomial atom\n",
+         was=(3, "internal error: ValueError: invalid literal for int() with base 10: '²'\n")),
     Case("mult-bad-polynomial", witt("0 0 0 0 1 1", "0 0 0 0 1 x1 + * 2"),
          2, "error: line 7, column 16: bad polynomial: expected polynomial atom\n"),
     Case("mult-variable-out-of-range", witt("0 0 0 0 1 1", "  0 0 0 0 1   x2"),

@@ -208,6 +208,11 @@ def test_anomalies_argument_errors_name_the_argument_and_column():
          "variable x2 out of range for base_dim 1"),
         (["1,0", "x1,0", "0,1", "--function", "x1^2 + 1/0"],
          "--function, column 10: bad polynomial: zero denominator"),
+        # a superscript digit is no decimal digit (it exited 3)
+        (["1,²", "x1,0", "0,1"], "section 1, column 3: bad polynomial: "
+         "expected polynomial atom"),
+        (["1,0", "x1,0", "0,1", "--function", "x1^²"],
+         "--function, column 4: bad polynomial: expected integer"),
     )
     for args, message in cases:
         code, out, err = invoke("anomalies", "--catalog", "courant-standard-1", *args)
@@ -421,14 +426,23 @@ def test_kv_dim_over_limit_exits_2(tmp_path):
 
 def test_structure_limits_exit_2(tmp_path):
     """A rank over the limit exits 2 at once, before the parser builds one
-    anchor entry per unit of rank."""
+    anchor entry per unit of rank, and a [mult] multi-index of order above
+    1 before `check` searches inputs up to that order (it hung)."""
+    cases = (
+        ("[structure]\nbase_dim 1\nrank 200000\nskew false\n",
+         "line 3: rank 200000 exceeds the limit 16"),
+        ("[structure]\nbase_dim 1\nrank 1\n[mult]\n0 0 0 99999999999999999999 0 1\n",
+         "line 5: multi-index '99999999999999999999' has order 99999999999999999999, "
+         "expected at most 1"),
+    )
     big = tmp_path / "big.alg"
-    big.write_text("[structure]\nbase_dim 1\nrank 200000\nskew false\n")
-    for argv in (["export", str(big)], ["check", str(big)]):
-        start = time.perf_counter()
-        code, out, err = invoke(*argv)
-        assert time.perf_counter() - start < 1
-        assert (code, out, err) == (2, "", "error: line 3: rank 200000 exceeds the limit 16\n")
+    for text, message in cases:
+        big.write_text(text)
+        for argv in (["export", str(big)], ["check", str(big)]):
+            start = time.perf_counter()
+            code, out, err = invoke(*argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_non_utf8_file_exits_2(tmp_path):
