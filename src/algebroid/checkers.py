@@ -19,7 +19,8 @@ Profiles:
 
 The J-versus-D(T) constant is a parameter of check_profile only
 (jacobi_factor): cc defaults to 1, courant to 3. The derived checks
-accept either normalization: their CC gate tries factor 1, then 3.
+accept either normalization: their CC gate passes a structure that
+passes cc at factor 1 or at factor 3, and builds J and D(T) once.
 """
 
 from __future__ import annotations
@@ -99,9 +100,16 @@ def _identity_entry(label: str, diff: MultiDiffOp, note: str = "") -> AxiomEntry
 # call time, so each operator is built through its *_op entry point.
 
 
-def _jacobi_defect(S: AlgebroidStructure, factor: int) -> MultiDiffOp:
-    """factor * J - D(T); slots (s, s', s'')."""
-    return st.jacobiator_op(S).scale(factor) - S.d_op().compose(0, st.courant_T_op(S))
+def _jacobi_parts(S: AlgebroidStructure) -> tuple:
+    """(J, D(T)), the two operators of r1 and Ax1; slots (s, s', s'')."""
+    return st.jacobiator_op(S), S.d_op().compose(0, st.courant_T_op(S))
+
+
+def _jacobi_defect(S: AlgebroidStructure, factor: int, parts=None) -> MultiDiffOp:
+    """factor * J - D(T); slots (s, s', s''). `parts` is (J, D(T)) when
+    they are built already."""
+    J, DT = parts or _jacobi_parts(S)
+    return J.scale(factor) - DT
 
 
 def _leibniz_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
@@ -242,14 +250,26 @@ class EquivalenceReport(namedtuple("EquivalenceReport", "a1 a2 a1_witness a2_wit
 
 def _cc_gate(S: AlgebroidStructure, caller: str):
     """Require the CC axioms in the J = D(T) or the 3J = D(T)
-    normalization: the paper's "up to a constant factor"."""
-    for factor in (1, 3):
-        report = check_profile(S, "cc", jacobi_factor=factor)
-        if report.passed:
-            return
+    normalization: the paper's "up to a constant factor". Only r1 depends
+    on the factor, so every row is decided once at factor 3, from one J
+    and one D(T), and r1 again at factor 1 only if it alone fails there.
+    Factor 3 comes first because every known structure with J != 0 passes
+    r1 there, and only a failing decision searches for a witness. A
+    failure names the rows that fail at factor 3."""
+    reason = missing_requirement(S, "cc")
+    if reason is not None:
+        raise ValueError(reason)
+    parts = _jacobi_parts(S)
+
+    def fails(build, factor):
+        defect = _jacobi_defect(S, factor, parts) if build is _jacobi_defect else build(S, factor)
+        return find_witness(defect) is not None
+
+    failing = [label for label, build in PROFILE_TABLE["cc"][1] if fails(build, 3)]
+    if not failing or failing == ["r1"] and not fails(_jacobi_defect, 1):
+        return
     raise ValueError(
-        f"{caller} needs a structure passing the CC axioms; "
-        f"failing: {report.failing_labels()}"
+        f"{caller} needs a structure passing the CC axioms; failing: {failing}"
     )
 
 

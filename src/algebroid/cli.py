@@ -11,17 +11,21 @@ table `_VERBS` (verb -> help, add_arguments, handler): 1 parser, or 3 for
 `catalog` with its `list` and `show`. That parser is the verb's subparser
 in the whole grammar, so its help, usage and errors are the same. Any
 other argv (empty, `-h`, an unknown verb, an option before the verb)
-parses with the whole grammar, `build_parser()`, 8 parsers. One verb's
-parser takes about 0.26 ms to build and parses in about 0.05 ms; the whole
-grammar takes about 1 ms and a two-level parse about 0.09 ms, against
-about 0.3 ms of work in a finite-KV `cohomology` call. No parser is cached
-(ROADMAP item 2 has the measurements). Only the first two paragraphs of
-this docstring are the `--help` description.
+parses with the whole grammar, `build_parser()`, 8 parsers. Every parser
+wraps help at a fixed 78 columns, what argparse picks with no terminal and
+no COLUMNS, so help bytes do not depend on either and building a parser
+asks for no terminal size. The `cohomology` parser takes about 0.15 ms
+to build and parses in about 0.05 ms; the whole grammar takes about 1 ms
+and a two-level parse about 0.09 ms, against about 0.3 ms of work in a
+finite-KV `cohomology` call. No parser is cached (ROADMAP item 2 has the
+measurements). Only the first two paragraphs of this docstring are the
+`--help` description.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -74,9 +78,17 @@ class _HelpRequested(Exception):
     """`-h` was given; the argument is the help text `run` writes to `out`."""
 
 
+# argparse's width with no terminal and no COLUMNS (80 - 2); a fixed width
+# keeps help bytes off the terminal and parser builds off its size probe
+_HelpFormatter = functools.partial(argparse.HelpFormatter, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of printing and calling sys.exit, so
     help goes to `run`'s `out` and errors map to exit code 2 uniformly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -353,8 +365,8 @@ def _parse_section(text: str, rank: int, base_dim: int, what: str) -> Section:
 
 
 def _cmd_anomalies(args, out: TextIO) -> int:
-    if args.catalog and args.file:
-        # with --catalog, every positional is a section input
+    if args.catalog and args.file is not None:
+        # with --catalog, every positional is a section input, "" too
         args.sections = [args.file] + args.sections
         args.file = None
     doc = _load(args)

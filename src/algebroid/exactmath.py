@@ -341,7 +341,8 @@ class _PolyParser:
     def parse_sum(self) -> Poly:
         ch = self.peek()
         negate = False
-        if ch in "+-":
+        # `ch in "+-"` would also take "", the end of input
+        if ch == "+" or ch == "-":
             negate = ch == "-"
             self.pos += 1
         p = self.parse_product()

@@ -8,11 +8,12 @@ section with its own branch and checked index ranges after the last line;
 `was` is that parser's (exit code, stderr). Those entries are the intended
 changes: the first error in line order, header keys outside the kind's
 list, repeated sections, keys that come after the data lines that read
-them, and a [dcochain] term of order above 1, which exited 3. Two later
+them, and a [dcochain] term of order above 1, which exited 3. Three later
 changes are marked the same way: a [mult] multi-index of order above 1,
-which was read (and could make `check` hang), and a superscript digit in
-a polynomial, which exited 3. Every other entry gives that parser's
-output byte for byte.
+which was read (and could make `check` hang), a superscript digit in a
+polynomial, which exited 3, and the end of a polynomial, which was read
+as a sign, so its error column was one too far. Every other entry gives
+that parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -195,6 +196,10 @@ FORMAT_CORPUS = (
          2, "error: line 10: anchor index out of range: -1 0\n"),
     Case("anchor-bad-polynomial", witt("0 0 2*x1", "\t0  0 2*x1)"),
          2, "error: line 10, column 11: bad polynomial: unexpected character ')'\n"),
+    Case("anchor-open-parenthesis",
+         lines("[structure]", "base_dim 1", "rank 1", "skew true", "[anchor]", "0 0 ("),
+         2, "error: line 6, column 6: bad polynomial: expected polynomial atom\n",
+         was=(2, "error: line 6, column 7: bad polynomial: expected polynomial atom\n")),
     # [pairing]
     Case("pairing-short", witt("[pairing]\n0 0 1", "[pairing]\n0 0"),
          2, "error: line 12: expected: i j coeff\n"),

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import io
 import json
+import shutil
 import time
 
 import pytest
@@ -213,12 +215,21 @@ def test_anomalies_argument_errors_name_the_argument_and_column():
          "expected polynomial atom"),
         (["1,0", "x1,0", "0,1", "--function", "x1^²"],
          "--function, column 4: bad polynomial: expected integer"),
+        # the end of a component is no sign (these gave one column more)
+        (["1,(", "x1,0", "0,1"], "section 1, column 4: bad polynomial: "
+         "expected polynomial atom"),
+        (["1,", "x1,0", "0,1"], "section 1, column 3: bad polynomial: "
+         "expected polynomial atom"),
     )
     for args, message in cases:
         code, out, err = invoke("anomalies", "--catalog", "courant-standard-1", *args)
         assert (code, out, err) == (2, "", f"error: {message}\n")
     code, _, err = invoke("anomalies", "--catalog", "courant-standard-1", "1,0", "1", "0,1")
     assert (code, err) == (2, "error: section 2 '1' has 1 components, expected 2\n")
+    # with --catalog an empty first positional is section 1, not dropped
+    assert invoke("anomalies", "--catalog", "witt-line", "", "1", "1") == (
+        2, "", "error: section 1, column 1: bad polynomial: expected polynomial atom\n"
+    )
 
 
 def test_term_limit_exits_2(tmp_path):
@@ -568,6 +579,52 @@ def test_help_is_written_to_out_and_returns_0():
         expected = _subparser(build_parser(), *path).format_help()
         for flag in ("--help", "-h"):
             assert invoke(*path, flag) == (0, expected, ""), path
+
+
+# sha256 of each HELP_PATHS help text, recorded with COLUMNS unset and
+# stdout not a terminal, where argparse wrapped at 80 - 2 = 78 columns
+HELP_SHA256 = {
+    (): "6130133b1279c9a77ed04a3cc9b7796a604bda4889045627303e07d1604d89a1",
+    ("check",): "6582274c8d99daeac056673432530c6865fc11d55800470f700530fccec51bcd",
+    ("anomalies",): "9da15f7c411fc1d36567e83166e1d2ac3e440a17080722d70a94f0113e1dc1ca",
+    ("cohomology",): "f5e13923ba021ad1a0a2be4238895ba317cd259b7f7dab6076d69ac9a4395361",
+    ("catalog",): "bb73ee6e40241d80255b91d36a6a5c90f6bbc2901214e56f180fef0ab4b659b9",
+    ("catalog", "list"): "934aacce27b044ae7791d9faaf0c7dbf7c6b5e922f250f4ad888368872a5ad49",
+    ("catalog", "show"): "adc949fdcf544f97a6542fecfb06113d42848e6cd6ca56ffc89285e54d48af0d",
+    ("export",): "0071317a9d64091c411889569a3fbc87a991212dd62880421d4a357824ad64f1",
+}
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+def test_help_bytes_do_not_depend_on_columns(monkeypatch, capsys, columns):
+    """Help is wrapped at 78 columns whatever COLUMNS or the terminal says,
+    through `run` and through `main`."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for path, digest in HELP_SHA256.items():
+        code, out, err = invoke(*path, "--help")
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, ""), path
+        assert main([*path, "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out and captured.err == "", path
+
+
+def test_parsers_never_ask_for_the_terminal_size(monkeypatch):
+    """Building any parser, and asking any of them for help, reads no
+    terminal size."""
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("shutil.get_terminal_size called")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", no_probe)
+    for name, (_, add_arguments, _) in cli._VERBS.items():
+        add_arguments(cli._Parser(prog="algebroid " + name))
+    parser = build_parser()
+    for path in HELP_PATHS:
+        assert _subparser(parser, *path).format_help()
+        assert invoke(*path, "--help")[0] == 0
 
 
 def test_main_writes_help_to_stdout(capsys):

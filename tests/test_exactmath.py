@@ -369,6 +369,11 @@ def test_parse_errors_carry_position():
         ("x1 + 3*x12", 2, 7, "variable x12 out of range for base_dim 2"),
         ("1/0", 1, 2, "zero denominator"),
         ("x1 - 2/ 00", 1, 8, "zero denominator"),
+        # the end of input is no sign: the error is at the end, not past it
+        ("", 1, 0, "expected polynomial atom"),
+        ("  ", 1, 2, "expected polynomial atom"),
+        ("(", 1, 1, "expected polynomial atom"),
+        ("x1 + (", 1, 6, "expected polynomial atom"),
     )
     for text, base_dim, position, message in cases:
         with pytest.raises(PolyParseError) as exc:
