@@ -180,11 +180,14 @@ def _catalog_arguments(p):
 
 
 def _load(args) -> ParsedDocument:
-    if getattr(args, "catalog", None) and getattr(args, "file", None):
+    # "" counts as given: it names no catalog entry and no file, and fails
+    # as such instead of reading as absent
+    catalog, file = getattr(args, "catalog", None), getattr(args, "file", None)
+    if catalog is not None and file is not None:
         raise UsageError("give either a file or --catalog, not both")
-    if getattr(args, "catalog", None):
+    if catalog is not None:
         try:
-            entry = catalog_get(args.catalog)
+            entry = catalog_get(catalog)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from None
         if entry.kind == "function-model":
@@ -192,10 +195,10 @@ def _load(args) -> ParsedDocument:
         return ParsedDocument(
             "kvalgebra", entry.name, algebra=entry.algebra, form=entry.form
         )
-    if getattr(args, "file", None):
+    if file is not None:
         # decode the whole file at once, so a decode error's offset is the
         # file's; `parse_document` splits lines as text mode would
-        with open(args.file, "rb") as fh:
+        with open(file, "rb") as fh:
             data = fh.read()
         try:
             text = data.decode("utf-8")
@@ -203,7 +206,7 @@ def _load(args) -> ParsedDocument:
             # the bytes before the bad one decode; count lines as the parser does
             line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
             raise UsageError(
-                f"{args.file}: not UTF-8 at byte offset {exc.start} (line {line}): "
+                f"{file}: not UTF-8 at byte offset {exc.start} (line {line}): "
                 f"{exc.reason}"
             ) from None
         return parse_document(text)
@@ -365,7 +368,7 @@ def _parse_section(text: str, rank: int, base_dim: int, what: str) -> Section:
 
 
 def _cmd_anomalies(args, out: TextIO) -> int:
-    if args.catalog and args.file is not None:
+    if args.catalog is not None and args.file is not None:
         # with --catalog, every positional is a section input, "" too
         args.sections = [args.file] + args.sections
         args.file = None

@@ -5,14 +5,14 @@ Everything in this module is exact: a polynomial is a sparse map from
 exponent multi-indices to nonzero integer numerators over one positive
 common denominator per polynomial (arbitrary-precision Python ints, in
 lowest terms), and scalars and results are `fractions.Fraction`. The
-linear algebra runs on integers: a matrix's rows are cleared of their
-denominators first (a row that holds only nonzero ints is taken as it
-is). There is one dense elimination core, the fraction-free Bareiss
-elimination `bareiss` (Math. Comp. 22, 1968), behind determinants,
-leading principal minors and `solve_linear`, and one sparse rank,
-`sparse_rank`, for the large, mostly zero coboundary matrices; it drops
-empty rows and eliminates the transpose of a matrix whose nonempty rows
-outnumber its columns. Only `poly_matrix_inverse` and `poly_matrix_det`
+linear algebra runs on integers. One sparse elimination, `echelon`,
+reduces rows of nonzero ints {column: value} to row echelon form; it is
+behind every rank and solve: `sparse_rank` clears each row of its
+denominators and ranks it, `solve_linear` eliminates the augmented rows
+and solves back from the pivot rows, and the finite-KV coboundaries reach
+it as integer rows already. The dense fraction-free Bareiss elimination
+`bareiss` (Math. Comp. 22, 1968) is kept for determinants and leading
+principal minors. Only `poly_matrix_inverse` and `poly_matrix_det`
 work on polynomial entries, both over one table of minors memoised by
 Laplace expansion, because Bareiss on `Poly` entries would need exact
 multivariate division. The inverse, the adjugate over those minors,
@@ -466,41 +466,28 @@ def parse_poly(text: str, base_dim: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra on integers: the sparse rank, and one dense
-# fraction-free (Bareiss) elimination for determinants, solves and inverses.
+# Exact rational linear algebra on integers: one sparse elimination for rank
+# and solve, and the dense fraction-free (Bareiss) elimination for
+# determinants and leading minors.
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(m: Sequence[Sequence]) -> list:
-    """The rows of m as lists of ints, each row multiplied by the least
-    common denominator of its entries (which changes no row space)."""
-    out = []
-    for row in m:
-        den = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (den // v.denominator) for v in row])
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
-def bareiss(m: list, width: int, reduce: bool = False):
-    """Fraction-free elimination of the integer rows m, in place, over
-    their first `width` columns (Bareiss, "Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).
+def bareiss(m: list, width: int):
+    """Fraction-free elimination of the integer rows m to row echelon form,
+    in place, over their first `width` columns (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968).
 
     Columns are taken left to right. Row r keeps its place as the pivot
     row of a column when its entry there is nonzero, otherwise the first
-    later row with a nonzero entry is exchanged into place. Each other row
+    later row with a nonzero entry is exchanged into place. Each row below
     is updated as row := (p*row - f*pivot_row) / p_prev, p the new pivot,
     f the row's entry in the pivot column and p_prev the previous pivot;
-    the division is exact, because every entry stays a minor of m. Without
-    `reduce` only the rows below the pivot are updated (row echelon form):
-    before the first exchange or skipped column the pivot of step s is the
+    the division is exact, because every entry stays a minor of m. Before
+    the first exchange or skipped column the pivot of step s is the
     leading principal minor of order s + 1, and on a square matrix of full
     rank the last pivot is the determinant up to the sign of the
-    exchanges. With `reduce` the rows above are updated too
-    (Gauss-Jordan), and every pivot entry ends equal to the last pivot.
+    exchanges.
 
     Returns (pivot columns, the steps at which rows were exchanged, the
     last pivot or 1 if there is none).
@@ -520,9 +507,7 @@ def bareiss(m: list, width: int, reduce: bool = False):
             exchanges.append(r)
         pivot_row = m[r]
         piv = pivot_row[c]
-        for i in range(0 if reduce else r + 1, rows):
-            if i == r:
-                continue
+        for i in range(r + 1, rows):
             row = m[i]
             f = row[c]
             if f:
@@ -545,63 +530,35 @@ def integer_det(m: Sequence[Sequence[int]]) -> int:
     return -last if len(exchanges) % 2 else last
 
 
-_INT = frozenset((int,))
+def echelon(rows: Iterable[dict]) -> dict:
+    """The one sparse elimination: row echelon form of rows of nonzero
+    ints {column: value}, as {leading column: pivot row}; its size is the
+    rank.
 
-
-def sparse_rank(rows: Iterable[dict]) -> int:
-    """Exact rank of a matrix given as sparse rows {column: value}.
-
-    Values may be ints or Fractions. Empty rows are dropped; a row of
-    nonzero ints is taken as it is, and any other row is cleared of its
-    denominators and zero values, so the elimination runs on Python ints
-    only. When the nonempty rows outnumber their distinct columns, the
-    transpose is eliminated instead, its rows in column order (rank M =
-    rank M^T): each of its fewer, longer rows is reduced once, where the
-    tall matrix would reduce most of its rows to zero. A row is reduced
-    on its leading column against the pivot rows kept so far, by the
-    fraction-free update row := p*row - f*pivot (p and f the two leading
-    entries over their gcd), until it is zero or opens a new pivot column.
-    A new pivot row, and a row after an update that scaled it (p != 1), is
-    divided by the gcd of its entries, which keeps the integers at the
-    size of the reduced rows on dense input. Only nonzero entries are
-    stored, so the work follows the nonzeros. The input rows are not
-    modified.
+    Each row is reduced on its leading (least) column against the pivot
+    row kept for that column, by the fraction-free update row := p*row -
+    f*pivot (p and f the two leading entries over their gcd), until it is
+    zero or opens a new pivot column. A pivot row is primitive, with a
+    positive leading entry, and holds no column left of its leading one; a
+    row after an update that scaled it (p != 1) is divided by the gcd of
+    its entries too, which keeps the integers at the size of the reduced
+    rows on dense input. Only nonzero entries are stored, so the work
+    follows the nonzeros. The rows are reduced in place: callers pass rows
+    they own.
     """
-    work, columns = [], set()
+    pivots = {}
     for row in rows:
-        if not row:
-            continue
-        values = row.values()
-        if 0 in values or not _INT.issuperset(map(type, values)):
-            den = lcm(*(v.denominator for v in values if v))
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-            if not row:
-                continue
-        work.append(row)
-        columns.update(row)
-    if len(columns) < len(work):
-        transpose = {}
-        for r, row in enumerate(work):
-            for c, v in row.items():
-                column = transpose.get(c)
-                if column is None:
-                    transpose[c] = {r: v}
-                else:
-                    column[r] = v
-        work = [column for _, column in sorted(transpose.items())]
-    else:
-        work = [dict(row) for row in work]  # reduced in place below
-    pivots = {}  # leading column -> primitive integer row
-    for row in work:
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
                 pivots[lead] = {c: v // g for c, v in row.items()} if g != 1 else row
                 break
             p, f = pivot[lead], row[lead]
-            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            g = gcd(p, f)
             p, f = p // g, f // g
             if p != 1:
                 row = {c: v * p for c, v in row.items()}
@@ -610,39 +567,59 @@ def sparse_rank(rows: Iterable[dict]) -> int:
                 if x:
                     row[c] = x
                 else:
-                    row.pop(c, None)
+                    del row[c]
             if p != 1 and row:
                 g = gcd(*row.values())
                 if g != 1:
                     row = {c: v // g for c, v in row.items()}
-    return len(pivots)
+    return pivots
+
+
+def _cleared(row: dict) -> dict:
+    """A new row of the nonzero values of row, ints or Fractions, times the
+    least common denominator of the row (which changes no row space)."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def sparse_rank(rows: Iterable[dict]) -> int:
+    """Exact rank of a matrix given as sparse rows {column: value}: each
+    row, of ints or Fractions, is cleared of its denominators and zero
+    values into a new row, then `echelon`. The input rows are not
+    modified."""
+    return len(echelon(map(_cleared, rows)))
 
 
 def rank(m: Sequence[Sequence]) -> int:
     return sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
 
 
-def solve_linear(m: Sequence[Sequence], b: Sequence) -> Optional[list]:
+def solve_linear(m: Sequence, b: Sequence, width: Optional[int] = None) -> Optional[list]:
     """Solve m.x = b exactly; returns a solution vector or None when the
     system is infeasible. Dimension mismatch raises ValueError.
 
-    The solution is the reduced row echelon one: every free (non-pivot)
-    column gets 0. Entries may be ints or Fractions; the augmented rows
-    are cleared of denominators and eliminated fraction-free by
-    `bareiss`, so x[pivot column] = (row's last entry) / (last pivot).
+    The rows of m are sequences of one length, or, when `width` is given,
+    sparse rows {column: value} over columns 0..width-1. Entries may be
+    ints or Fractions. The solution is the reduced row echelon one: every
+    free (non-pivot) column gets 0. The augmented rows, b at column width,
+    go through `echelon`; a pivot at column width means no solution, and
+    otherwise x is solved from the pivot rows, last pivot column first.
     """
     if len(b) != len(m):
         raise ValueError("right-hand side length != number of rows")
-    if not m:
-        return []
-    cols = len(m[0])
-    aug = _integer_rows([[*row, v] for row, v in zip(m, b)])
-    pivots, _, last = bareiss(aug, cols, reduce=True)
-    if any(row[cols] for row in aug[len(pivots):]):
-        return None  # a pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(aug[r][cols], last)
+    if width is None:
+        width = len(m[0]) if m else 0
+        if any(len(row) != width for row in m):
+            raise ValueError("ragged matrix")
+        m = [dict(enumerate(row)) for row in m]
+    pivots = echelon([_cleared({**row, width: v}) for row, v in zip(m, b) if row or v])
+    if width in pivots:
+        return None  # a row 0 = nonzero: inconsistent
+    x = [Fraction(0)] * width
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        rest = sum(v * x[j] for j, v in row.items() if j != c and j != width)
+        x[c] = Fraction(row.get(width, 0) - rest, row[c])
     return x
 
 

@@ -73,8 +73,9 @@ Limits, each a parse error with its line (and column for a literal):
   for n <= 8. The witness search grows with the order: a one-term [mult]
   of order 10^20 made `check FILE` hang, and at rank 16, base_dim 8, a
   two-term skew [mult] took 59 s and 608 MB at order 2 against 2.8 s and
-  46 MB at order 1 (same machine). A structure built in code with a
-  higher order serializes, but its file does not read back.
+  46 MB at order 1 (same machine). A structure built in code may have a
+  higher order, but `serialize_structure` refuses it with a ValueError
+  that names the term, since its file would not read back.
 - A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
   polynomial that holds for each integer (the digits of a constant, a
   denominator, a variable index or an exponent), and for the numerators
@@ -453,8 +454,17 @@ def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
     lines.append(f"skew {'true' if mult.skew else 'false'}")
     if mult.terms:
         lines.append("[mult]")
+        limit = _SECTIONS["mult"].order
         for (k, i, j, alpha, beta), coeff in mult.terms:
-            lines.append(f"{k} {i} {j} {_fmt_idx(alpha)} {_fmt_idx(beta)} {coeff}")
+            term = f"{k} {i} {j} {_fmt_idx(alpha)} {_fmt_idx(beta)}"
+            order = max(sum(alpha), sum(beta))
+            if order > limit:
+                # the file would not read back
+                raise ValueError(
+                    f"[mult] term {term} has a multi-index of order {order}; "
+                    f"a file holds order at most {limit}"
+                )
+            lines.append(f"{term} {coeff}")
     anchor_lines = []
     for a in range(S.base_dim):
         for j in range(S.rank):

@@ -35,17 +35,18 @@ of them off the table of the product nu.
 
 A cochain is one list of Fractions in `flatten` order (basis tuples in
 lexicographic order, each with its coefficients in the module's basis).
-The coboundary is written once, in `coboundary_rows`, over the module's
+The coboundary is written once, in `_coboundary`, over the module's
 tables: on basis inputs every term is one action entry or constant, so
-each nonzero one is scattered into the rows of the coboundary matrix it
-reaches, as sparse integer rows {column: num} over that order; the
-coboundary is those rows divided by A.den. The work follows the nonzero
-constants, not the d^{k+1} basis tuples, and the matrices are mostly zero:
-the degree-2 self matrix of a 5-dimensional algebra is 625 x 125 with
-under 1% nonzeros. `fin_coboundary` multiplies these rows by a cochain's
-list and `cohomology_summary` ranks them with the fraction-free
-`exactmath.sparse_rank`, which drops the empty rows and, since most of
-these matrices are taller than wide, eliminates the transpose.
+each nonzero one is scattered into the entries of the coboundary matrix
+it reaches, integer numerators over A.den in that order. The work follows
+the nonzero constants, not the d^{k+1} basis tuples, and the matrices are
+mostly zero: the degree-2 self matrix of a 5-dimensional algebra is
+625 x 125 with under 1% nonzeros. The entries come out as sparse integer
+rows {column: num} (`coboundary_rows`), which `fin_coboundary` multiplies
+by a cochain's list, or as columns {row: num}: the matrices are taller
+than wide, so `cohomology_summary` ranks the columns, the fewer vectors,
+and hands them to `exactmath.echelon`, the one sparse elimination, as
+they are built, with no transpose and no type scan.
 
 A form beta is checked through one residual table,
 R(i, j, k) = beta(e_i e_j, e_k) + beta(e_j, e_i e_k). In the convention
@@ -57,8 +58,9 @@ from one fraction-free Bareiss pass over the form's numerators
 (`exactmath.bareiss`): its pivots are the leading principal minors m_k, so
 beta is positive definite iff every m_k > 0, negative definite iff every
 (-1)^k m_k > 0, and the pass goes on with row exchanges past a zero minor
-to the determinant. Exactness solves the trivial coboundary's integer rows
-C^1 -> C^2 against beta's numerators the same way (`exactmath.solve_linear`).
+to the determinant. Exactness solves the trivial coboundary's sparse
+integer rows C^1 -> C^2 against beta's numerators with
+`exactmath.solve_linear`, on the elimination the ranks use.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import Rational, bareiss, integer_det, solve_linear, sparse_rank
+from .exactmath import Rational, bareiss, echelon, integer_det, solve_linear
 
 COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
@@ -415,7 +417,15 @@ def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
 
 def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     """The coboundary C^k -> C^{k+1} as sparse integer rows {column: num}:
-    the coboundary is these rows divided by A.den.
+    the coboundary is these rows divided by A.den. Rows and columns follow
+    `FinCochain.flatten` order (`_coboundary`)."""
+    return _coboundary(A, coefficients, k, False)
+
+
+def _coboundary(A: FinKVAlgebra, coefficients: str, k: int, by_column: bool) -> list:
+    """The nonzero integer entries of A.den times the coboundary C^k ->
+    C^{k+1}: one dict per row, {column: num}, or with `by_column` one per
+    column, {row: num}, the orientation `cohomology_summary` eliminates.
 
     Rows and columns follow `FinCochain.flatten` order over the module's
     basis m_0..m_{w-1} (`_module`). Row (i_1..i_{k+1}, m) collects, for
@@ -424,10 +434,12 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     -c[i_j][rest[t]][a] at (rest with a in slot t, m); and the trailing
     right action m_o e_{i_{k+1}} -> m_m at (rest[:-1] + (i_j,), o).
 
-    Each term is one action entry or constant, so the rows are filled by
-    scattering every nonzero one into the rows it reaches; the trivial
-    module's empty tables reach none, and the rows nothing reaches stay
-    empty.
+    Each term is one action entry or constant, so every nonzero one is
+    scattered into the entries it reaches, summed in one flat table keyed
+    row * per_row + column * per_column: by row (columns, 1), by column
+    (1, rows). The table is then split into the dicts of its outer index.
+    The trivial module's empty tables reach none, and the rows or columns
+    nothing reaches stay empty.
     """
     if k > 2:
         raise ValueError("coboundary implemented for degree <= 2")
@@ -436,16 +448,10 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
         (p, q, r, v) for p, plane in enumerate(A.nz) for q, row in enumerate(plane) for r, v in row
     ]
     w, left, right = _module(coefficients, d, constants)
-    rows = [{} for _ in range(d ** (k + 1) * w)]
-
-    def add(row, column, v):
-        out = rows[row]
-        x = out.get(column, 0) + v
-        if x:
-            out[column] = x
-        else:
-            del out[column]
-
+    width, height = d**k * w, d ** (k + 1) * w
+    per_row, per_column = (1, height) if by_column else (width, 1)
+    table = {}
+    get = table.get
     # a tuple rest of k indices is its flat number; for_slot[t][q] lists
     # those with rest[t] == q
     for_slot = [[[] for _ in range(d)] for _ in range(k)]
@@ -454,40 +460,59 @@ def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
             for_slot[t][q].append(n)
     for j in range(1, k + 1):
         sign = -1 if j % 2 else 1
-        # the flat number of (rest with s_j inserted before its slot j - 1)
-        # is at[rest] + s_j * step
+        # row (rest with s_j inserted before its slot j - 1, m) and column
+        # (rest, o) have the key base[rest] + (s_j * step * w + m) * per_row
+        # + o * per_column
         step = d ** (k - j + 1)
-        at = [(n // step) * step * d + n % step for n in range(d**k)]
+        base = [
+            ((n // step) * step * d + n % step) * w * per_row + n * w * per_column
+            for n in range(d**k)
+        ]
         # the left action s_j Theta(rest), s_j = e_p and Theta(rest) = m_q
         for p, q, r, v in left:
-            for n in range(d**k):
-                add((at[n] + p * step) * w + r, n * w + q, sign * v)
+            x, off = sign * v, (p * step * w + r) * per_row + q * per_column
+            for at in base:
+                key = at + off
+                table[key] = get(key, 0) + x
         # the trailing term Theta(rest[:-1], s_j) e_q with rest[-1] = q and
         # Theta(..) = m_p
+        hops = [sj * (step * per_row + per_column) * w for sj in range(d)]
         for p, q, r, v in right:
+            x, off = sign * v, r * per_row + (p - q * w) * per_column
             for n in for_slot[k - 1][q]:
-                for sj in range(d):
-                    add((at[n] + sj * step) * w + r, (n - q + sj) * w + p, sign * v)
+                at = base[n] + off
+                for hop in hops:
+                    key = at + hop
+                    table[key] = get(key, 0) + x
         # minus Theta(.., s_j rest[t], ..) with s_j = e_p and rest[t] = q
+        diagonal = [m * (per_row + per_column) for m in range(w)]
         for p, q, r, v in constants:
+            x = -sign * v
             for t in range(k):
-                shift = (r - q) * d ** (k - 1 - t)
+                off = p * step * w * per_row + (r - q) * d ** (k - 1 - t) * w * per_column
                 for n in for_slot[t][q]:
-                    base = (at[n] + p * step) * w
-                    column = (n + shift) * w
-                    for m in range(w):
-                        add(base + m, column + m, -sign * v)
-    return rows
+                    at = base[n] + off
+                    for m in diagonal:
+                        key = at + m
+                        table[key] = get(key, 0) + x
+    inner = height if by_column else width
+    out = [{} for _ in range(width if by_column else height)]
+    for key, x in table.items():
+        if x:
+            n, m = divmod(key, inner)
+            out[n][m] = x
+    return out
 
 
 def cohomology_summary(A: FinKVAlgebra, coefficients: str, k: int) -> dict:
     """Exact dims of the complex at degree k: cochain space, ker(delta_k),
-    im(delta_{k-1}), and H^k."""
+    im(delta_{k-1}), and H^k. Each rank is `exactmath.echelon` on the
+    coboundary's integer columns."""
     if k not in (0, 1, 2):
         raise ValueError("cohomology supported for k <= 2")
     dom = cochain_space_dim(A.dim, k, coefficients)
-    kernel = dom - sparse_rank(coboundary_rows(A, coefficients, k))
-    image_prev = sparse_rank(coboundary_rows(A, coefficients, k - 1)) if k > 0 else 0
+    kernel = dom - len(echelon(_coboundary(A, coefficients, k, True)))
+    image_prev = len(echelon(_coboundary(A, coefficients, k - 1, True))) if k > 0 else 0
     return {
         "dim_cochains": dom,
         "dim_kernel": kernel,
@@ -679,9 +704,7 @@ def exactness_witness(A: FinKVAlgebra, beta: SymForm):
         raise ValueError("form dimension does not match the algebra")
     if not _is_symmetric(_residuals(A, beta), A.dim):
         raise ValueError("form is not a 2-cocycle")
-    d = A.dim
-    rows = [[row.get(k, 0) for k in range(d)] for row in coboundary_rows(A, COEFF_TRIVIAL, 1)]
-    y = solve_linear(rows, [v for row in beta.num for v in row])
+    y = solve_linear(coboundary_rows(A, COEFF_TRIVIAL, 1), [v for row in beta.num for v in row], A.dim)
     if y is None:
         return None
     scale = Fraction(A.den, beta.den)

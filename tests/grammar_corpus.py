@@ -2,6 +2,8 @@
 code, stdout and stderr as parsing with the whole grammar. `run` parses a
 verb's argv with that verb's own parser, so the corpus covers help, errors,
 abbreviations, `--`, `=` values and options before the verb.
+`EMPTY_ARGUMENT_CASES` also pins the exit code and stderr of the argv
+with an empty file argument, with the earlier answer as `was`.
 
 `tests/test_cli.py` runs the comparison under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -52,6 +54,22 @@ GRAMMAR_CORPUS = (
     ["catalog", "list", "-h"],
 )
 
+# An empty argument counts as given: "" with --catalog is a file and the
+# catalog both, and "" alone is a file that cannot be opened. `was` is the
+# (exit code, stderr) of the parser that read "" as absent: the catalog
+# entry answered, or `export ""` said `no input`.
+EMPTY_ARGUMENT_CASES = (
+    (["export", "--catalog", "witt-line", ""], 2,
+     "error: give either a file or --catalog, not both\n", (0, "")),
+    (["cohomology", "", "--catalog", "clan-84"], 2,
+     "error: give either a file or --catalog, not both\n", (0, "")),
+    (["check", "--catalog", "witt-line", "", "--profile", "lie"], 2,
+     "error: give either a file or --catalog, not both\n", (1, "")),
+    (["export", ""], 2, "error: [Errno 2] No such file or directory: ''\n",
+     (2, "error: no input: give a file or --catalog NAME\n")),
+)
+GRAMMAR_CORPUS += tuple(argv for argv, *_ in EMPTY_ARGUMENT_CASES)
+
 
 def whole_grammar_invoke(*argv):
     """The oracle: parse argv with the whole grammar, then dispatch to the
@@ -79,8 +97,12 @@ def invoke(*argv):
 
 
 def mismatches():
-    """The corpus argv on which `run` and the oracle differ."""
-    return [argv for argv in GRAMMAR_CORPUS if invoke(*argv) != whole_grammar_invoke(*argv)]
+    """The corpus argv on which `run` and the oracle differ, and the empty
+    argument cases that do not give their exit code and stderr."""
+    bad = [argv for argv in GRAMMAR_CORPUS if invoke(*argv) != whole_grammar_invoke(*argv)]
+    return bad + [
+        argv for argv, code, err, _ in EMPTY_ARGUMENT_CASES if invoke(*argv) != (code, "", err)
+    ]
 
 
 if __name__ == "__main__":

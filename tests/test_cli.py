@@ -11,7 +11,7 @@ from algebroid import cli
 from algebroid.catalog import catalog_names
 from algebroid.cli import build_parser, main, run
 from algebroid.fileformat import parse_document, serialize_document
-from grammar_corpus import mismatches
+from grammar_corpus import EMPTY_ARGUMENT_CASES, mismatches
 
 
 def invoke(*argv):
@@ -394,6 +394,16 @@ def test_export_takes_no_format():
 def test_export_missing_input():
     code, _, err = invoke("export")
     assert code == 2 and "no input" in err
+
+
+def test_empty_file_argument_counts_as_given():
+    # "" with --catalog is two inputs, and "" alone a file that cannot be
+    # opened; before, "" read as absent
+    for argv, code, err, was in EMPTY_ARGUMENT_CASES:
+        assert invoke(*argv) == (code, "", err), argv
+        assert (code, err) != was
+    assert invoke("anomalies", "--catalog", "", "1", "1", "1")[0] == 2
+    assert "unknown catalog entry ''" in invoke("cohomology", "--catalog", "")[2]
 
 
 def test_file_errors_exit_2(tmp_path):

@@ -12,6 +12,7 @@ from algebroid.exactmath import (
     Poly,
     PolyParseError,
     bareiss,
+    echelon,
     grlex_key,
     integer_det,
     monomials_upto,
@@ -743,3 +744,48 @@ def test_solve_linear_fixed_cases():
     assert solve_linear([], []) == []
     with pytest.raises(ValueError):
         solve_linear([[1]], [1, 2])
+
+
+# --- the one sparse elimination against the Fraction oracle ----------------
+
+
+@st.composite
+def integer_rows(draw):
+    """(dense int matrix, its sparse rows of nonzero ints): tall, wide and
+    empty shapes, empty rows, small entries and large ones."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), integers)
+    cols = draw(st.integers(1, 7))
+    m = [
+        draw(st.lists(entry, min_size=cols, max_size=cols))
+        for _ in range(draw(st.integers(0, 3 * cols)))
+    ]
+    return m, [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_echelon_matches_fraction_oracle(case):
+    m, rows = case
+    pivots = echelon(rows)
+    # the leading columns of a row echelon form are those of the reduced
+    # one, so their number is the rank
+    assert sorted(pivots) == row_echelon(_as_matrix(m))
+    width = len(m[0]) if m else 0
+    for lead, row in pivots.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+    # the pivot rows span the row space of m
+    dense_pivots = [[row.get(c, 0) for c in range(width)] for row in pivots.values()]
+    assert len(row_echelon(_as_matrix(dense_pivots + m))) == len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_systems())
+def test_solve_linear_on_sparse_rows_is_the_rref_solution(case):
+    m, b, x0, consistent = case
+    if consistent:
+        b = mat_vec(m, x0)
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+    assert solve_linear(rows, b, len(m[0])) == rref_solve(m, b) == solve_linear(m, b)
+    assert rows == [{c: v for c, v in enumerate(row) if v} for row in m]  # not modified

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid.catalog import catalog_get, catalog_names, courant_standard, tangent_lie
-from algebroid.exactmath import MAX_LITERAL_DIGITS
+from algebroid.exactmath import MAX_LITERAL_DIGITS, Poly
 from algebroid.fileformat import (
     MAX_BASE_DIM,
     MAX_KV_DIM,
@@ -20,6 +20,7 @@ from algebroid.fileformat import (
     serialize_kvalgebra,
     serialize_structure,
 )
+from algebroid.funmodel import AlgebroidStructure, AnchorMap, BiDiffOp
 from algebroid.kvfin import SymForm
 from format_corpus import FORMAT_CORPUS, mismatches
 
@@ -361,6 +362,26 @@ def test_limits_admit_the_catalog_families():
         for S in (courant_standard(n), tangent_lie(n)):
             text = serialize_structure(S, "family")
             assert serialize_document(parse_document(text)) == text
+
+
+def test_serializer_refuses_what_a_file_cannot_hold():
+    """A [mult] term of derivative order > 1 builds in code but would not
+    read back (a file holds order at most 1), so serializing raises and
+    names the term; order 1 still round-trips."""
+
+    def structure(alpha, beta):
+        mult = BiDiffOp(1, 1, [(0, 0, 0, alpha, beta, 1)])
+        return AlgebroidStructure(1, 1, mult, AnchorMap(1, 1, [[Poly.zero(1)]]))
+
+    for alpha, beta, term, order in (((2,), (0,), "0 0 0 2 0", 2), ((1,), (15,), "0 0 0 1 15", 15)):
+        with pytest.raises(ValueError) as exc:
+            serialize_structure(structure(alpha, beta))
+        assert str(exc.value) == (
+            f"[mult] term {term} has a multi-index of order {order}; a file holds order at most 1"
+        )
+    text = serialize_structure(structure((1,), (1,)))
+    assert text.endswith("[mult]\n0 0 0 1 1 1\n")
+    assert serialize_document(parse_document(text)) == text
 
 
 def test_bad_rational_and_skew():

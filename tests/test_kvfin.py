@@ -27,9 +27,9 @@ from algebroid.kvfin import (
     mc_check,
 )
 from algebroid.fileformat import parse_document, serialize_kvalgebra
-from algebroid.kvfin import _residuals
+from algebroid.kvfin import _coboundary, _residuals
 from kv_helpers import kv_defect_cochain, perturb, product_cochain
-from test_exactmath import fraction_det
+from test_exactmath import _as_matrix, fraction_det, row_echelon, rref_solve
 
 
 def alg(dim, triples):
@@ -1280,3 +1280,60 @@ def test_frame_changes_keep_finite_verdicts(case):
         assert sum(B.c[i][j][k] * (theta_p[k] - pulled[k]) for k in range(d)) == 0
     if rank([B.c[i][j] for i in range(d) for j in range(d)]) == d:
         assert theta_p == pulled
+
+
+# --- the one elimination against dense oracles -------------------------------------------
+
+
+def dense_rank(matrix):
+    """The rank of a dense matrix by the Fraction row echelon."""
+    return len(row_echelon(_as_matrix(matrix)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(framed_cases(), st.sampled_from((COEFF_SELF, COEFF_TRIVIAL)), st.integers(0, 2), st.randoms())
+def test_cohomology_and_coboundary_match_dense_oracles(case, coefficients, k, rng):
+    """KV algebras of dimension 1-4 in a unimodular basis (dense in
+    general): the integer columns `cohomology_summary` eliminates are the
+    reference matrix's times A.den, its dimensions are those of the dense
+    Fraction ranks, and `fin_coboundary` is `reference_coboundary`."""
+    A, beta, (P, P_inv) = case
+    B = change_basis(A, beta, P, P_inv)[0]
+    oracle = reference_matrix(B, coefficients, k)
+    columns = _coboundary(B, coefficients, k, True)
+    assert len(columns) == cochain_space_dim(B.dim, k, coefficients)
+    assert [[col.get(r, 0) for col in columns] for r in range(len(oracle))] == [
+        [B.den * v for v in row] for row in oracle
+    ]
+    dom = cochain_space_dim(B.dim, k, coefficients)
+    kernel = dom - dense_rank(oracle)
+    image = dense_rank(reference_matrix(B, coefficients, k - 1)) if k else 0
+    assert cohomology_summary(B, coefficients, k) == {
+        "dim_cochains": dom, "dim_kernel": kernel, "dim_image": image, "dim_h": kernel - image,
+    }
+    theta = rand_cochain(rng, B.dim, k, coefficients)
+    assert fin_coboundary(B, coefficients, theta) == reference_coboundary(B, coefficients, theta)
+
+
+def dense_exactness(A, beta):
+    """Theta by the dense Fraction solve `rref_solve` of the reference
+    trivial coboundary C^1 -> C^2 against beta's entries, the RREF
+    solution (free columns 0): the dense oracle of `exactness_witness`."""
+    return rref_solve(reference_matrix(A, COEFF_TRIVIAL, 1), [v for row in beta.matrix for v in row])
+
+
+@st.composite
+def framed_forms(draw):
+    A, beta, (P, P_inv) = draw(framed_cases())
+    return change_basis(A, beta, P, P_inv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(exactness_cases(), framed_forms()))
+def test_exactness_matches_dense_oracle(case):
+    A, beta = case
+    if not clan_classify(A, beta).cocycle:
+        with pytest.raises(ValueError, match="not a 2-cocycle"):
+            exactness_witness(A, beta)
+        return
+    assert exactness_witness(A, beta) == dense_exactness(A, beta)
