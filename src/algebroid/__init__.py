@@ -9,7 +9,7 @@ witnesses for every failure.
 
 __version__ = "0.1.0"
 
-from .exactmath import Poly, PolyParseError, Rational, parse_poly
+from .exactmath import Poly, PolyParseError, parse_poly
 from .funmodel import (
     AlgebroidStructure,
     AnchorMap,
@@ -21,7 +21,6 @@ from .funmodel import (
     Section,
     Witness,
     conjugate,
-    operator_equal,
 )
 from .checkers import (
     PROFILES,
@@ -39,7 +38,6 @@ from .kvfin import (
     FinKVAlgebra,
     SymForm,
     clan_classify,
-    cohomology_dim,
     cohomology_summary,
     commutator_bracket,
     exactness_witness,
@@ -66,7 +64,6 @@ __all__ = [
     "Pairing",
     "Poly",
     "PolyParseError",
-    "Rational",
     "Section",
     "SymForm",
     "Witness",
@@ -75,7 +72,6 @@ __all__ = [
     "check_all_profiles",
     "check_profile",
     "clan_classify",
-    "cohomology_dim",
     "cohomology_summary",
     "commutator_bracket",
     "conjugate",
@@ -85,7 +81,6 @@ __all__ = [
     "kv_defect_fin",
     "kv_nu",
     "mc_check",
-    "operator_equal",
     "parse_poly",
     "verify_anchor_morphism",
     "verify_equivalence_A1_A2",

@@ -17,10 +17,11 @@ Profiles:
   nonasym-courant  deltaD, R1 (KV = D of the pairing coboundary),
                  R2 ((fs)s' = f(ss')), R3 (pairing invariance)
 
-The J-versus-D(T) constant is a parameter of check_profile only
-(jacobi_factor): cc defaults to 1, courant to 3. The derived checks
-accept either normalization: their CC gate passes a structure that
-passes cc at factor 1 or at factor 3, and builds J and D(T) once.
+The J-versus-D(T) constant is table data, stated once per row: r1 of cc
+has factor 1 and Ax1 of courant factor 3, and the entry's note names it.
+The derived checks accept either normalization: their CC gate passes a
+structure that passes cc at factor 1 or at factor 3, and builds J and
+D(T) once.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _identity_entry(label: str, diff: MultiDiffOp, note: str = "") -> AxiomEntry
 # The profile table.
 # ---------------------------------------------------------------------------
 
-# Every builder maps (structure, jacobi_factor) to the defect operator
-# whose vanishing is the axiom. Builders look the structures module up at
-# call time, so each operator is built through its *_op entry point.
+# Every builder maps a structure to the defect operator whose vanishing
+# is the axiom. Builders look the structures module up at call time, so
+# each operator is built through its *_op entry point.
 
 
 def _jacobi_parts(S: AlgebroidStructure) -> tuple:
@@ -105,19 +106,23 @@ def _jacobi_parts(S: AlgebroidStructure) -> tuple:
     return st.jacobiator_op(S), S.d_op().compose(0, st.courant_T_op(S))
 
 
-def _jacobi_defect(S: AlgebroidStructure, factor: int, parts=None) -> MultiDiffOp:
-    """factor * J - D(T); slots (s, s', s''). `parts` is (J, D(T)) when
-    they are built already."""
-    J, DT = parts or _jacobi_parts(S)
-    return J.scale(factor) - DT
+class _JacobiRow(namedtuple("_JacobiRow", "factor")):
+    """The builder of factor * J - D(T), the row r1 (factor 1) or Ax1
+    (factor 3); slots (s, s', s'')."""
+
+    __slots__ = ()
+
+    def __call__(self, S: AlgebroidStructure) -> MultiDiffOp:
+        J, DT = _jacobi_parts(S)
+        return J.scale(self.factor) - DT
 
 
-def _leibniz_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
+def _leibniz_defect(S: AlgebroidStructure) -> MultiDiffOp:
     """s(fs') - (rho(s)f)s' - f(ss') + <s,s'>D(f); slots (s, f, s')."""
     return st.leibniz_anomaly_op(S) - st.leibniz_pairing_rhs_op(S)
 
 
-def _kv_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
+def _kv_defect(S: AlgebroidStructure) -> MultiDiffOp:
     """KV anomaly minus D of the pairing coboundary; slots (s, s', s'')."""
     return st.kv_anomaly_op(S) - S.d_op().compose(0, st.pairing_coboundary_op(S))
 
@@ -126,41 +131,39 @@ def _kv_defect(S: AlgebroidStructure, factor) -> MultiDiffOp:
 # keys of _REQUIREMENTS.
 PROFILE_TABLE = {
     "lie": (("skew",), [
-        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
-        ("P1", lambda S, k: st.jacobiator_op(S)),
-        ("P2", lambda S, k: st.leibniz_anomaly_op(S)),
+        ("skew", lambda S: st.mult_skew_defect_op(S)),
+        ("P1", lambda S: st.jacobiator_op(S)),
+        ("P2", lambda S: st.leibniz_anomaly_op(S)),
     ]),
     "kv": ((), [
-        ("3i", lambda S, k: st.kv_anomaly_op(S)),
-        ("3ii", lambda S, k: st.fs_linearity_defect_op(S)),
-        ("3iii", lambda S, k: st.leibniz_anomaly_op(S)),
+        ("3i", lambda S: st.kv_anomaly_op(S)),
+        ("3ii", lambda S: st.fs_linearity_defect_op(S)),
+        ("3iii", lambda S: st.leibniz_anomaly_op(S)),
     ]),
     "cc": (("pairing", "d", "skew"), [
-        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
-        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
-        ("r1", _jacobi_defect),
-        ("r2", lambda S, k: st.invariance_defect_op(S)),
+        ("skew", lambda S: st.mult_skew_defect_op(S)),
+        ("deltaD", lambda S: st.d_cocycle_defect_op(S)),
+        ("r1", _JacobiRow(1)),
+        ("r2", lambda S: st.invariance_defect_op(S)),
     ]),
     "courant": (("pairing", "d", "skew"), [
-        ("skew", lambda S, k: st.mult_skew_defect_op(S)),
-        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
-        ("Ax1", _jacobi_defect),
-        ("Ax2", lambda S, k: st.anchor_morphism_defect_op(S)),
+        ("skew", lambda S: st.mult_skew_defect_op(S)),
+        ("deltaD", lambda S: st.d_cocycle_defect_op(S)),
+        ("Ax1", _JacobiRow(3)),
+        ("Ax2", lambda S: st.anchor_morphism_defect_op(S)),
         ("Ax3", _leibniz_defect),
-        ("Ax4", lambda S, k: st.rho_d_op(S)),
-        ("Ax5", lambda S, k: st.invariance_defect_op(S)),
+        ("Ax4", lambda S: st.rho_d_op(S)),
+        ("Ax5", lambda S: st.invariance_defect_op(S)),
     ]),
     "nonasym-courant": (("pairing", "d"), [
-        ("deltaD", lambda S, k: st.d_cocycle_defect_op(S)),
+        ("deltaD", lambda S: st.d_cocycle_defect_op(S)),
         ("R1", _kv_defect),
-        ("R2", lambda S, k: st.fs_linearity_defect_op(S)),
-        ("R3", lambda S, k: st.invariance_defect_op(S)),
+        ("R2", lambda S: st.fs_linearity_defect_op(S)),
+        ("R3", lambda S: st.invariance_defect_op(S)),
     ]),
 }
 
 PROFILES = tuple(PROFILE_TABLE)
-
-DEFAULT_JACOBI_FACTOR = {"cc": 1, "courant": 3}
 
 # requirement -> (test on the structure, what the message says is needed)
 _REQUIREMENTS = {
@@ -179,20 +182,17 @@ def missing_requirement(S: AlgebroidStructure, profile: str) -> Optional[str]:
     return None
 
 
-def check_profile(
-    S: AlgebroidStructure, profile: str, jacobi_factor: Optional[int] = None
-) -> AxiomReport:
+def check_profile(S: AlgebroidStructure, profile: str) -> AxiomReport:
     """Run every axiom of the named profile as an operator identity."""
     if profile not in PROFILE_TABLE:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     reason = missing_requirement(S, profile)
     if reason is not None:
         raise ValueError(reason)
-    factor = DEFAULT_JACOBI_FACTOR.get(profile) if jacobi_factor is None else jacobi_factor
     report = AxiomReport(profile)
     for label, build in PROFILE_TABLE[profile][1]:
-        note = f"jacobi_factor={factor}" if build is _jacobi_defect else ""
-        report.entries.append(_identity_entry(label, build(S, factor), note))
+        note = f"jacobi_factor={build.factor}" if isinstance(build, _JacobiRow) else ""
+        report.entries.append(_identity_entry(label, build(S), note))
     return report
 
 
@@ -251,22 +251,24 @@ class EquivalenceReport(namedtuple("EquivalenceReport", "a1 a2 a1_witness a2_wit
 def _cc_gate(S: AlgebroidStructure, caller: str):
     """Require the CC axioms in the J = D(T) or the 3J = D(T)
     normalization: the paper's "up to a constant factor". Only r1 depends
-    on the factor, so every row is decided once at factor 3, from one J
-    and one D(T), and r1 again at factor 1 only if it alone fails there.
-    Factor 3 comes first because every known structure with J != 0 passes
-    r1 there, and only a failing decision searches for a witness. A
-    failure names the rows that fail at factor 3."""
+    on the factor, so every row is decided once with r1 at factor 3, from
+    one J and one D(T), and r1 again at its own factor 1 only if it alone
+    fails there. Factor 3 comes first because every known structure with
+    J != 0 passes r1 there, and only a failing decision searches for a
+    witness. A failure names the rows that fail at factor 3."""
     reason = missing_requirement(S, "cc")
     if reason is not None:
         raise ValueError(reason)
-    parts = _jacobi_parts(S)
+    J, DT = _jacobi_parts(S)
+    rows = PROFILE_TABLE["cc"][1]
+    r1 = dict(rows)["r1"]
 
-    def fails(build, factor):
-        defect = _jacobi_defect(S, factor, parts) if build is _jacobi_defect else build(S, factor)
+    def fails(build, factor=3):
+        defect = J.scale(factor) - DT if build is r1 else build(S)
         return find_witness(defect) is not None
 
-    failing = [label for label, build in PROFILE_TABLE["cc"][1] if fails(build, 3)]
-    if not failing or failing == ["r1"] and not fails(_jacobi_defect, 1):
+    failing = [label for label, build in rows if fails(build)]
+    if not failing or failing == ["r1"] and not fails(r1, r1.factor):
         return
     raise ValueError(
         f"{caller} needs a structure passing the CC axioms; failing: {failing}"
@@ -282,7 +284,7 @@ def _courant_entries(S: AlgebroidStructure, relabel, note: str = "") -> list:
     `note`."""
     entries = []
     for label, axiom in relabel:
-        w = find_witness(_COURANT_ROWS[axiom](S, None))
+        w = find_witness(_COURANT_ROWS[axiom](S))
         entries.append(AxiomEntry(label, w is None, w, "" if w is None else note))
     return entries
 

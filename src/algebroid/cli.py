@@ -46,8 +46,6 @@ from .fileformat import (
     ParsedDocument,
     parse_document,
     serialize_document,
-    serialize_kvalgebra,
-    serialize_structure,
 )
 from .funmodel import Section
 from .kvfin import (
@@ -179,6 +177,13 @@ def _catalog_arguments(p):
 # ---------------------------------------------------------------------------
 
 
+def _entry_document(entry: CatalogEntry) -> ParsedDocument:
+    """The catalog entry as the document its file would parse to."""
+    if entry.kind == "function-model":
+        return ParsedDocument("structure", entry.name, structure=entry.structure)
+    return ParsedDocument("kvalgebra", entry.name, algebra=entry.algebra, form=entry.form)
+
+
 def _load(args) -> ParsedDocument:
     # "" counts as given: it names no catalog entry and no file, and fails
     # as such instead of reading as absent
@@ -190,11 +195,7 @@ def _load(args) -> ParsedDocument:
             entry = catalog_get(catalog)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from None
-        if entry.kind == "function-model":
-            return ParsedDocument("structure", entry.name, structure=entry.structure)
-        return ParsedDocument(
-            "kvalgebra", entry.name, algebra=entry.algebra, form=entry.form
-        )
+        return _entry_document(entry)
     if file is not None:
         # decode the whole file at once, so a decode error's offset is the
         # file's; `parse_document` splits lines as text mode would
@@ -456,7 +457,7 @@ def _cmd_catalog(args, out: TextIO) -> int:
         entry = catalog_get(args.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
-    serialized = _serialize_entry(entry)
+    serialized = serialize_document(_entry_document(entry))
     payload = {
         "name": entry.name,
         "kind": entry.kind,
@@ -466,12 +467,6 @@ def _cmd_catalog(args, out: TextIO) -> int:
     text = f"name: {entry.name}\nkind: {entry.kind}\nnote: {entry.note}\n\n{serialized}"
     _emit(args, out, payload, text)
     return 0
-
-
-def _serialize_entry(entry: CatalogEntry) -> str:
-    if entry.kind == "function-model":
-        return serialize_structure(entry.structure, entry.name)
-    return serialize_kvalgebra(entry.algebra, entry.form, entry.name)
 
 
 def _cmd_export(args, out: TextIO) -> int:

@@ -8,19 +8,18 @@ lowest terms), and scalars and results are `fractions.Fraction`. The
 linear algebra runs on integers. One sparse elimination, `echelon`,
 reduces rows of nonzero ints {column: value} to row echelon form; it is
 behind every rank and solve: `sparse_rank` clears each row of its
-denominators and ranks it, `solve_linear` eliminates the augmented rows
-and solves back from the pivot rows, and the finite-KV coboundaries reach
-it as integer rows already. The dense fraction-free Bareiss elimination
-`bareiss` (Math. Comp. 22, 1968) is kept for determinants and leading
-principal minors. Only `poly_matrix_inverse` and `poly_matrix_det`
-work on polynomial entries, both over one table of minors memoised by
+denominators and ranks it, `solve_linear` eliminates the augmented
+sparse rows and solves back from the pivot rows, and the finite-KV
+coboundaries reach it as integer rows already. The dense fraction-free
+Bareiss elimination `bareiss` (Math. Comp. 22, 1968) is kept for
+determinants and leading principal minors. Only `poly_matrix_inverse`
+works on polynomial entries, over one table of minors memoised by
 Laplace expansion, because Bareiss on `Poly` entries would need exact
 multivariate division. The inverse, the adjugate over those minors,
-exists only for a nonzero constant determinant; it is what
-`funmodel.conjugate` needs for a frame change. Nothing in the package
-calls `poly_matrix_det`: it is the same determinant, kept with its test
-as the check on the minors. All values are immutable after
-construction.
+exists only for a nonzero constant determinant, so
+`poly_matrix_inverse(m) is not None` is also the test for one; it is
+what `funmodel.conjugate` needs for a frame change. All values are
+immutable after construction.
 
 Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
 digits each, and so have the numerators and the denominator of every
@@ -37,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
-
-Rational = Fraction
 
 # exponent multi-index: tuple of non-negative ints, length = base_dim
 Expo = tuple
@@ -594,25 +591,20 @@ def rank(m: Sequence[Sequence]) -> int:
     return sparse_rank({c: v for c, v in enumerate(row) if v} for row in m)
 
 
-def solve_linear(m: Sequence, b: Sequence, width: Optional[int] = None) -> Optional[list]:
-    """Solve m.x = b exactly; returns a solution vector or None when the
-    system is infeasible. Dimension mismatch raises ValueError.
+def solve_linear(rows: Sequence[dict], b: Sequence, width: int) -> Optional[list]:
+    """Solve m.x = b exactly, m the matrix whose rows are `rows`; returns
+    a solution vector or None when the system is infeasible. Dimension
+    mismatch raises ValueError.
 
-    The rows of m are sequences of one length, or, when `width` is given,
-    sparse rows {column: value} over columns 0..width-1. Entries may be
+    The rows are sparse rows {column: value} over columns 0..width-1, of
     ints or Fractions. The solution is the reduced row echelon one: every
     free (non-pivot) column gets 0. The augmented rows, b at column width,
     go through `echelon`; a pivot at column width means no solution, and
     otherwise x is solved from the pivot rows, last pivot column first.
     """
-    if len(b) != len(m):
+    if len(b) != len(rows):
         raise ValueError("right-hand side length != number of rows")
-    if width is None:
-        width = len(m[0]) if m else 0
-        if any(len(row) != width for row in m):
-            raise ValueError("ragged matrix")
-        m = [dict(enumerate(row)) for row in m]
-    pivots = echelon([_cleared({**row, width: v}) for row, v in zip(m, b) if row or v])
+    pivots = echelon([_cleared({**row, width: v}) for row, v in zip(rows, b) if row or v])
     if width in pivots:
         return None  # a row 0 = nonzero: inconsistent
     x = [Fraction(0)] * width
@@ -650,18 +642,9 @@ def _minors(m: Sequence[Sequence[Poly]]):
     return minor
 
 
-def poly_matrix_det(m: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of Poly, by Laplace expansion with
-    memoised minors (fine for the small ranks used here)."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    return _minors(m)(tuple(range(n)), tuple(range(n)))
-
-
 def poly_matrix_inverse(m: Sequence[Sequence[Poly]]) -> Optional[list]:
     """Inverse of a square matrix of Poly, the adjugate over the memoised
-    minors of `poly_matrix_det` divided by the determinant; None unless
+    minors (`_minors`) divided by the determinant; None unless
     the determinant is a nonzero constant, the case where the inverse
     has polynomial entries again (the matrix is unimodular)."""
     n = len(m)

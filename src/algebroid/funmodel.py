@@ -460,11 +460,22 @@ def BiDiffOp(rank: int, base_dim: int, terms) -> MultiDiffOp:
 
         mu(s, s')_k += coeff * d^alpha(s_i) * d^beta(s'_j)
 
-    Repeated terms add up."""
-    return MultiDiffOp(rank, base_dim, (SECTION, SECTION), SECTION, [
-        ((k, ((i, tuple(alpha)), (j, tuple(beta)))), coeff)
-        for k, i, j, alpha, beta, coeff in terms
-    ])
+    Repeated terms add up. A term whose k, i or j is not in range(rank),
+    or whose alpha or beta is not base_dim entries >= 0, raises ValueError
+    naming it."""
+    fibre, keyed = frozenset(range(rank)), []
+    for k, i, j, alpha, beta, coeff in terms:
+        alpha, beta = tuple(alpha), tuple(beta)
+        if (
+            not (k in fibre and i in fibre and j in fibre)
+            or len(alpha) != base_dim or len(beta) != base_dim or min((0, *alpha, *beta)) < 0
+        ):
+            raise ValueError(
+                f"mult term {(k, i, j, alpha, beta)} needs k, i, j in range({rank}) "
+                f"and multi-indices of {base_dim} entries >= 0"
+            )
+        keyed.append(((k, ((i, alpha), (j, beta))), coeff))
+    return MultiDiffOp(rank, base_dim, (SECTION, SECTION), SECTION, keyed)
 
 
 def AnchorMap(base_dim: int, rank: int, matrix: Sequence[Sequence[Poly]]) -> MultiDiffOp:
@@ -729,14 +740,6 @@ def find_witness(diff: MultiDiffOp) -> Optional[Witness]:
             "nonzero canonical operator with no witness inside the degree bound"
         )
     return Witness(tuple(inputs), residual)
-
-
-def operator_equal(lhs: MultiDiffOp, rhs: MultiDiffOp) -> Optional[Witness]:
-    """Decide lhs == rhs as operators on all polynomial inputs: None when
-    equal, else :func:`find_witness` of lhs - rhs."""
-    if not lhs.same_signature(rhs):
-        raise ValueError("operator signatures differ")
-    return find_witness(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ skew in i, j: `kv_defect_fin` stops at the first pair, whose least nonzero
 triple is the first witness in basis-triple order, and `kv_nu` reads all
 of them off the table of the product nu.
 
-A cochain is one list of Fractions in `flatten` order (basis tuples in
+A cochain is one list of Fractions, its coords (basis tuples in
 lexicographic order, each with its coefficients in the module's basis).
 The coboundary is written once, in `_coboundary`, over the module's
 tables: on basis inputs every term is one action entry or constant, so
@@ -71,7 +71,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import Rational, bareiss, echelon, integer_det, solve_linear
+from .exactmath import bareiss, echelon, integer_det, solve_linear
 
 COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
@@ -161,7 +161,7 @@ class FinKVAlgebra:
     def zero(dim: int) -> "FinKVAlgebra":
         return FinKVAlgebra.from_entries(dim, ())
 
-    def product(self, u: Sequence[Rational], v: Sequence[Rational]):
+    def product(self, u: Sequence[Fraction], v: Sequence[Fraction]):
         d, c = self.dim, self.c
         out = [Fraction(0)] * d
         for i in range(d):
@@ -282,7 +282,7 @@ def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
 class FinCochain:
     """k-linear map on a dim-d space with values in the algebra
     (coefficients == "self") or in the rationals ("trivial"). `coords` is
-    one list of Fractions in `flatten` order: the basis tuples in
+    one list of Fractions: the basis tuples in
     lexicographic order, each followed by its `width` values, one per
     basis vector of the module. A trivial cochain's value at a tuple is
     a scalar, a self cochain's a list."""
@@ -371,13 +371,9 @@ class FinCochain:
     def _like(self, coords) -> "FinCochain":
         return FinCochain.from_flat(self.dim, self.degree, self.coefficients, coords)
 
-    def flatten(self):
-        """Dense coordinate list (basis tuples in lexicographic order)."""
-        return list(self.coords)
-
     @classmethod
     def from_flat(cls, dim: int, degree: int, coefficients: str, values) -> "FinCochain":
-        """Inverse of `flatten`."""
+        """The cochain whose `coords` are `values`, as Fractions."""
         out = cls(dim, degree, coefficients)
         if len(values) != len(out.coords):
             raise ValueError("flat cochain has the wrong length")
@@ -418,7 +414,7 @@ def cochain_space_dim(dim: int, degree: int, coefficients: str) -> int:
 def coboundary_rows(A: FinKVAlgebra, coefficients: str, k: int) -> list:
     """The coboundary C^k -> C^{k+1} as sparse integer rows {column: num}:
     the coboundary is these rows divided by A.den. Rows and columns follow
-    `FinCochain.flatten` order (`_coboundary`)."""
+    `FinCochain.coords` order (`_coboundary`)."""
     return _coboundary(A, coefficients, k, False)
 
 
@@ -427,7 +423,7 @@ def _coboundary(A: FinKVAlgebra, coefficients: str, k: int, by_column: bool) -> 
     C^{k+1}: one dict per row, {column: num}, or with `by_column` one per
     column, {row: num}, the orientation `cohomology_summary` eliminates.
 
-    Rows and columns follow `FinCochain.flatten` order over the module's
+    Rows and columns follow `FinCochain.coords` order over the module's
     basis m_0..m_{w-1} (`_module`). Row (i_1..i_{k+1}, m) collects, for
     each j with the sign (-1)^j and rest the other k indices: the left
     action e_{i_j} m_o -> m_m at column (rest, o); the in-slot terms
@@ -519,11 +515,6 @@ def cohomology_summary(A: FinKVAlgebra, coefficients: str, k: int) -> dict:
         "dim_image": image_prev,
         "dim_h": kernel - image_prev,
     }
-
-
-def cohomology_dim(A: FinKVAlgebra, coefficients: str, k: int) -> int:
-    """dim H^k = dim ker(delta_k) - rank(delta_{k-1}), exact ranks."""
-    return cohomology_summary(A, coefficients, k)["dim_h"]
 
 
 # ---------------------------------------------------------------------------

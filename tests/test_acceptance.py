@@ -37,7 +37,6 @@ from algebroid.kvfin import (
     FinCochain,
     FinKVAlgebra,
     clan_classify,
-    cohomology_dim,
     cohomology_summary,
     commutator_bracket,
     exactness_witness,
@@ -257,7 +256,7 @@ def test_criterion_7_cohomology():
     assert len(finite) >= 3
     rng = random.Random(42)
     for A in finite:
-        assert cohomology_dim(A, COEFF_SELF, 0) == A.dim
+        assert cohomology_summary(A, COEFF_SELF, 0)["dim_h"] == A.dim
         for coefficients in (COEFF_SELF, COEFF_TRIVIAL):
             for _ in range(50):
                 data = {}
@@ -270,7 +269,7 @@ def test_criterion_7_cohomology():
                 dth = fin_coboundary(A, coefficients, th)
                 assert fin_coboundary(A, coefficients, dth).is_zero()
     for d in (2, 3):
-        assert cohomology_dim(FinKVAlgebra.zero(d), COEFF_SELF, 1) == d * d
+        assert cohomology_summary(FinKVAlgebra.zero(d), COEFF_SELF, 1)["dim_h"] == d * d
     A83, _ = vinberg_83()
     summary = cohomology_summary(A83, COEFF_SELF, 2)
     fresh = summary["dim_kernel"] - summary["dim_image"]

@@ -93,9 +93,11 @@ def test_witt_line_profiles():
 
 def test_jacobi_factor_is_explicit():
     S = catalog_get("courant-standard-2").structure
-    assert check_profile(S, "courant").entry("Ax1").note == "jacobi_factor=3"
-    assert check_profile(S, "cc", jacobi_factor=3).passed
-    assert not check_profile(S, "cc").passed  # factor 1 fails on Courant
+    courant, cc = check_profile(S, "courant"), check_profile(S, "cc")
+    assert (courant.entry("Ax1").note, cc.entry("r1").note) == ("jacobi_factor=3", "jacobi_factor=1")
+    # cc at factor 3, whose r1 is the courant row Ax1, passes; at factor 1
+    # r1 fails on Courant
+    assert courant.entry("Ax1").passed and cc.failing_labels() == ["r1"]
 
 
 def test_report_overall_is_conjunction():

@@ -17,7 +17,6 @@ from algebroid.exactmath import (
     integer_det,
     monomials_upto,
     parse_poly,
-    poly_matrix_det,
     poly_matrix_inverse,
     rank,
     solve_linear,
@@ -597,12 +596,12 @@ def test_sparse_rank_fixed_cases():
 
 
 def test_solve_linear():
-    m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    x = solve_linear(m, [Fraction(3), Fraction(1)])
+    m = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
+    x = solve_linear(m, [Fraction(3), Fraction(1)], 2)
     assert x == [Fraction(2), Fraction(1)]
     # infeasible system
-    m2 = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert solve_linear(m2, [Fraction(1), Fraction(2)]) is None
+    m2 = [{0: Fraction(1)}, {0: Fraction(1)}]
+    assert solve_linear(m2, [Fraction(1), Fraction(2)], 2) is None
 
 
 def constant_matrix(m) -> list:
@@ -655,10 +654,12 @@ def test_mat_vec():
 
 
 def test_poly_matrix_det():
+    # the determinant over the minors decides the inverse: x^2 - 1 is not
+    # a constant, x^2 - (x^2 - 1) = 1 is
     x = Poly.variable(1, 0)
     one = Poly.constant(1, 1)
-    det = poly_matrix_det([[x, one], [one, x]])
-    assert det == x * x - one
+    assert poly_matrix_inverse([[x, one], [one, x]]) is None
+    assert poly_matrix_inverse([[x, one], [x * x - one, x]]) == [[x, -one], [one - x * x, x]]
 
 
 # --- the Bareiss core against the Fraction oracles -----------------------
@@ -714,7 +715,8 @@ def test_solve_linear_is_the_rref_solution(case):
     m, b, x0, consistent = case
     if consistent:  # b := m.x0, so the system has a solution
         b = mat_vec(m, x0)
-    x = solve_linear(m, b)
+    # every entry of each row, zeros too, as a row {column: value}
+    x = solve_linear([dict(enumerate(row)) for row in m], b, len(m[0]))
     assert x == rref_solve(m, b)
     if x is None:
         assert not consistent
@@ -738,12 +740,12 @@ def test_poly_matrix_inverse_matches_rref_oracle(m):
 
 def test_solve_linear_fixed_cases():
     # free columns get 0; zero rows with a nonzero right-hand side are infeasible
-    assert solve_linear([[1, 2, 0], [2, 4, 1]], [3, 7]) == [Fraction(3), 0, Fraction(1)]
-    assert solve_linear([[0, 0], [1, 1]], [1, 2]) is None
-    assert solve_linear([[0, 0]], [0]) == [0, 0]
-    assert solve_linear([], []) == []
+    assert solve_linear([{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}], [3, 7], 3) == [Fraction(3), 0, Fraction(1)]
+    assert solve_linear([{}, {0: 1, 1: 1}], [1, 2], 2) is None
+    assert solve_linear([{}], [0], 2) == [0, 0]
+    assert solve_linear([], [], 0) == []
     with pytest.raises(ValueError):
-        solve_linear([[1]], [1, 2])
+        solve_linear([{0: 1}], [1, 2], 1)
 
 
 # --- the one sparse elimination against the Fraction oracle ----------------
@@ -787,5 +789,5 @@ def test_solve_linear_on_sparse_rows_is_the_rref_solution(case):
     if consistent:
         b = mat_vec(m, x0)
     rows = [{c: v for c, v in enumerate(row) if v} for row in m]
-    assert solve_linear(rows, b, len(m[0])) == rref_solve(m, b) == solve_linear(m, b)
+    assert solve_linear(rows, b, len(m[0])) == rref_solve(m, b)
     assert rows == [{c: v for c, v in enumerate(row) if v} for row in m]  # not modified

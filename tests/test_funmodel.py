@@ -16,7 +16,6 @@ from algebroid.catalog import (
     witt_line,
 )
 from algebroid.checkers import (
-    DEFAULT_JACOBI_FACTOR,
     PROFILE_TABLE,
     check_all_profiles,
     missing_requirement,
@@ -41,7 +40,6 @@ from algebroid.funmodel import (
     function_inputs,
     function_product,
     module_action,
-    operator_equal,
     pairing_value,
     section_identity,
     section_inputs,
@@ -142,16 +140,19 @@ def test_derive_leibniz():
 # --- the identity decision ----------------------------------------------
 
 
+# operator equality lhs == rhs is the decision find_witness(lhs - rhs)
+
+
 def test_operator_equal_none_for_equal():
     S = tangent_lie(2)
     m = S.mult_op()
-    assert operator_equal(m, m.permute((1, 0)).scale(-1)) is None
+    assert find_witness(m - m.permute((1, 0)).scale(-1)) is None
 
 
 def test_operator_equal_signature_mismatch():
     S = witt_line()
-    with pytest.raises(ValueError):
-        operator_equal(S.mult_op(), S.pairing_op())
+    with pytest.raises(ValueError, match="operator signatures differ"):
+        find_witness(S.mult_op() - S.pairing_op())
 
 
 def test_operator_equal_symmetric_verdict():
@@ -159,11 +160,11 @@ def test_operator_equal_symmetric_verdict():
     zero = MultiDiffOp(1, 1, (SECTION, FUNCTION), FUNCTION, {})
     a = st.anchor_morphism_defect_op(S)
     b = a._like({})
-    w1 = operator_equal(a, b)
-    w2 = operator_equal(b, a)
+    w1 = find_witness(a - b)
+    w2 = find_witness(b - a)
     assert (w1 is None) == (w2 is None)
     assert w1.inputs == w2.inputs  # same first failing input either way
-    assert operator_equal(zero, zero) is None
+    assert find_witness(zero - zero) is None
 
 
 def test_dual_route_cross_check():
@@ -183,7 +184,7 @@ def test_dual_route_cross_check():
                 assert (L.apply(s, f, sp) - R.apply(s, f, sp)).is_zero()
 
     defect = st.anchor_morphism_defect_op(S)
-    w = operator_equal(defect, defect._like({}))
+    w = find_witness(defect - defect._like({}))
     assert w is not None
     seen_witness = False
     for s in section_inputs(1, 1, defect.order() + 1):
@@ -205,8 +206,8 @@ def test_dual_route_cross_check():
 def test_witness_deterministic():
     S = witt_line()
     defect = st.anchor_morphism_defect_op(S)
-    w1 = operator_equal(defect, defect._like({}))
-    w2 = operator_equal(defect, defect._like({}))
+    w1 = find_witness(defect - defect._like({}))
+    w2 = find_witness(defect - defect._like({}))
     assert w1.inputs == w2.inputs and w1.residual == w2.residual
 
 
@@ -271,7 +272,7 @@ def test_find_witness_matches_product_order(name, change):
         if missing_requirement(S, profile) is not None:
             continue
         for label, build in axioms:
-            diff = build(S, DEFAULT_JACOBI_FACTOR.get(profile))
+            diff = build(S)
             w = find_witness(diff)
             if w is None:
                 assert diff.is_zero(), (profile, label)
@@ -297,6 +298,21 @@ def test_find_witness_rejects_zero_operator():
 def test_bidiffop_merges_terms():
     op = BiDiffOp(1, 1, [(0, 0, 0, (0,), (0,), 1), (0, 0, 0, (0,), (0,), -1)])
     assert op.terms == {} and op.same_signature(witt_line().mult_op())
+
+
+@pytest.mark.parametrize(
+    "term",
+    [(5, 0, 0, (0,), (0,), 1), (0, 0, 0, (0, 0), (0,), 1), (0, 0, 0, (0,), (-1,), 1)],
+    ids=["index-outside-rank", "alpha-too-long", "negative-beta"],
+)
+def test_bidiffop_rejects_bad_terms(term):
+    # each would build a structure whose checks end in a meaningless
+    # witness or an internal error, and whose export does not read back
+    with pytest.raises(ValueError) as err:
+        BiDiffOp(1, 1, [(0, 0, 0, (1,), (0,), 1), term])
+    assert str(err.value) == (
+        f"mult term {term[:5]} needs k, i, j in range(1) and multi-indices of 1 entries >= 0"
+    )
 
 
 def test_pairing_requires_symmetry():
@@ -513,13 +529,12 @@ def test_frame_changes_keep_the_capability_matrix(data):
                 assert before[profile] == report
                 continue
             assert report.failing_labels() == before[profile].failing_labels(), profile
-            factor = DEFAULT_JACOBI_FACTOR.get(profile)
             for label, build in PROFILE_TABLE[profile][1]:
                 w = report.entry(label).witness
                 if w is None:
                     continue
                 inputs = [push(A, v) if isinstance(v, Section) else v for v in w.inputs]
-                residual = build(S, factor).apply(*inputs)
+                residual = build(S).apply(*inputs)
                 assert not residual.is_zero(), (profile, label)
                 pushed = push(A, w.residual) if isinstance(w.residual, Section) else w.residual
                 assert pushed == residual, (profile, label)

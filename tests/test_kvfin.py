@@ -17,7 +17,6 @@ from algebroid.kvfin import (
     clan_classify,
     coboundary_rows,
     cochain_space_dim,
-    cohomology_dim,
     cohomology_summary,
     commutator_bracket,
     exactness_witness,
@@ -338,10 +337,10 @@ def reference_matrix(A, coefficients, degree):
             for o in range(d):
                 value = [F(int(t == o)) for t in range(d)]
                 theta = FinCochain(d, degree, coefficients, {idx: value})
-                cols.append(reference_coboundary(A, coefficients, theta).flatten())
+                cols.append(reference_coboundary(A, coefficients, theta).coords)
         else:
             theta = FinCochain(d, degree, coefficients, {idx: F(1)})
-            cols.append(reference_coboundary(A, coefficients, theta).flatten())
+            cols.append(reference_coboundary(A, coefficients, theta).coords)
     rows = cochain_space_dim(d, degree + 1, coefficients)
     return [[col[r] for col in cols] for r in range(rows)]
 
@@ -476,7 +475,7 @@ def test_cochain_arithmetic():
     assert (a + b) - b == a
     assert a.scale(2) - a == a
     assert (a - a).is_zero()
-    assert len(a.flatten()) == cochain_space_dim(2, 1, COEFF_SELF)
+    assert len(a.coords) == cochain_space_dim(2, 1, COEFF_SELF)
 
 
 # --- cohomology ---------------------------------------------------------------
@@ -484,17 +483,17 @@ def test_cochain_arithmetic():
 
 def test_h0_self_is_dim():
     for A in (A83, A84, A84P, COMMUTATIVE, FinKVAlgebra.zero(2)):
-        assert cohomology_dim(A, COEFF_SELF, 0) == A.dim
+        assert cohomology_summary(A, COEFF_SELF, 0)["dim_h"] == A.dim
 
 
 def test_h1_abelian_is_dim_squared():
     for d in (2, 3):
-        assert cohomology_dim(FinKVAlgebra.zero(d), COEFF_SELF, 1) == d * d
+        assert cohomology_summary(FinKVAlgebra.zero(d), COEFF_SELF, 1)["dim_h"] == d * d
 
 
 def test_h2_vinberg_83_regression():
     # pinned after first computation by the exact-rank oracle
-    assert cohomology_dim(A83, COEFF_SELF, 2) == 5
+    assert cohomology_summary(A83, COEFF_SELF, 2)["dim_h"] == 5
 
 
 def test_h2_self_large_dimensions():
@@ -522,7 +521,7 @@ def test_cohomology_summary_consistent():
 
 def test_cohomology_unsupported_degree():
     with pytest.raises(ValueError):
-        cohomology_dim(A83, COEFF_SELF, 3)
+        cohomology_summary(A83, COEFF_SELF, 3)
 
 
 # --- exactness -----------------------------------------------------------------
@@ -574,12 +573,9 @@ def reference_exactness(A, beta):
     for i, plane in enumerate(A.nz):
         for j, entries in enumerate(plane):
             if entries or B[i][j]:
-                row = [0] * d
-                for k, x in entries:
-                    row[k] = x
-                rows.append(row)
+                rows.append(dict(entries))
                 rhs.append(B[i][j])
-    y = solve_linear(rows, rhs) if rows else [F(0)] * d
+    y = solve_linear(rows, rhs, d)
     return None if y is None else [v * F(A.den, beta.den) for v in y]
 
 
@@ -1065,15 +1061,15 @@ def cochain_cases(draw):
 def test_flat_cochain_properties(case, data):
     x, indices, values = case
     d, degree, self_coeffs = x.dim, x.degree, x.coefficients == COEFF_SELF
-    flat = x.flatten()
+    flat = list(x.coords)
     assert flat == [F(v) for value in values for v in (value if self_coeffs else [value])]
     assert len(flat) == cochain_space_dim(d, degree, x.coefficients)
-    # flatten and from_flat are copies
+    # from_flat copies its input
     y = FinCochain.from_flat(d, degree, x.coefficients, flat)
     assert y == x
     flat.append(F(1))
     y.coords[0] += 1
-    assert x.flatten() == flat[:-1] and y != x
+    assert x.coords == flat[:-1] and y != x
     width = d if self_coeffs else 1
     for n, idx in enumerate(indices):
         expected = flat[n * width : (n + 1) * width]
@@ -1250,7 +1246,9 @@ def framed_cases(draw):
 
 
 def frame_invariants(A, beta):
-    dims = [cohomology_dim(A, co, k) for co in (COEFF_SELF, COEFF_TRIVIAL) for k in (0, 1, 2)]
+    dims = [
+        cohomology_summary(A, co, k)["dim_h"] for co in (COEFF_SELF, COEFF_TRIVIAL) for k in (0, 1, 2)
+    ]
     report = clan_classify(A, beta)
     return dims, report.verdict, report.sub_verdicts
 

@@ -11,7 +11,7 @@ from algebroid.catalog import (
 )
 from algebroid.exactmath import Poly, parse_poly
 from algebroid.fileformat import parse_document, serialize_structure
-from algebroid.funmodel import FUNCTION, SECTION, MultiDiffOp, Section, operator_equal
+from algebroid.funmodel import FUNCTION, SECTION, MultiDiffOp, Section, find_witness
 from algebroid import structures as st
 
 
@@ -86,7 +86,7 @@ def test_cyclic_sum_is_rotation_invariant():
     S = witt_line()
     op = S.pairing_op().compose(0, S.mult_op())
     total = st.cyclic_sum(op)
-    assert operator_equal(total, st.rearranged(total, (1, 2, 0))) is None
+    assert find_witness(total - st.rearranged(total, (1, 2, 0))) is None
     with pytest.raises(ValueError):
         st.cyclic_sum(S.mult_op())
 
@@ -102,7 +102,7 @@ def test_leibniz_anomaly_vanishes_on_lie_structures():
 def test_jacobiator_equals_dT_on_cc_structures():
     S = witt_line()
     dT = S.d_op().compose(0, st.courant_T_op(S))
-    assert operator_equal(st.jacobiator_op(S), dT) is None
+    assert find_witness(st.jacobiator_op(S) - dT) is None
 
 
 def test_witt_line_pointwise_values():
