@@ -14,12 +14,14 @@ other argv (empty, `-h`, an unknown verb, an option before the verb)
 parses with the whole grammar, `build_parser()`, 8 parsers. Every parser
 wraps help at a fixed 78 columns, what argparse picks with no terminal and
 no COLUMNS, so help bytes do not depend on either and building a parser
-asks for no terminal size. The `cohomology` parser takes about 0.15 ms
-to build and parses in about 0.05 ms; the whole grammar takes about 1 ms
-and a two-level parse about 0.09 ms, against about 0.3 ms of work in a
-finite-KV `cohomology` call. No parser is cached (ROADMAP item 2 has the
-measurements). Only the first two paragraphs of this docstring are the
-`--help` description.
+asks for no terminal size. The `cohomology` parser takes about 0.1 ms
+to build and parses in about 0.02 ms; the whole grammar takes about
+0.65 ms to build and a two-level parse about 0.05 ms. A finite-KV call
+of the benchmark's `kv-cohomology` round takes about 0.31 ms in process,
+so the rest of its work (reading and parsing the file, the math and the
+output) is about 0.19 ms (Python 3.11.7, shared 2-core Xeon). No parser
+is cached (ROADMAP item 2 has the measurements). Only the first two
+paragraphs of this docstring are the `--help` description.
 """
 
 from __future__ import annotations

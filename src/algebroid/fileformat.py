@@ -39,11 +39,15 @@ for its kind: `name`, `base_dim`, `rank`, `skew` in [structure], `name`
 and `dim` in [kvalgebra]. A key line is one that does not start with a
 digit, `+` or `-`. Each section appears at most once, and a data line
 needs the keys it reads (base_dim, rank or dim) above it. `_SECTIONS` is
-the table of sections; one reader checks each data line completely when
-it reads it (field count, indices, multi-indices, the value, then the
-index ranges), so the error reported is the first in line order. A missing
-required key is reported at the first data line that reads it, or at the
-last line of a file that has none.
+the table of sections. A data line is checked completely when it is read
+(field count, indices, multi-indices, the value, then the index ranges),
+so the error reported is the first in line order: `_read_entry` reads the
+rows with a polynomial value, `_read_value` the rational rows ([kvalgebra],
+[form]) in the same order of checks. A rational value is stored as its
+reduced integer numerator and denominator, and the checked store of each
+rational section goes straight to the `kvfin` table step, which checks no
+entry again. A missing required key is reported at the first data line
+that reads it, or at the last line of a file that has none.
 
 An optional section ([pairing], [dcochain], [form]) whose header is
 present with no entries, or only zero ones, is the zero pairing, D or
@@ -57,8 +61,10 @@ Limits, each a parse error with its line (and column for a literal):
   rows and d^3 columns; `cohomology` refuses a non-KV algebra before it
   builds one. At dim 6, `cohomology FILE --degree 2 --coefficients self`
   through `cli.run` took 2.9-3.3 s on dense KV algebras (clan-84 + clan-84
-  and Q[x]/(x^6) after a unimodular change of basis) and 22.6-25.8 s on
-  clan-84 + vinberg-83 after one (Intel Xeon, 2 cores, Python 3.11.7).
+  and Q[x]/(x^6) after a unimodular change of basis) and 30.1 s (one run)
+  on clan-84 + vinberg-83 after the 32 moves e_a -> e_a + t e_b drawn from
+  random.Random(54), whose constants have numerators up to 2564 (Intel
+  Xeon, 2 cores, Python 3.11.7).
 - A [structure] rank is at most MAX_RANK (16) and its base_dim at most
   MAX_BASE_DIM (8), which admits every catalog entry and courant_standard(n)
   and tangent_lie(n) for n <= 8. A structure holds base_dim x rank anchor
@@ -66,8 +72,17 @@ Limits, each a parse error with its line (and column for a literal):
   file lists, so without a limit a 4-line file with rank 200000 took
   0.41 s and 43 MB to `export`. At the limits, `check FILE` (the
   capability matrix) took 3.9 s on courant_standard(8) (rank 16, base_dim
-  8) and 0.16 s on tangent_lie(8) (same machine). These limits do not
-  bound the number of product lines, which the time also grows with.
+  8) and 0.16 s on tangent_lie(8) (same machine). The time also grows
+  with the number of [mult] terms, which the next limit bounds.
+- A [mult] section holds at most MAX_MULT_TERMS (512) distinct terms
+  (k, i, j, alpha, beta), the `terms` of its `_SECTIONS` row; the line
+  that would add the 513th is the error. Repeated lines of one term add
+  up and count once.
+  This admits every catalog entry, courant_standard(8) (496 terms) and
+  tangent_lie(8) (128 terms). At the limit, `check FILE --profile kv` took
+  1.5 s on courant_standard(8) with 16 more terms (same machine). The size
+  of a coefficient is not limited: a term's polynomial may have any number
+  of monomials, within the literal and product limits below.
 - Each [mult] and [dcochain] multi-index has order at most 1, which
   admits every catalog entry and courant_standard(n) and tangent_lie(n)
   for n <= 8. The witness search grows with the order: a one-term [mult]
@@ -83,7 +98,8 @@ Limits, each a parse error with its line (and column for a literal):
   a sum, product or power over the limit is an error at the column of its
   operator, and a power such as 2^99999999999 is refused before it is
   built. A rational value in [kvalgebra] or [form] takes every form
-  Fraction(text) accepts (3/4, -2, 1.5, 1e3), and its numerator and
+  Fraction(text) accepts on Python 3.11 and later (3/4, -2, 1.5, 1e3,
+  1_000), on every supported Python, and its numerator and
   denominator, written out before reduction, have at most that many
   significant digits: 1e999 is at the limit, 1e1000 and 1e-1000 are over
   it. So a value prints without reaching Python's 4300-digit limit on
@@ -98,6 +114,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .exactmath import MAX_LITERAL_DIGITS, Poly, PolyParseError, grlex_key, parse_poly
@@ -134,6 +151,7 @@ class ParsedDocument(
 MAX_KV_DIM = 6
 MAX_RANK = 16
 MAX_BASE_DIM = 8
+MAX_MULT_TERMS = 512
 # header key -> the largest value a file may give it; these keys are required
 _HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 
@@ -144,17 +162,18 @@ _HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 # a polynomial coefficient if `poly` (which also reads base_dim) or else a
 # rational. In a `symmetric` section (i, j) is also (j, i); repeats of an
 # entry add up if `adds`, else they are an error that names the entry by
-# `noun`. `what` names an index out of range.
+# `noun`. `what` names an index out of range. A section holds at most
+# `terms` distinct entries, if set.
 _Section = namedtuple(
     "_Section",
-    "kind keys usage bounds multi order poly symmetric adds noun what",
-    defaults=((), None, (), 0, None, False, False, False, "", ""),
+    "kind keys usage bounds multi order poly symmetric adds noun what terms",
+    defaults=((), None, (), 0, None, False, False, False, "", "", None),
 )
 _SECTIONS = {
     "structure": _Section("structure", keys=("name", "base_dim", "rank", "skew")),
     "mult": _Section(
         "structure", usage="k i j alpha beta coeff", bounds=("rank",) * 3, multi=2, order=1,
-        poly=True, adds=True, what="mult component index",
+        poly=True, adds=True, noun="mult", what="mult component index", terms=MAX_MULT_TERMS,
     ),
     "anchor": _Section(
         "structure", usage="a j coeff", bounds=("base_dim", "rank"), poly=True, noun="anchor",
@@ -179,11 +198,6 @@ _SECTIONS = {
 }
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: int):
     parts = text.split(",")
     if len(parts) != base_dim:
@@ -204,12 +218,19 @@ def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: i
     return idx
 
 
-def _parse_coeff(text: str, base_dim: int, lineno: int, column: int) -> Poly:
-    """Parse the coefficient that starts at raw column `column`."""
+def _value_column(raw: str, line: str, text: str) -> int:
+    """The raw column where `text`, the last field of `line` (the content
+    of `raw`), starts; worked out only for an error."""
+    return len(raw) - len(raw.lstrip()) + len(line) - len(text) + 1
+
+
+def _parse_coeff(text: str, base_dim: int, lineno: int, raw: str, line: str) -> Poly:
+    """Parse the coefficient `text`, the last field of `line`."""
     try:
         return parse_poly(text, base_dim)
     except PolyParseError as exc:
-        raise FormatError(f"bad polynomial: {exc.message}", lineno, column + exc.position) from None
+        column = _value_column(raw, line, text) + exc.position
+        raise FormatError(f"bad polynomial: {exc.message}", lineno, column) from None
 
 
 # The syntax Fraction(text) accepts: n, n/m and decimal notation with an
@@ -244,27 +265,50 @@ def _literal_digits(match) -> int:
     return mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
 
 
-def _parse_rational(text: str, lineno: int, column: int) -> Fraction:
-    """Parse the rational literal `text` that starts at raw column `column`:
-    every form `Fraction(text)` accepts, within MAX_LITERAL_DIGITS."""
+def _parse_rational(text: str, lineno: int, raw: str, line: str) -> tuple:
+    """The rational literal `text`, the last field of `line`, as (numerator,
+    denominator) in lowest terms with denominator > 0: every form
+    `Fraction(text)` accepts on Python 3.11 and later, within
+    MAX_LITERAL_DIGITS. n and n/m, the common forms, are read as integers
+    with no regular expression and no Fraction."""
     num, slash, den = text.partition("/")
-    body = num[1:] if num.startswith(("+", "-")) else num
-    # n and n/m, the common forms, skip the regular expressions
-    plain = body.isdecimal() and (den.isdecimal() or not slash)
-    match = None if plain else re.fullmatch(_RATIONAL, text)
-    if not plain and match is None:
-        raise FormatError(f"bad rational literal {text!r}", lineno, column)
-    digits = max(len(body.lstrip("0")), len(den.lstrip("0"))) if plain else _literal_digits(match)
+    body = num[1:] if num[:1] in "+-" else num
+    match = None
+    if body.isdecimal() and (den.isdecimal() or not slash):
+        digits = max(len(body), len(den))
+        if digits > MAX_LITERAL_DIGITS:  # leading zeros do not count
+            digits = max(len(body.lstrip("0")), len(den.lstrip("0")))
+    else:
+        match = re.fullmatch(_RATIONAL, text)
+        if match is None:
+            raise FormatError(
+                f"bad rational literal {text!r}", lineno, _value_column(raw, line, text)
+            )
+        digits = _literal_digits(match)
     if digits > MAX_LITERAL_DIGITS:
         raise FormatError(
-            f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits", lineno, column
+            f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits",
+            lineno, _value_column(raw, line, text),
         )
-    try:
-        if plain:
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad rational literal {text!r}", lineno, column) from None
+    if match is None:
+        try:  # Python's 4300-digit int limit counts leading zeros too
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:
+            pass
+        else:
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    else:
+        try:
+            # the expression has placed every '_' between digits, where
+            # Python 3.11 and later accept it; 3.10 reads the same
+            value = Fraction(text.replace("_", ""))
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return value.numerator, value.denominator
+    raise FormatError(f"bad rational literal {text!r}", lineno, _value_column(raw, line, text))
 
 
 def _parse_int_field(text: str, what: str, lineno: int) -> int:
@@ -308,50 +352,84 @@ def _read_key(section: str, keys, line: str, lineno: int, head: dict) -> None:
     head[key] = value
 
 
-def _read_entry(row: _Section, line: str, end: int, lineno: int, head: dict, limits, store: dict):
-    """Check a data line of `row`'s section completely, in the order syntax,
-    indices, the header keys it reads, multi-indices, the value and the
-    index ranges, then store it, where a repeated entry adds up or is an
-    error; `end` is the raw column after its text. `limits` is (base_dim,
-    the bound of each index) or None, looked up here at a section's first
-    data line; it is returned for the next line."""
-    _, _, usage, bound_keys, multi, order, poly, symmetric, adds, noun, what = row
+def _limits(row: _Section, head: dict, lineno: int) -> tuple:
+    """(base_dim or 0, the bound of each index) of `row`'s data lines."""
+    try:
+        return (head["base_dim"] if row.poly else 0, [head[key] for key in row.bounds])
+    except KeyError as exc:
+        raise FormatError(f"missing required key {exc.args[0]!r}", lineno) from None
+
+
+def _check_ranges(row: _Section, key: tuple, bounds, lineno: int) -> None:
+    for i, bound in zip(key, bounds):
+        if not 0 <= i < bound:
+            raise FormatError(f"{row.what} out of range: " + " ".join(map(str, key)), lineno)
+
+
+def _repeated(row: _Section, idx: tuple, old, value, lineno: int, shown=()) -> FormatError:
+    """The error for a repeated entry that does not add up: a conflict for
+    differing values of a symmetric pair, else a duplicate, named by its
+    indices and the texts `shown` after them."""
+    if row.symmetric and old != value:
+        return FormatError("conflicting {} entries for ({},{})".format(row.noun, *idx), lineno)
+    return FormatError(f"duplicate {row.noun} entry " + " ".join(map(str, idx + shown)), lineno)
+
+
+def _read_entry(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
+    """Check a data line of a polynomial row completely, in the order
+    syntax, indices, the header keys it reads, multi-indices, the value and
+    the index ranges, then store it, where a repeated entry adds up or is
+    an error. `line` is the content of `raw`. `limits` is (base_dim, the
+    bound of each index) or None, looked up here at a section's first data
+    line; it is returned for the next line."""
+    _, _, usage, bound_keys, multi, order, _, symmetric, adds, noun, _, terms = row
     count = len(bound_keys)
-    parts = line.split(None, count + multi) if poly else line.split()
+    parts = line.split(None, count + multi)
     if len(parts) != count + multi + 1:
         raise FormatError(f"expected: {usage}", lineno)
     idx = _parse_indices(parts[:count], lineno)
     if limits is None:
-        try:
-            limits = (head["base_dim"] if poly else 0, [head[key] for key in bound_keys])
-        except KeyError as exc:
-            raise FormatError(f"missing required key {exc.args[0]!r}", lineno) from None
+        limits = _limits(row, head, lineno)
     base_dim, bounds = limits
     if multi:
         alphas = tuple(
             _parse_multi_index(text, base_dim, order, lineno) for text in parts[count:-1]
         )
-    text = parts[-1]
-    column = end - len(text) + 1
-    if poly:
-        value = _parse_coeff(text, base_dim, lineno, column)
-    else:
-        value = _parse_rational(text, lineno, column)
+    value = _parse_coeff(parts[-1], base_dim, lineno, raw, line)
     key = idx[::-1] if symmetric and idx[0] > idx[1] else idx
-    for i, bound in zip(key, bounds):
-        if not 0 <= i < bound:
-            raise FormatError(f"{what} out of range: " + " ".join(map(str, key)), lineno)
+    _check_ranges(row, key, bounds, lineno)
     if multi:
         key += alphas
     old = store.get(key)
+    if old is None:
+        if terms is not None and len(store) == terms:
+            raise FormatError(f"distinct {noun} terms exceed the limit {terms}", lineno)
+    elif adds:
+        value = old + value
+    else:
+        raise _repeated(row, idx, old, value, lineno, tuple(parts[count:-1]))
+    store[key] = value
+    return limits
+
+
+def _read_value(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
+    """`_read_entry` for a rational row ([kvalgebra], [form]): the same
+    checks in the same order, with no multi-indices and no adding up. The
+    value is stored as (numerator, denominator) in lowest terms, the
+    checked input of the `kvfin` table step."""
+    fields = line.split()
+    text = fields.pop()
+    if len(fields) != len(row.bounds):
+        raise FormatError(f"expected: {row.usage}", lineno)
+    idx = _parse_indices(fields, lineno)
+    if limits is None:
+        limits = _limits(row, head, lineno)
+    value = _parse_rational(text, lineno, raw, line)
+    key = idx[::-1] if row.symmetric and idx[0] > idx[1] else idx
+    _check_ranges(row, key, limits[1], lineno)
+    old = store.get(key)
     if old is not None:
-        if adds:
-            value = old + value
-        elif symmetric and old != value:
-            raise FormatError("conflicting {} entries for ({},{})".format(noun, *idx), lineno)
-        else:
-            shown = " ".join(map(str, idx + tuple(parts[count:-1])))
-            raise FormatError(f"duplicate {noun} entry {shown}", lineno)
+        raise _repeated(row, idx, old, value, lineno)
     store[key] = value
     return limits
 
@@ -362,10 +440,10 @@ def parse_document(text: str) -> ParsedDocument:
     head: dict = {}  # header key -> its checked value
     entries: dict = {}  # section -> {entry key: value}; a header with no entries is the zero object
     for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
             row = _SECTIONS.get(section)
             if kind is None:
@@ -378,6 +456,7 @@ def parse_document(text: str) -> ParsedDocument:
                 raise FormatError(f"repeated section [{section}]", lineno)
             store = entries[section] = {}
             limits = None
+            read = _read_entry if row.poly else _read_value
             continue
         if row is None:
             raise FormatError("content before the first section header", lineno)
@@ -386,8 +465,7 @@ def parse_document(text: str) -> ParsedDocument:
         elif row.usage is None:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
         else:
-            end = len(raw) - len(raw.lstrip()) + len(line)  # raw column after the content
-            limits = _read_entry(row, line, end, lineno, head, limits, store)
+            limits = read(row, line, raw, lineno, head, limits, store)
 
     if kind is None:
         raise FormatError("empty document", max(len(lines), 1))
@@ -426,12 +504,15 @@ def _build_structure(head: dict, entries: dict):
 
 
 def _build_kvalgebra(head: dict, entries: dict):
+    """The read values go straight to the `kvfin` table steps: the reader
+    has checked every index range and repeat, and the stores are keyed as
+    those steps read them, products by (k, i, j) and the form by (i, j)
+    with i <= j."""
     dim = head["dim"]
-    products = entries["kvalgebra"].items()
-    algebra = FinKVAlgebra.from_entries(dim, ((i, j, k, value) for (k, i, j), value in products))
+    algebra = FinKVAlgebra._from_table(dim, entries["kvalgebra"])
     form = entries.get("form")
     if form is not None:
-        form = SymForm.from_entries(dim, ((i, j, value) for (i, j), value in form.items()))
+        form = SymForm._from_table(dim, form)
     return algebra, form
 
 

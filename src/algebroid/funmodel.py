@@ -455,14 +455,21 @@ def function_product(rank: int, base_dim: int) -> MultiDiffOp:
 # ---------------------------------------------------------------------------
 
 
+def _check_base_dim(base_dim: int, what: str, index, value) -> None:
+    """Raise ValueError naming `what` `index` if value, a Poly or DiffOp,
+    is not over base_dim; a scalar passes."""
+    if getattr(value, "base_dim", base_dim) != base_dim:
+        raise ValueError(f"{what} {index} has base_dim {value.base_dim}, expected {base_dim}")
+
+
 def BiDiffOp(rank: int, base_dim: int, terms) -> MultiDiffOp:
     """The multiplication from its frame terms (k, i, j, alpha, beta, coeff):
 
         mu(s, s')_k += coeff * d^alpha(s_i) * d^beta(s'_j)
 
     Repeated terms add up. A term whose k, i or j is not in range(rank),
-    or whose alpha or beta is not base_dim entries >= 0, raises ValueError
-    naming it."""
+    whose alpha or beta is not base_dim entries >= 0, or whose Poly
+    coefficient is not over base_dim raises ValueError naming it."""
     fibre, keyed = frozenset(range(rank)), []
     for k, i, j, alpha, beta, coeff in terms:
         alpha, beta = tuple(alpha), tuple(beta)
@@ -474,24 +481,30 @@ def BiDiffOp(rank: int, base_dim: int, terms) -> MultiDiffOp:
                 f"mult term {(k, i, j, alpha, beta)} needs k, i, j in range({rank}) "
                 f"and multi-indices of {base_dim} entries >= 0"
             )
+        _check_base_dim(base_dim, "mult term", (k, i, j, alpha, beta), coeff)
         keyed.append(((k, ((i, alpha), (j, beta))), coeff))
     return MultiDiffOp(rank, base_dim, (SECTION, SECTION), SECTION, keyed)
 
 
 def AnchorMap(base_dim: int, rank: int, matrix: Sequence[Sequence[Poly]]) -> MultiDiffOp:
-    """rho(e_j) = sum_a p[a][j] d/dx_a, as the operator (s, f) -> rho(s)(f)."""
+    """rho(e_j) = sum_a p[a][j] d/dx_a, as the operator (s, f) -> rho(s)(f).
+    An entry p[a][j] that is a Poly not over base_dim raises ValueError
+    naming it, as in `Pairing` and `DCochain`."""
     if len(matrix) != base_dim or any(len(row) != rank for row in matrix):
         raise ValueError("anchor matrix must be base_dim x rank")
     zero = (0,) * base_dim
     terms = []
     for a, row in enumerate(matrix):
         e_a = tuple(int(i == a) for i in range(base_dim))
-        terms.extend(((None, ((j, zero), (None, e_a))), row[j]) for j in range(rank))
+        for j, p in enumerate(row):
+            _check_base_dim(base_dim, "anchor entry", (a, j), p)
+            terms.append(((None, ((j, zero), (None, e_a))), p))
     return MultiDiffOp(rank, base_dim, (SECTION, FUNCTION), FUNCTION, terms)
 
 
 def Pairing(rank: int, base_dim: int, matrix: Sequence[Sequence[Poly]]) -> MultiDiffOp:
-    """Symmetric bilinear form <s, s'> = sum g_ij s_i s'_j with g_ij Poly."""
+    """Symmetric bilinear form <s, s'> = sum g_ij s_i s'_j with g_ij Poly;
+    an entry g_ij not over base_dim raises ValueError naming it."""
     if len(matrix) != rank or any(len(row) != rank for row in matrix):
         raise ValueError("pairing matrix must be rank x rank")
     for i in range(rank):
@@ -499,21 +512,28 @@ def Pairing(rank: int, base_dim: int, matrix: Sequence[Sequence[Poly]]) -> Multi
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("pairing matrix must be symmetric")
     zero = (0,) * base_dim
-    terms = [
-        ((None, ((i, zero), (j, zero))), row[j]) for i, row in enumerate(matrix) for j in range(rank)
-    ]
+    terms = []
+    for i, row in enumerate(matrix):
+        for j, g in enumerate(row):
+            _check_base_dim(base_dim, "pairing entry", (i, j), g)
+            terms.append(((None, ((i, zero), (j, zero))), g))
     return MultiDiffOp(rank, base_dim, (SECTION, SECTION), FUNCTION, terms)
 
 
 def DCochain(rank: int, base_dim: int, components: Sequence[DiffOp]) -> MultiDiffOp:
-    """Degree-1 cochain D(f) = sum_k D_k(f) e_k with each D_k of order <= 1."""
+    """Degree-1 cochain D(f) = sum_k D_k(f) e_k with each D_k of order <= 1.
+    A component D_k, or a coefficient of one, not over base_dim raises
+    ValueError naming it."""
     if len(components) != rank:
         raise ValueError("need one DiffOp per fibre component")
+    terms = []
+    for k, op in enumerate(components):
+        _check_base_dim(base_dim, "dcochain component", k, op)
+        for alpha, c in op.terms.items():
+            _check_base_dim(base_dim, "dcochain term", (k, alpha), c)
+            terms.append(((k, ((None, alpha),)), c))
     if any(op.order > 1 for op in components):
         raise ValueError("D components must be differential operators of order <= 1")
-    terms = [
-        ((k, ((None, alpha),)), c) for k, op in enumerate(components) for alpha, c in op.terms.items()
-    ]
     return MultiDiffOp(rank, base_dim, (FUNCTION,), SECTION, terms)
 
 

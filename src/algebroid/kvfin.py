@@ -19,19 +19,25 @@ KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
 Every reader works on one table built with the algebra: nz[i][j] lists the
 nonzero structure constants of e_i e_j as (m, num) pairs, integer
-numerators over the one positive common denominator A.den. One builder
-makes it from (i, j, k, value) entries, for `from_entries`, the dense
-constructor and `commutator_bracket` alike; a form keeps num/den and its
-nonzero entries per row from one builder in the same way. A.c and
-beta.matrix are Fraction views made on first read. The KV defect, the
-Jacobi check of the commutator, the residual table of a form and the
-coboundary all read the table, so their inner loops multiply Python ints
-and turn a result into Fractions only once, when it is a witness. The KV
-anomaly is written once, in `_kv_anomalies`, scattered from the chained
-pairs of nonzero constants one basis pair i < j at a time, since it is
-skew in i, j: `kv_defect_fin` stops at the first pair, whose least nonzero
-triple is the first witness in basis-triple order, and `kv_nu` reads all
-of them off the table of the product nu.
+numerators over the one positive common denominator A.den. It is built
+in two steps. The check step, `from_entries`, raises ValueError for an
+index out of range or a repeated entry. The table step, `_table`, takes
+checked values {(k, i, j): (num, den)} in lowest terms and checks
+nothing. The dense constructor, whose entries are in range and distinct
+by their place, and the file reader (`fileformat`), which checks each
+entry as it reads its line and stores it keyed and reduced this way, go
+to the table step straight; code that builds from entries, such as
+`commutator_bracket`, goes through the check step. A form is built in
+the same two steps, keyed by (i, j) with i <= j. A.c and beta.matrix are
+Fraction views made on first read. The KV defect, the Jacobi check of
+the commutator, the residual table of a form and the coboundary all read
+the table, so their inner loops multiply Python ints and turn a result
+into Fractions only once, when it is a witness. The KV anomaly is
+written once, in `_kv_anomalies`, scattered from the chained pairs of
+nonzero constants one basis pair i < j at a time, since it is skew in
+i, j: `kv_defect_fin` stops at the first pair, whose least nonzero triple
+is the first witness in basis-triple order, and `kv_nu` reads all of
+them off the table of the product nu.
 
 A cochain is one list of Fractions, its coords (basis tuples in
 lexicographic order, each with its coefficients in the module's basis).
@@ -84,11 +90,6 @@ def _fraction(v) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _common_den(values) -> int:
-    """The least positive common denominator of the nonzero values."""
-    return lcm(*(v.denominator for v in values if v))
-
-
 class FinKVAlgebra:
     """dim-d algebra with product e_i e_j = sum_k c[i][j][k] e_k.
 
@@ -107,41 +108,48 @@ class FinKVAlgebra:
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be dim x dim x dim")
-        self._build(dim, (
-            (i, j, k, v)
+        self._table(dim, {
+            (k, i, j): (v.numerator, v.denominator)
             for i, plane in enumerate(c)
             for j, row in enumerate(plane)
             for k, v in enumerate(row)
             if v
-        ))
+        })
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "FinKVAlgebra":
         """The algebra with e_i e_j = sum of value * e_k over its entries
         (i, j, k, value); each (i, j, k) appears at most once and the
-        constants of the missing ones are 0."""
-        out = cls.__new__(cls)
-        out._build(dim, entries)
-        return out
-
-    def _build(self, dim: int, entries):
-        """The table straight from the entries, in (i, j, k) order."""
+        constants of the missing ones are 0. This is the check step: it
+        raises ValueError for a dim <= 0, an index out of range or a
+        repeat, then hands the entries to the table step."""
         if dim <= 0:
             raise ValueError("dim must be positive")
-        values = {}  # (i*dim + j)*dim + k -> value
+        values = {}
         for i, j, k, value in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"product index out of range: {i} {j} {k}")
-            key = (i * dim + j) * dim + k
-            if key in values:
+            if (k, i, j) in values:
                 raise ValueError(f"repeated product entry {i} {j} {k}")
-            values[key] = value
-        den = _common_den(values.values())
+            values[k, i, j] = (value.numerator, value.denominator)
+        return cls._from_table(dim, values)
+
+    @classmethod
+    def _from_table(cls, dim: int, values) -> "FinKVAlgebra":
+        out = cls.__new__(cls)
+        out._table(dim, values)
+        return out
+
+    def _table(self, dim: int, values):
+        """The table step, on checked values {(k, i, j): (num, den)}, the
+        constant of e_k in e_i e_j with every index in range(dim) and
+        num/den in lowest terms, den > 0. In sorted (k, i, j) order each
+        nz[i][j] gets its m ascending."""
+        den = lcm(*(d for n, d in values.values() if n))
         flat = [()] * (dim * dim)  # flat[i*dim + j] = nz[i][j]
-        for key, value in sorted(values.items()):
-            if value:
-                ij, m = divmod(key, dim)
-                flat[ij] += ((m, value.numerator * (den // value.denominator)),)
+        for (m, i, j), (n, d) in sorted(values.items()):
+            if n:
+                flat[i * dim + j] += ((m, n * (den // d)),)
         self.dim, self.den, self._c = dim, den, None
         self.nz = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))
 
@@ -538,21 +546,22 @@ class SymForm:
             for j in range(i):
                 if matrix[i][j] != matrix[j][i]:
                     raise ValueError("form matrix must be symmetric")
-        self._build(
-            d, ((i, j, matrix[i][j]) for i in range(d) for j in range(i, d) if matrix[i][j])
-        )
+        self._table(d, {
+            (i, j): (matrix[i][j].numerator, matrix[i][j].denominator)
+            for i in range(d)
+            for j in range(i, d)
+            if matrix[i][j]
+        })
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SymForm":
         """The form with beta(e_i, e_j) = beta(e_j, e_i) = value for its
         entries (i, j, value); each pair {i, j} appears at most once and
-        the missing entries are 0."""
-        out = cls.__new__(cls)
-        out._build(dim, entries)
-        return out
-
-    def _build(self, dim: int, entries):
-        """num and rows straight from the entries."""
+        the missing entries are 0. This is the check step: it raises
+        ValueError for a dim <= 0, an index out of range or a repeat, then
+        hands the entries to the table step."""
+        if dim <= 0:
+            raise ValueError("dim must be positive")
         values = {}
         for i, j, value in entries:
             if not (0 <= i < dim and 0 <= j < dim):
@@ -560,15 +569,26 @@ class SymForm:
             key = (i, j) if i <= j else (j, i)
             if key in values:
                 raise ValueError(f"repeated form entry {i} {j}")
-            values[key] = value
-        den = _common_den(values.values())
+            values[key] = (value.numerator, value.denominator)
+        return cls._from_table(dim, values)
+
+    @classmethod
+    def _from_table(cls, dim: int, values) -> "SymForm":
+        out = cls.__new__(cls)
+        out._table(dim, values)
+        return out
+
+    def _table(self, dim: int, values):
+        """The table step, on checked values {(i, j): (num, den)} with
+        i <= j < dim and num/den in lowest terms, den > 0: num and rows."""
+        den = lcm(*(d for n, d in values.values() if n))
         num = [[0] * dim for _ in range(dim)]
         rows = [[] for _ in range(dim)]
         # in (i, j) order, row r gets its entries (i, r), i < r, before
         # its entries (r, j), j >= r: ascending
-        for (i, j), value in sorted(values.items()):
-            if value:
-                n = value.numerator * (den // value.denominator)
+        for (i, j), (n, d) in sorted(values.items()):
+            if n:
+                n *= den // d
                 num[i][j] = num[j][i] = n
                 rows[i].append((j, n))
                 if i != j:

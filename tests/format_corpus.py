@@ -8,12 +8,13 @@ section with its own branch and checked index ranges after the last line;
 `was` is that parser's (exit code, stderr). Those entries are the intended
 changes: the first error in line order, header keys outside the kind's
 list, repeated sections, keys that come after the data lines that read
-them, and a [dcochain] term of order above 1, which exited 3. Three later
+them, and a [dcochain] term of order above 1, which exited 3. Four later
 changes are marked the same way: a [mult] multi-index of order above 1,
 which was read (and could make `check` hang), a superscript digit in a
-polynomial, which exited 3, and the end of a polynomial, which was read
-as a sign, so its error column was one too far. Every other entry gives
-that parser's output byte for byte.
+polynomial, which exited 3, the end of a polynomial, which was read as a
+sign, so its error column was one too far, and a [mult] section of more
+than 512 distinct terms, which was read. Every other entry gives that
+parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -78,6 +79,13 @@ def kv(old="", new=""):
 
 def lines(*rows):
     return "\n".join(rows) + "\n"
+
+
+def mult_terms(count, *extra):
+    """A rank-8 structure whose [mult] lists `count` distinct terms
+    k i j 0 0 1 (512 of them at most), then the lines `extra`."""
+    terms = (f"{n // 64} {n // 8 % 8} {n % 8} 0 0 1" for n in range(count))
+    return lines("[structure]", "base_dim 1", "rank 8", "[mult]", *terms, *extra)
 
 
 FORMAT_CORPUS = (
@@ -185,6 +193,9 @@ FORMAT_CORPUS = (
     Case("term-product-limit",
          lines("[structure]", "base_dim 2", "rank 1", "[dcochain]", "0 0,0 (1+x1+x2)^3000"),
          2, "error: line 5, column 16: bad polynomial: product of 561 by 561 terms exceeds the limit of 200000 term products\n"),
+    Case("mult-terms-over-limit", mult_terms(512, "0 0 0 0 0 2", "7 7 7 1 0 x1"),
+         2, "error: line 518: distinct mult terms exceed the limit 512\n",
+         was=(0, "")),
     # [anchor]
     Case("anchor-short", witt("0 0 2*x1", "0 2*x1"),
          2, "error: line 10: expected: a j coeff\n"),
@@ -278,6 +289,8 @@ FORMAT_CORPUS = (
     Case("duplicate-then-bad-value", kv("1 0 0 1", "1 0 0 1\n1 0 0 x"),
          2, "error: line 5, column 7: bad rational literal 'x'\n",
          was=(2, "error: line 5: duplicate product entry 1 0 0\n")),
+    Case("mult-range-then-term-limit", mult_terms(512, "0 0 8 1 0 1"),
+         2, "error: line 517: mult component index out of range: 0 0 8\n"),
     Case("bad-rank-then-duplicate-key", lines("[structure]", "rank x", "rank 2", "base_dim 1"),
          2, "error: line 2: bad rank 'x'\n",
          was=(2, "error: line 3: duplicate key 'rank'\n")),

@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from algebroid.exactmath import MAX_LITERAL_DIGITS, Poly
 from algebroid.fileformat import (
     MAX_BASE_DIM,
     MAX_KV_DIM,
+    MAX_MULT_TERMS,
     MAX_RANK,
+    _SECTIONS,
     FormatError,
     ParsedDocument,
     parse_document,
@@ -21,8 +24,8 @@ from algebroid.fileformat import (
     serialize_structure,
 )
 from algebroid.funmodel import AlgebroidStructure, AnchorMap, BiDiffOp
-from algebroid.kvfin import SymForm
-from format_corpus import FORMAT_CORPUS, mismatches
+from algebroid.kvfin import FinKVAlgebra, SymForm
+from format_corpus import FORMAT_CORPUS, mismatches, mult_terms
 
 WITT = """\
 [structure]
@@ -490,3 +493,164 @@ def test_integer_literal_size_limit():
         assert str(exc.value).endswith(
             f"bad polynomial: integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
         )
+
+
+# --- plain literals as integers ------------------------------------------------
+
+
+# the value each literal gave on the parser that read every value as a
+# Fraction, or its error (the CLI writes "error: " before it); on Python
+# 3.10 that parser refused the underscores, which Fraction accepts from 3.11
+RECORDED_LITERALS = {
+    "2/4": "1/2", "+3": "3", "007": "7", "-0": "0", "-007/014": "-1/2", "0/5": "0", "00/1": "0",
+    "1.5": "3/2", "-1.5e-3": "-3/2000", ".5": "1/2", "2.": "2", "1E2": "100", "1e3": "1000",
+    "1e+3": "1000", "1.e3": "1000", "1_000": "1000", "1_0/2_0": "1/2", "1.5_0": "3/2",
+    "1e1_0": "10000000000", "1/2_0": "1/20", "٣": "3", "٣/٦": "1/2",
+    "9" * 1000: "9" * 1000, "0" * 5 + "9" * 1000: "9" * 1000, f"1/{'9' * 1000}": f"1/{'9' * 1000}",
+    "1e999": "1" + "0" * 999,
+    **{text: f"line 4, column 7: bad rational literal {text!r}" for text in (
+        "0/0", "1/0", "0/000", "1/-2", "1/+2", "-1/-2", "--1", "+-1", "/2", "2/", ".e3", "e3",
+        "1e", "1__000", "_1", "1_", "1/٠", "nan", "inf", "0x10", "1/2/3", f"{'9' * 1000}/0",
+        f"{'9' * 1001}/-2",
+        # Python's 4300-digit int limit counts leading zeros, the digit limit does not
+        "0" * 4301 + "1", "1/" + "0" * 4301 + "1", "0" * 4301 + "1.5",
+    )},
+    **{text: "line 4, column 7: rational literal exceeds the limit of 1000 digits" for text in (
+        "9" * 1001, "1" + "0" * 1000, f"-{'9' * 1001}", f"1/{'9' * 1001}", f"{'9' * 1001}/0",
+        "1e1000", "1e-1000", "0" * 4301 + "9" * 1001,
+    )},
+}
+
+
+def kv_value_or_error(text):
+    try:
+        return str(kv_value(text))
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_literals_read_as_recorded():
+    for text, recorded in RECORDED_LITERALS.items():
+        assert kv_value_or_error(text) == recorded, text
+
+
+@st.composite
+def rational_literals(draw):
+    """(text, size): a rational literal with signs, leading zeros, an
+    unreduced or zero n/m, decimals, exponents and underscores, well or
+    badly placed, some n and m of 1000 or 1001 digits; size is the most
+    significant digits of n or m, or 0 for a short decimal literal."""
+    def digits(long):
+        text = draw(st.text("0123456789", min_size=1, max_size=5))
+        if long and draw(st.booleans()):
+            text = "0" * draw(st.integers(0, 2)) + draw(st.sampled_from("19")) * draw(
+                st.sampled_from([999, 1000, 1001])
+            )
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(["_", "__"])) + text[at:]
+        return text
+
+    def significant(text):
+        return len(text.replace("_", "").lstrip("0"))
+
+    sign = draw(st.sampled_from(["", "+", "-", "--"]))
+    num = digits(long=True)
+    form = draw(st.sampled_from(["n", "n/m", "decimal"]))
+    if form == "n":
+        return sign + num, significant(num)
+    if form == "n/m":
+        den = draw(st.sampled_from(["", "-", "+"])) + digits(long=True)
+        return f"{sign}{num}/{den}", max(significant(num), significant(den))
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 60)))
+    return f"{sign}{num[:5]}.{digits(long=False)}{exponent}", 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_literals())
+def test_plain_and_other_literals_agree_with_fraction(case):
+    """The value is Fraction(text), or the error is the one the parser
+    gave before plain literals were read as integers: a bad literal, then
+    the digit limit, then a zero denominator."""
+    text, size = case
+    if sys.version_info < (3, 11) and "_" in text:
+        return  # Fraction here refuses the underscores 3.11 accepts
+    bad = f"line 4, column 7: bad rational literal {text!r}"
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        assert kv_value_or_error(text) == bad
+        return
+    except ZeroDivisionError:
+        expected = None
+    if size > MAX_LITERAL_DIGITS:
+        assert kv_value_or_error(text) == (
+            f"line 4, column 7: rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+        )
+    elif expected is None:
+        assert kv_value_or_error(text) == bad
+    else:
+        assert kv_value(text) == expected
+
+
+def test_plain_literals_build_the_from_entries_tables():
+    """2/4, +3, 007 and -0, read as integers, give the algebra and form
+    that `from_entries` gives on their Fractions: the same den, nz and num."""
+    text = (
+        "[kvalgebra]\ndim 3\n0 0 0 2/4\n1 0 1 +3\n2 1 1 007\n0 2 2 -0\n"
+        "[form]\n0 0 2/4\n0 1 +3\n1 1 007\n2 2 -0\n"
+    )
+    doc = parse_document(text)
+    A = FinKVAlgebra.from_entries(
+        3, [(0, 0, 0, Fraction(1, 2)), (0, 1, 1, Fraction(3)), (1, 1, 2, Fraction(7)),
+            (2, 2, 0, Fraction(0))]
+    )
+    beta = SymForm.from_entries(
+        3, [(0, 0, Fraction(1, 2)), (0, 1, Fraction(3)), (1, 1, Fraction(7)), (2, 2, Fraction(0))]
+    )
+    assert (doc.algebra.den, doc.algebra.nz) == (A.den, A.nz) == (2, A.nz) and doc.algebra == A
+    assert (doc.form.den, doc.form.num, doc.form.rows) == (beta.den, beta.num, beta.rows)
+    assert doc.form == beta and doc.form.den == 2
+    assert serialize_document(doc) == (
+        "[kvalgebra]\ndim 3\n0 0 0 1/2\n1 0 1 3\n2 1 1 7\n[form]\n0 0 1/2\n0 1 3\n1 1 7\n"
+    )
+
+
+def test_reader_goes_straight_to_the_table_step(monkeypatch):
+    """The reader checks each entry once: its stores go to the table step,
+    not through the checks of `from_entries`."""
+
+    def twice(cls, *args):
+        raise AssertionError("entries checked again")
+
+    monkeypatch.setattr(FinKVAlgebra, "from_entries", classmethod(twice))
+    monkeypatch.setattr(SymForm, "from_entries", classmethod(twice))
+    doc = parse_document(KV)
+    assert doc.algebra.c[0][0][1] == 1 and doc.form.matrix[1][1] == Fraction(3, 2)
+
+
+def test_form_repeats_compare_values():
+    """(0,1) and (1,0) are one entry, and a repeat is an error either way:
+    equal values, in any form, are a duplicate, others a conflict."""
+    for first, second in (("1/2", "2/4"), ("1/2", "0.5"), ("-3", "-6/2"), ("0", "-0/7")):
+        with pytest.raises(FormatError) as exc:
+            parse_document(f"[kvalgebra]\ndim 2\n[form]\n0 1 {first}\n1 0 {second}\n")
+        assert str(exc.value) == "line 5: duplicate form entry 1 0"
+    for first, second in (("1/2", "1/3"), ("1/2", "-1/2"), ("0", "1e-9")):
+        with pytest.raises(FormatError) as exc:
+            parse_document(f"[kvalgebra]\ndim 2\n[form]\n0 1 {first}\n1 0 {second}\n")
+        assert str(exc.value) == "line 5: conflicting form entries for (1,0)"
+
+
+def test_mult_term_limit():
+    """A [mult] holds MAX_MULT_TERMS distinct terms; a repeated line adds
+    up and counts once, and the line that would add one more is the error."""
+    assert _SECTIONS["mult"].terms == MAX_MULT_TERMS == 512
+    S = parse_document(mult_terms(512, "0 0 0 0 0 2")).structure
+    assert len(S.mult.terms) == 512
+    with pytest.raises(FormatError) as exc:
+        parse_document(mult_terms(512, "0 0 0 0 0 2", "0 0 0 1 0 1"))
+    assert str(exc.value) == "line 518: distinct mult terms exceed the limit 512"
+    assert len(courant_standard(8).mult.terms) <= MAX_MULT_TERMS

@@ -315,6 +315,32 @@ def test_bidiffop_rejects_bad_terms(term):
     )
 
 
+X2 = Poly.variable(2, 1)  # x2, over base_dim 2
+
+
+@pytest.mark.parametrize("build, message", [
+    # built, it exported `0 0 x2` at base_dim 1, a file that does not read back
+    (lambda: AnchorMap(1, 1, [[X2]]), "anchor entry (0, 0) has base_dim 2, expected 1"),
+    (lambda: Pairing(1, 1, [[X2]]), "pairing entry (0, 0) has base_dim 2, expected 1"),
+    (lambda: DCochain(1, 1, [DiffOp(2, {(1, 0): 1})]),
+     "dcochain component 0 has base_dim 2, expected 1"),
+    (lambda: DCochain(1, 1, [DiffOp(1, {(1,): X2})]),
+     "dcochain term (0, (1,)) has base_dim 2, expected 1"),
+    (lambda: BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), X2)]),
+     "mult term (0, 0, 0, (0,), (1,)) has base_dim 2, expected 1"),
+], ids=["anchor", "pairing", "dcochain-component", "dcochain-term", "mult-term"])
+def test_parts_reject_entries_over_another_base_dim(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_parts_take_scalar_entries():
+    # a scalar entry is a constant over the structure's base_dim
+    assert AnchorMap(1, 1, [[2]]) == AnchorMap(1, 1, [[Poly.constant(1, 2)]])
+    assert Pairing(1, 2, [[1]]) == Pairing(1, 2, [[Poly.constant(2, 1)]])
+
+
 def test_pairing_requires_symmetry():
     n = 1
     with pytest.raises(ValueError):

@@ -1030,6 +1030,11 @@ def test_entry_constructors_validate():
         SymForm.from_entries(2, [(0, 2, F(1))])
     with pytest.raises(ValueError, match="repeated"):
         SymForm.from_entries(2, [(0, 1, F(1)), (1, 0, F(1))])
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            FinKVAlgebra.from_entries(dim, ())
+        with pytest.raises(ValueError, match="dim must be positive"):
+            SymForm.from_entries(dim, ())
     # zero entries are dropped, as in the dense constructors
     A = FinKVAlgebra.from_entries(2, [(0, 1, 0, F(0)), (1, 1, 1, F(2, 3))])
     assert A == alg(2, [(1, 1, 1, F(2, 3))]) and A.nz[0][1] == ()
