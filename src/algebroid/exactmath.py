@@ -21,17 +21,25 @@ exists only for a nonzero constant determinant, so
 what `funmodel.conjugate` needs for a frame change. All values are
 immutable after construction.
 
-Number literals in the polynomial syntax have at most MAX_LITERAL_DIGITS
-digits each, and so have the numerators and the denominator of every
-coefficient the parser computes: a sum, product or power over the limit is
-a parse error at its operator, and a power is checked before it is built.
-Each product the parser computes, a `*` or a square or multiply inside a
-power, multiplies at most MAX_TERM_PRODUCTS pairs of terms, checked before
-the product is made.
+`parse_poly` reads the polynomial syntax by one scan of a compiled pattern
+into tokens, a run of decimal digits or one other non-space character,
+then by recursive descent over the token list; the atoms `n`, `n/m` and
+`xk` are built as canonical integer polynomials, with no Fraction. A
+token's column is worked out, by a second scan, only for an error.
+Number literals have at most MAX_LITERAL_DIGITS digits each, and so have
+the numerators and the denominator of every coefficient the parser
+computes: a sum, product or power over the limit is a parse error at its
+operator, and a power is checked before it is built, as is the largest
+variable exponent a power would give, which has at most that many digits
+too. Each product the parser computes, a `*` or a square or multiply
+inside a power, multiplies at most MAX_TERM_PRODUCTS pairs of terms,
+checked before the product is made. Parentheses nest at most MAX_NESTING
+deep, which bounds the parser's recursion.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -311,67 +319,84 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+# The most levels of parentheses a polynomial may nest. The parser takes
+# four calls per level, so the limit keeps it far inside Python's recursion
+# limit (1000) from any caller: ((...(1)...)) 300 deep raised RecursionError.
+MAX_NESTING = 100
+
+# A token is a run of decimal digits or one other non-space character,
+# after any whitespace; `\d` and `\s` take exactly the characters that
+# str.isdecimal and str.isspace do.
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+
+
 class _PolyParser:
+    """Recursive descent over the tokens of one text, read by one scan of
+    `_TOKEN`. Positions are token indices; the end of input is the index
+    past the last token, and a token's column is worked out by a second
+    scan only for an error. Atoms are built as canonical integer `Poly`s."""
+
+    __slots__ = ("text", "base_dim", "zero", "toks", "i", "depth")
+
     def __init__(self, text: str, base_dim: int):
         self.text = text
         self.base_dim = base_dim
-        self.pos = 0
+        self.zero = (0,) * base_dim
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")  # the end of input
+        self.i = 0
+        self.depth = 0
 
-    def error(self, message: str, position: Optional[int] = None):
-        raise PolyParseError(message, self.pos if position is None else position)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, at: int):
+        """Raise `message` at the start of token `at`, or at the end of the
+        text for the end of input."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        raise PolyParseError(message, starts[at])
 
     def parse(self) -> Poly:
         p = self.parse_sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
+        tok = self.toks[self.i]
+        if tok:
+            self.error(f"unexpected character {tok[0]!r}", self.i)
         return p
 
     def parse_sum(self) -> Poly:
-        ch = self.peek()
-        negate = False
-        # `ch in "+-"` would also take "", the end of input
-        if ch == "+" or ch == "-":
-            negate = ch == "-"
-            self.pos += 1
+        toks = self.toks
+        tok = toks[self.i]
+        negate = tok == "-"
+        if negate or tok == "+":
+            self.i += 1
         p = self.parse_product()
         if negate:
             p = -p
         while True:
-            ch = self.peek()
-            at = self.pos
-            if ch == "+":
-                self.pos += 1
+            at = self.i
+            tok = toks[at]
+            if tok == "+":
+                self.i = at + 1
                 p = self.checked(p + self.parse_product(), at)
-            elif ch == "-":
-                self.pos += 1
+            elif tok == "-":
+                self.i = at + 1
                 p = self.checked(p - self.parse_product(), at)
             else:
                 return p
 
     def parse_product(self) -> Poly:
         p = self.parse_power()
-        while self.peek() == "*":
-            at = self.pos
-            self.pos += 1
+        while self.toks[self.i] == "*":
+            at = self.i
+            self.i = at + 1
             p = self.product(p, self.parse_power(), at)
         return p
 
     def parse_power(self) -> Poly:
         base = self.parse_atom()
-        if self.peek() != "^":
+        at = self.i
+        if self.toks[at] != "^":
             return base
-        at = self.pos
-        self.pos += 1
-        exp = self.parse_integer()
+        self.i = at + 1
+        exp = self.integer()
         num = base.num
         if num:
             # base^exp has the denominator den^exp and, among its
@@ -381,8 +406,13 @@ class _PolyParser:
             size = max(abs(num[min(num)]), abs(num[max(num)]), base.den).bit_length() - 1
             if size * exp >= _COEFF_BITS:
                 self.coefficient_error(at)
+            # nor one whose largest variable exponent would have more digits
+            if max(map(max, num)) * exp >= _COEFF_BOUND:
+                self.error(
+                    f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits", at
+                )
         # square-and-multiply: O(log exp) products instead of exp
-        result = Poly.constant(self.base_dim, 1)
+        result = Poly._make(self.base_dim, {self.zero: 1}, 1)
         while exp:
             if exp & 1:
                 result = self.product(result, base, at)
@@ -391,70 +421,73 @@ class _PolyParser:
                 base = self.product(base, base, at)
         return result
 
-    def product(self, a: Poly, b: Poly, position: int) -> Poly:
+    def product(self, a: Poly, b: Poly, at: int) -> Poly:
         """a * b, when it multiplies at most MAX_TERM_PRODUCTS term pairs
         (checked before it is made) and its coefficients are within the
-        digit limit; else an error at the operator's position."""
+        digit limit; else an error at the operator, token `at`."""
         if len(a.num) * len(b.num) > MAX_TERM_PRODUCTS:
             self.error(
                 f"product of {len(a.num)} by {len(b.num)} terms exceeds the limit "
                 f"of {MAX_TERM_PRODUCTS} term products",
-                position,
+                at,
             )
-        return self.checked(a * b, position)
+        return self.checked(a * b, at)
 
-    def checked(self, p: Poly, position: int) -> Poly:
+    def checked(self, p: Poly, at: int) -> Poly:
         """p, when its denominator and numerators have at most
-        MAX_LITERAL_DIGITS digits; else an error at the operator's
-        position."""
+        MAX_LITERAL_DIGITS digits; else an error at the operator, token
+        `at`."""
         values, bound = p.num.values(), _COEFF_BOUND
         if values and (p.den >= bound or max(values) >= bound or min(values) <= -bound):
-            self.coefficient_error(position)
+            self.coefficient_error(at)
         return p
 
-    def coefficient_error(self, position: int):
-        self.error(f"coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits", position)
+    def coefficient_error(self, at: int):
+        self.error(f"coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits", at)
 
-    def parse_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected integer")
-        if self.pos - start > MAX_LITERAL_DIGITS:
-            self.error(f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits", start)
-        return int(self.text[start : self.pos])
+    def integer(self) -> int:
+        """The integer literal at the next token."""
+        at = self.i
+        tok = self.toks[at]
+        if not tok.isdecimal():
+            self.error("expected integer", at)
+        if len(tok) > MAX_LITERAL_DIGITS:
+            self.error(f"integer literal exceeds the limit of {MAX_LITERAL_DIGITS} digits", at)
+        self.i = at + 1
+        return int(tok)
 
     def parse_atom(self) -> Poly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        at = self.i
+        tok = self.toks[at]
+        if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.i = at + 1
             p = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            if self.toks[self.i] != ")":
+                self.error("expected ')'", self.i)
+            self.i += 1
+            self.depth -= 1
             return p
         # errors found after a token is read point at the token's start
-        if ch == "x":
-            start = self.pos
-            self.pos += 1
-            index = self.parse_integer()
-            if not 1 <= index <= self.base_dim:
-                self.error(f"variable x{index} out of range for base_dim {self.base_dim}", start)
-            return Poly.variable(self.base_dim, index - 1)
-        if ch.isdecimal():
-            num = self.parse_integer()
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                start = self.pos
-                den = self.parse_integer()
-                if den == 0:
+        base_dim, zero = self.base_dim, self.zero
+        if tok == "x":
+            self.i = at + 1
+            index = self.integer()
+            if not 1 <= index <= base_dim:
+                self.error(f"variable x{index} out of range for base_dim {base_dim}", at)
+            return Poly._make(base_dim, {zero[: index - 1] + (1,) + zero[index:]: 1}, 1)
+        if tok.isdecimal():
+            num, den = self.integer(), 1
+            if self.toks[self.i] == "/":
+                self.i += 1
+                start = self.i
+                den = self.integer()
+                if not den:
                     self.error("zero denominator", start)
-                return Poly.constant(self.base_dim, Fraction(num, den))
-            return Poly.constant(self.base_dim, num)
-        self.error("expected polynomial atom")
+            return Poly._make(base_dim, {zero: num} if num else {}, den)
+        self.error("expected polynomial atom", at)
 
 
 def parse_poly(text: str, base_dim: int) -> Poly:

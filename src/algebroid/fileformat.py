@@ -74,6 +74,7 @@ Limits, each a parse error with its line (and column for a literal):
   capability matrix) took 3.9 s on courant_standard(8) (rank 16, base_dim
   8) and 0.16 s on tangent_lie(8) (same machine). The time also grows
   with the number of [mult] terms, which the next limit bounds.
+  `serialize_structure` refuses a structure over either limit.
 - A [mult] section holds at most MAX_MULT_TERMS (512) distinct terms
   (k, i, j, alpha, beta), the `terms` of its `_SECTIONS` row; the line
   that would add the 513th is the error. Repeated lines of one term add
@@ -83,6 +84,7 @@ Limits, each a parse error with its line (and column for a literal):
   1.5 s on courant_standard(8) with 16 more terms (same machine). The size
   of a coefficient is not limited: a term's polynomial may have any number
   of monomials, within the literal and product limits below.
+  `serialize_structure` refuses a structure with more terms.
 - Each [mult] and [dcochain] multi-index has order at most 1, which
   admits every catalog entry and courant_standard(n) and tangent_lie(n)
   for n <= 8. The witness search grows with the order: a one-term [mult]
@@ -97,9 +99,11 @@ Limits, each a parse error with its line (and column for a literal):
   and the denominator of every coefficient the polynomial parser computes:
   a sum, product or power over the limit is an error at the column of its
   operator, and a power such as 2^99999999999 is refused before it is
-  built. A rational value in [kvalgebra] or [form] takes every form
-  Fraction(text) accepts on Python 3.11 and later (3/4, -2, 1.5, 1e3,
-  1_000), on every supported Python, and its numerator and
+  built, as is one that would give a variable an exponent of more than
+  that many digits, such as (x1^E)^E for E of 999 digits. A rational
+  value in [kvalgebra] or [form] takes every form Fraction(text) accepts
+  on Python 3.11 and later (3/4, -2, 1.5, 1e3, 1_000), on every
+  supported Python, and its numerator and
   denominator, written out before reduction, have at most that many
   significant digits: 1e999 is at the limit, 1e1000 and 1e-1000 are over
   it. So a value prints without reaching Python's 4300-digit limit on
@@ -107,6 +111,8 @@ Limits, each a parse error with its line (and column for a literal):
 - Each product the polynomial parser computes multiplies at most
   MAX_TERM_PRODUCTS (200,000) pairs of terms, checked before it is made,
   so (1+x1+x2)^3000 is an error at the column of its ^.
+- Parentheses in a polynomial nest at most MAX_NESTING (100) deep; 300
+  levels exhausted Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -206,10 +212,10 @@ def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: i
             lineno,
         )
     try:
-        idx = tuple(int(p) for p in parts)
+        idx = tuple(map(int, parts))
     except ValueError:
         raise FormatError(f"bad multi-index {text!r}", lineno) from None
-    if any(i < 0 for i in idx):
+    if min(idx) < 0:
         raise FormatError(f"negative entry in multi-index {text!r}", lineno)
     if order is not None and sum(idx) > order:
         raise FormatError(
@@ -526,6 +532,13 @@ def _fmt_idx(alpha) -> str:
 
 
 def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
+    """The canonical text of S. A structure built in code that a file
+    cannot hold, since the text would not read back, raises ValueError
+    naming the limit: base_dim or rank over its header limit, more [mult]
+    terms than the section holds, or a [mult] multi-index of order > 1."""
+    for key, value in (("base_dim", S.base_dim), ("rank", S.rank)):
+        if value > _HEAD_LIMITS[key]:
+            raise ValueError(f"{key} {value} exceeds the limit {_HEAD_LIMITS[key]} of a file")
     lines = ["[structure]"]
     if name:
         lines.append(f"name {name}")
@@ -534,13 +547,17 @@ def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
     mult, anchor, pairing, d_cochain = S.mult, S.anchor, S.pairing, S.d_cochain
     lines.append(f"skew {'true' if mult.skew else 'false'}")
     if mult.terms:
+        terms = _SECTIONS["mult"].terms
+        if len(mult.terms) > terms:
+            raise ValueError(
+                f"[mult] has {len(mult.terms)} distinct terms; a file holds at most {terms}"
+            )
         lines.append("[mult]")
         limit = _SECTIONS["mult"].order
         for (k, i, j, alpha, beta), coeff in mult.terms:
             term = f"{k} {i} {j} {_fmt_idx(alpha)} {_fmt_idx(beta)}"
             order = max(sum(alpha), sum(beta))
             if order > limit:
-                # the file would not read back
                 raise ValueError(
                     f"[mult] term {term} has a multi-index of order {order}; "
                     f"a file holds order at most {limit}"

@@ -13,8 +13,11 @@ changes are marked the same way: a [mult] multi-index of order above 1,
 which was read (and could make `check` hang), a superscript digit in a
 polynomial, which exited 3, the end of a polynomial, which was read as a
 sign, so its error column was one too far, and a [mult] section of more
-than 512 distinct terms, which was read. Every other entry gives that
-parser's output byte for byte.
+than 512 distinct terms, which was read. So are two more limits of the
+polynomial syntax, parentheses nested more than 100 deep and a power
+whose variable exponent would have more than 1000 digits, which exited
+3 (the recorded RecursionError text is Python 3.11's). Every other entry
+gives that parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
 pytest, on any Python the package supports, with
@@ -190,6 +193,16 @@ FORMAT_CORPUS = (
          2, "error: line 8, column 11: bad polynomial: integer literal exceeds the limit of 1000 digits\n"),
     Case("mult-power-over-limit", witt("0 0 0 1 0 -1", "0 0 0 1 0 2^3322"),
          2, "error: line 8, column 12: bad polynomial: coefficient exceeds the limit of 1000 digits\n"),
+    Case("mult-nested-too-deep", witt("0 0 0 0 1 1", "0 0 0 0 1 " + "(" * 300 + "1" + ")" * 300),
+         2, "error: line 7, column 111: bad polynomial: parentheses nested deeper than 100\n",
+         was=(3, "internal error: RecursionError: maximum recursion depth exceeded while "
+                 "calling a Python object\n")),
+    Case("mult-power-of-a-power",
+         witt("0 0 0 1 0 -1", "0 0 0 1 0 " + "(((((x1)^E)^E)^E)^E)^E".replace("E", "9" * 999)),
+         2, "error: line 8, column 1020: bad polynomial: variable exponent exceeds the limit "
+            "of 1000 digits\n",
+         was=(3, "internal error: ValueError: Exceeds the limit (4300 digits) for integer "
+                 "string conversion; use sys.set_int_max_str_digits() to increase the limit\n")),
     Case("term-product-limit",
          lines("[structure]", "base_dim 2", "rank 1", "[dcochain]", "0 0,0 (1+x1+x2)^3000"),
          2, "error: line 5, column 16: bad polynomial: product of 561 by 561 terms exceeds the limit of 200000 term products\n"),
@@ -207,6 +220,8 @@ FORMAT_CORPUS = (
          2, "error: line 10: anchor index out of range: -1 0\n"),
     Case("anchor-bad-polynomial", witt("0 0 2*x1", "\t0  0 2*x1)"),
          2, "error: line 10, column 11: bad polynomial: unexpected character ')'\n"),
+    Case("anchor-variable-without-index", witt("0 0 2*x1", "0 0 2*x"),
+         2, "error: line 10, column 8: bad polynomial: expected integer\n"),
     Case("anchor-open-parenthesis",
          lines("[structure]", "base_dim 1", "rank 1", "skew true", "[anchor]", "0 0 ("),
          2, "error: line 6, column 6: bad polynomial: expected polynomial atom\n",
@@ -214,6 +229,8 @@ FORMAT_CORPUS = (
     # [pairing]
     Case("pairing-short", witt("[pairing]\n0 0 1", "[pairing]\n0 0"),
          2, "error: line 12: expected: i j coeff\n"),
+    Case("pairing-unclosed-parenthesis", witt("[pairing]\n0 0 1", "[pairing]\n0 0 (1 + x1"),
+         2, "error: line 12, column 12: bad polynomial: expected ')'\n"),
     Case("pairing-conflict", witt2("[pairing]\n0 0 1", "[pairing]\n0 1 5\n1 0 6"),
          2, "error: line 13: conflicting pairing entries for (1,0)\n"),
     Case("pairing-duplicate", witt2("[pairing]\n0 0 1", "[pairing]\n0 1 5\n1 0 5"),

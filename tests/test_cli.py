@@ -539,6 +539,46 @@ def test_oversized_coefficients_exit_2(tmp_path):
     assert (code, out, err) == (2, "", f"error: --function, column 7: bad polynomial: {message}\n")
 
 
+def mult_file(tmp_path, coeff):
+    """A rank-1 structure file whose one [mult] term 0 0 0 0 1 has coeff."""
+    path = tmp_path / "coeff.alg"
+    path.write_text(f"[structure]\nbase_dim 1\nrank 1\nskew false\n[mult]\n0 0 0 0 1 {coeff}\n")
+    return str(path)
+
+
+def test_nesting_limit_exits_2(tmp_path):
+    """Parentheses 100 deep parse; 101 deep (and 300, which raised
+    RecursionError) exit 2 at the column of the 101st '(', in a file and
+    in an `anomalies` argument."""
+    message = "bad polynomial: parentheses nested deeper than 100"
+    for depth in (100, 101, 300):
+        coeff = "(" * depth + "1" + ")" * depth
+        file_result = invoke("export", mult_file(tmp_path, coeff))
+        argument_result = invoke("anomalies", "--catalog", "witt-line", coeff, "1", "1")
+        if depth == 100:
+            assert file_result == (0, invoke("export", mult_file(tmp_path, "1"))[1], "")
+            assert argument_result == invoke("anomalies", "--catalog", "witt-line", "1", "1", "1")
+        else:
+            assert file_result == (2, "", f"error: line 6, column 111: {message}\n")
+            assert argument_result == (2, "", f"error: section 1, column 101: {message}\n")
+
+
+def test_power_of_a_power_exits_2(tmp_path):
+    """A power whose variable exponent would have more than 1000 digits is
+    refused at its '^' (it raised ValueError when printed); x1^E with E of
+    999 digits still parses and fails kv with a printed witness."""
+    e = "9" * 999
+    coeff = f"(((((x1)^{e})^{e})^{e})^{e})^{e}"
+    column = 11 + coeff.index("^", coeff.index("^") + 1)
+    assert invoke("export", mult_file(tmp_path, coeff)) == (
+        2, "", f"error: line 6, column {column}: bad polynomial: variable exponent "
+               "exceeds the limit of 1000 digits\n",
+    )
+    code, out, err = invoke("check", mult_file(tmp_path, f"x1^{e}"), "--profile", "kv")
+    assert (code, err) == (1, "")
+    assert "FAIL" in out and f"x1^{e}" in out
+
+
 def test_usage_errors_exit_2():
     code, _, _ = invoke("check", "--catalog", "witt-line", "--profile", "bogus")
     assert code == 2

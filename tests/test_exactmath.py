@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from algebroid.exactmath import (
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     MAX_TERM_PRODUCTS,
     Poly,
     PolyParseError,
@@ -22,6 +23,7 @@ from algebroid.exactmath import (
     solve_linear,
     sparse_rank,
 )
+from poly_oracle import oracle_parse_poly, outcome
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -455,6 +457,75 @@ def test_term_product_limit():
     assert len(parse_poly("(1+x1)^399 * (1+x1)^499", 1).num) == 899
     text = "(1+x1)^399 * (1+x1)^500"
     assert term_error(text) == text.index("*")
+
+
+# Texts over the parser's characters, with Unicode whitespace (\u00a0,
+# \u2003), a Unicode decimal digit (٣, which str.isdecimal accepts) and a
+# superscript digit (², which it does not); the tokens make mostly
+# well-formed texts, the characters mostly broken ones.
+_PARSER_CHARS = "0123456789xx+-*/^()  \t\u00a0\u2003٣²"
+_PARSER_TOKENS = (
+    "x1", "x2", "x3", "x٣", "2", "13", "0", "00", "1/2", "3/0", "٣", "²", "+", "-", "*",
+    "^", "^2", "^3", "(", ")", " ", "\u00a0", "\u2003", "/", "x",
+)
+parser_texts = st.one_of(
+    st.text(alphabet=_PARSER_CHARS, max_size=24),
+    st.lists(st.sampled_from(_PARSER_TOKENS), max_size=16).map("".join),
+)
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(parser_texts, st.integers(1, 3))
+def test_token_parser_matches_character_oracle(text, base_dim):
+    """The token parser gives the same Poly, or the same error message and
+    position, as the character-at-a-time oracle of tests/poly_oracle.py."""
+    assert outcome(parse_poly, text, base_dim) == outcome(oracle_parse_poly, text, base_dim)
+
+
+def parse_error(text, base_dim=1):
+    """(message, position) of the error parse_poly raises on text, after
+    checking that the oracle raises the same."""
+    got = outcome(parse_poly, text, base_dim)
+    assert got == outcome(oracle_parse_poly, text, base_dim)
+    assert got[0] == "error", text
+    return got[1:]
+
+
+def test_nesting_limit():
+    """MAX_NESTING levels of parentheses parse; one more is an error at the
+    '(' that crosses the limit, however deep the text goes (300 levels
+    raised RecursionError)."""
+    assert MAX_NESTING == 100
+    nested = lambda depth, body="x1": "(" * depth + body + ")" * depth
+    assert parse_poly(nested(MAX_NESTING), 1) == Poly.variable(1, 0)
+    # the limit counts open parentheses, not all of them
+    wide = " + ".join([nested(MAX_NESTING, "1")] * 3) + "*" + nested(MAX_NESTING, "x1^2")
+    assert parse_poly(wide, 1) == parse_poly("2 + x1^2", 1)
+    message = f"parentheses nested deeper than {MAX_NESTING}"
+    for depth in (MAX_NESTING + 1, 300, 5000):
+        assert parse_error(nested(depth)) == (message, MAX_NESTING)
+    text = "x1 + " + nested(MAX_NESTING, " ( 1)")
+    assert parse_error(text) == (message, text.rindex("("))
+
+
+def test_variable_exponent_limit():
+    """A power whose largest variable exponent would have more than
+    MAX_LITERAL_DIGITS digits is an error at its '^', before it is built
+    (it raised ValueError when printed); one at the limit parses."""
+    message = f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+    e = "9" * (MAX_LITERAL_DIGITS - 1)
+    assert parse_poly(f"x1^{e}", 1).num == {(int(e),): 1}
+    text = f"(((((x1)^{e})^{e})^{e})^{e})^{e}"
+    assert parse_error(text) == (message, text.index("^", text.index("^") + 1))
+    # the boundary: 10^1000 - 10 has 1000 digits, 10^1000 has 1001
+    top = "1" + "0" * (MAX_LITERAL_DIGITS - 1)
+    assert parse_poly(f"(x1^{e})^10", 1).num == {(10 * int(e),): 1}
+    assert parse_error(f"(x1^{top})^10") == (message, len(top) + 5)
+    # each variable counts, in any term
+    text = f"(1 + x1*x2^{top})^10"
+    assert parse_error(text, 2) == (message, text.rindex("^"))
+    # a constant base has no variable exponent
+    assert parse_poly(f"1^{e}", 1) == Poly.constant(1, 1)
 
 
 def test_eval_matches_expansion():

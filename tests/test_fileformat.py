@@ -251,8 +251,9 @@ def test_format_corpus_gives_the_recorded_output():
 
 def message_patterns():
     """A regular expression for each FormatError message in fileformat.py,
-    any formatted part matching any text."""
-    source = Path(__file__).resolve().parent.parent / "src" / "algebroid" / "fileformat.py"
+    and for each polynomial parser error in exactmath.py (a `self.error`
+    call) as a file reports it, any formatted part matching any text."""
+    package = Path(__file__).resolve().parent.parent / "src" / "algebroid"
 
     def pattern(node):
         if isinstance(node, ast.Constant):
@@ -266,17 +267,20 @@ def message_patterns():
                 return ".+".join(map(re.escape, node.func.value.value.split("{}")))
         return ".+"
 
-    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse((package / "fileformat.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FormatError":
             if node.args:
                 yield pattern(node.args[0])
+    for node in ast.walk(ast.parse((package / "exactmath.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "error":
+            yield re.escape("bad polynomial: ") + pattern(node.args[0])
 
 
 def test_format_corpus_covers_every_message_and_section():
     errors = [case.err for case in FORMAT_CORPUS if case.code == 2]
     assert len(errors) >= 40
     patterns = list(message_patterns())
-    assert len(patterns) >= 25
+    assert len(patterns) >= 36
     for regex in patterns:
         assert any(re.search(f"line \\d+(, column \\d+)?: {regex}\n", err) for err in errors), regex
     for section in ("structure", "mult", "anchor", "pairing", "dcochain", "kvalgebra", "form"):
@@ -294,6 +298,28 @@ def test_bad_multi_index_length():
     bad = WITT.replace("0 0 0 0 1 1", "0 0 0 0,0 1 1")
     with pytest.raises(FormatError, match="multi-index"):
         parse_document(bad)
+
+
+def test_multi_index_entries_read_as_int_does():
+    """A multi-index entry is any text int() takes: a sign, '_' between
+    digits and Unicode decimal digits, each read to its value before the
+    sign and order checks."""
+    base = "[structure]\nbase_dim 2\nrank 1\nskew false\n[mult]\n0 0 0 {} 0,0 1\n"
+    for alpha, result in (
+        ("+1,0", "0 0 0 1,0 0,0 1"),
+        ("-0,+1", "0 0 0 0,1 0,0 1"),
+        ("٠,١", "0 0 0 0,1 0,0 1"),
+        ("1_0,0", "line 6: multi-index '1_0,0' has order 10, expected at most 1"),
+        ("٣,0", "line 6: multi-index '٣,0' has order 3, expected at most 1"),
+        ("+0,1_0", "line 6: multi-index '+0,1_0' has order 10, expected at most 1"),
+        ("0,-1", "line 6: negative entry in multi-index '0,-1'"),
+        ("0,²", "line 6: bad multi-index '0,²'"),
+    ):
+        text = base.format(alpha)
+        if result.startswith("line"):
+            assert error_of(text) == result
+        else:
+            assert serialize_document(parse_document(text)).splitlines()[-1] == result
 
 
 def test_unknown_section():
@@ -385,6 +411,44 @@ def test_serializer_refuses_what_a_file_cannot_hold():
     text = serialize_structure(structure((1,), (1,)))
     assert text.endswith("[mult]\n0 0 0 1 1 1\n")
     assert serialize_document(parse_document(text)) == text
+
+
+def test_serializer_refuses_structures_over_the_file_limits():
+    """A structure at each file limit (rank, base_dim, distinct [mult]
+    terms) round-trips; one more raises ValueError naming the limit,
+    read from the reader's own limits."""
+    limits = _SECTIONS["mult"].terms, MAX_RANK, MAX_BASE_DIM
+    assert limits == (MAX_MULT_TERMS, 16, 8)
+
+    def terms(n):
+        # n distinct order-0/1 terms over rank 8, base_dim 1
+        return [(t // 64 % 8, t // 8 % 8, t % 8, (t // 512,), (0,), 1) for t in range(n)]
+
+    def structure(rank, base_dim, mult=()):
+        anchor = AnchorMap(base_dim, rank, [[Poly.zero(base_dim)] * rank] * base_dim)
+        return AlgebroidStructure(rank, base_dim, BiDiffOp(rank, base_dim, mult), anchor)
+
+    for S in (structure(8, 1, terms(MAX_MULT_TERMS)), structure(MAX_RANK, MAX_BASE_DIM)):
+        text = serialize_structure(S)
+        assert parse_document(text).structure == S
+        assert serialize_document(parse_document(text)) == text
+    for S, message in (
+        (
+            structure(8, 1, terms(MAX_MULT_TERMS + 1)),
+            f"[mult] has {MAX_MULT_TERMS + 1} distinct terms; a file holds at most {MAX_MULT_TERMS}",
+        ),
+        (
+            structure(MAX_RANK + 1, 1),
+            f"rank {MAX_RANK + 1} exceeds the limit {MAX_RANK} of a file",
+        ),
+        (
+            structure(1, MAX_BASE_DIM + 1),
+            f"base_dim {MAX_BASE_DIM + 1} exceeds the limit {MAX_BASE_DIM} of a file",
+        ),
+    ):
+        with pytest.raises(ValueError) as exc:
+            serialize_structure(S)
+        assert str(exc.value) == message
 
 
 def test_bad_rational_and_skew():
