@@ -46,6 +46,7 @@ from .exactmath import Poly, PolyParseError, parse_poly
 from .fileformat import (
     FormatError,
     ParsedDocument,
+    canonical_text,
     parse_document,
     serialize_document,
 )
@@ -186,7 +187,9 @@ def _entry_document(entry: CatalogEntry) -> ParsedDocument:
     return ParsedDocument("kvalgebra", entry.name, algebra=entry.algebra, form=entry.form)
 
 
-def _load(args) -> ParsedDocument:
+def _source(args) -> tuple:
+    """(the catalog entry, None) or (None, the decoded text of the file)
+    that args name."""
     # "" counts as given: it names no catalog entry and no file, and fails
     # as such instead of reading as absent
     catalog, file = getattr(args, "catalog", None), getattr(args, "file", None)
@@ -194,26 +197,29 @@ def _load(args) -> ParsedDocument:
         raise UsageError("give either a file or --catalog, not both")
     if catalog is not None:
         try:
-            entry = catalog_get(catalog)
+            return catalog_get(catalog), None
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from None
-        return _entry_document(entry)
     if file is not None:
         # decode the whole file at once, so a decode error's offset is the
-        # file's; `parse_document` splits lines as text mode would
+        # file's; the reader splits lines as text mode would
         with open(file, "rb") as fh:
             data = fh.read()
         try:
-            text = data.decode("utf-8")
+            return None, data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the bytes before the bad one decode; count lines as the parser does
+            # the bytes before the bad one decode; count lines as the reader does
             line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
             raise UsageError(
                 f"{file}: not UTF-8 at byte offset {exc.start} (line {line}): "
                 f"{exc.reason}"
             ) from None
-        return parse_document(text)
     raise UsageError("no input: give a file or --catalog NAME")
+
+
+def _load(args) -> ParsedDocument:
+    entry, text = _source(args)
+    return parse_document(text) if entry is None else _entry_document(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +478,13 @@ def _cmd_catalog(args, out: TextIO) -> int:
 
 
 def _cmd_export(args, out: TextIO) -> int:
-    doc = _load(args)
-    out.write(serialize_document(doc))
+    # a file's text goes from the reader's tables to the writer, with no
+    # operator built
+    entry, text = _source(args)
+    if entry is None:
+        out.write(canonical_text(text))
+    else:
+        out.write(serialize_document(_entry_document(entry)))
     return 0
 
 

@@ -25,7 +25,11 @@ immutable after construction.
 into tokens, a run of decimal digits or one other non-space character,
 then by recursive descent over the token list; the atoms `n`, `n/m` and
 `xk` are built as canonical integer polynomials, with no Fraction. A
-token's column is worked out, by a second scan, only for an error.
+token's column is worked out, by a second scan, only for an error. A
+plain literal, n or n/m with an optional sign, the most common
+coefficient, is read straight into its integer polynomial by one match
+when its integers are within the limit below and m is not 0; the token
+parser reads every other text and reports every error.
 Number literals have at most MAX_LITERAL_DIGITS digits each, and so have
 the numerators and the denominator of every coefficient the parser
 computes: a sum, product or power over the limit is a parse error at its
@@ -302,6 +306,13 @@ MAX_LITERAL_DIGITS = 1000
 _COEFF_BOUND = 10**MAX_LITERAL_DIGITS
 _COEFF_BITS = _COEFF_BOUND.bit_length()
 
+
+def over_digit_limit(p: Poly) -> bool:
+    """Whether the denominator or a numerator of p has more than
+    MAX_LITERAL_DIGITS digits."""
+    values, bound = p.num.values(), _COEFF_BOUND
+    return bool(values) and (p.den >= bound or max(values) >= bound or min(values) <= -bound)
+
 # The most term pairs one product the parser computes may multiply: the
 # terms of one factor times those of the other, checked before each `*`
 # and before each square and multiply inside a power. A product at this
@@ -437,8 +448,7 @@ class _PolyParser:
         """p, when its denominator and numerators have at most
         MAX_LITERAL_DIGITS digits; else an error at the operator, token
         `at`."""
-        values, bound = p.num.values(), _COEFF_BOUND
-        if values and (p.den >= bound or max(values) >= bound or min(values) <= -bound):
+        if over_digit_limit(p):
             self.coefficient_error(at)
         return p
 
@@ -490,8 +500,23 @@ class _PolyParser:
         self.error("expected polynomial atom", at)
 
 
+# A plain literal: n or n/m, with an optional sign, in the digits `\d` takes.
+_LITERAL = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+
+
 def parse_poly(text: str, base_dim: int) -> Poly:
-    """Parse the polynomial text syntax (`2*x1^2*x2 - 1/3`)."""
+    """Parse the polynomial text syntax (`2*x1^2*x2 - 1/3`). A plain
+    literal whose integers have at most MAX_LITERAL_DIGITS characters each,
+    leading zeros counted as the token parser counts them, and whose
+    denominator is not 0 is read straight into its integer Poly; any other
+    text, and every error, goes through the token parser."""
+    match = _LITERAL.fullmatch(text)
+    if match is not None:
+        sign, num, den = match.groups()
+        if len(num) <= MAX_LITERAL_DIGITS and (den is None or len(den) <= MAX_LITERAL_DIGITS):
+            n, d = int(sign + num), 1 if den is None else int(den)
+            if d:
+                return Poly._make(base_dim, {(0,) * base_dim: n} if n else {}, d)
     return _PolyParser(text, base_dim).parse()
 
 

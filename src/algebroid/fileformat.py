@@ -34,6 +34,18 @@ in x1..xn; value is a rational literal. Repeated [mult] lines for one
 term add up; any other repeated entry is an error. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
 
+The reader, `_read`, turns a text into its header keys and section
+tables; `parse_document` then builds the structure or the algebra from
+them. One writer, `_write`, turns section tables back into text:
+`serialize_structure` makes the tables from a structure's views and
+`serialize_kvalgebra` from the `kvfin` tables, and `canonical_text` hands
+the reader's tables straight to the writer, so `export FILE` builds no
+operator and no algebra. The writer raises ValueError for what a file
+cannot hold, since the text would not read back: a header value over its
+limit, more [mult] terms than the section holds, a multi-index of order
+over 1, a number of more than MAX_LITERAL_DIGITS digits, or a form of
+another dim than its algebra.
+
 The opening section holds the header keys, and only those listed above
 for its kind: `name`, `base_dim`, `rank`, `skew` in [structure], `name`
 and `dim` in [kvalgebra]. A key line is one that does not start with a
@@ -64,7 +76,8 @@ Limits, each a parse error with its line (and column for a literal):
   and Q[x]/(x^6) after a unimodular change of basis) and 30.1 s (one run)
   on clan-84 + vinberg-83 after the 32 moves e_a -> e_a + t e_b drawn from
   random.Random(54), whose constants have numerators up to 2564 (Intel
-  Xeon, 2 cores, Python 3.11.7).
+  Xeon, 2 cores, Python 3.11.7). `serialize_kvalgebra` refuses an algebra
+  over the limit.
 - A [structure] rank is at most MAX_RANK (16) and its base_dim at most
   MAX_BASE_DIM (8), which admits every catalog entry and courant_standard(n)
   and tangent_lie(n) for n <= 8. A structure holds base_dim x rank anchor
@@ -83,7 +96,8 @@ Limits, each a parse error with its line (and column for a literal):
   tangent_lie(8) (128 terms). At the limit, `check FILE --profile kv` took
   1.5 s on courant_standard(8) with 16 more terms (same machine). The size
   of a coefficient is not limited: a term's polynomial may have any number
-  of monomials, within the literal and product limits below.
+  of monomials, within the literal and product limits below, and so may
+  the sum of a term's repeated lines.
   `serialize_structure` refuses a structure with more terms.
 - Each [mult] and [dcochain] multi-index has order at most 1, which
   admits every catalog entry and courant_standard(n) and tangent_lie(n)
@@ -100,7 +114,11 @@ Limits, each a parse error with its line (and column for a literal):
   a sum, product or power over the limit is an error at the column of its
   operator, and a power such as 2^99999999999 is refused before it is
   built, as is one that would give a variable an exponent of more than
-  that many digits, such as (x1^E)^E for E of 999 digits. A rational
+  that many digits, such as (x1^E)^E for E of 999 digits. The sum of a
+  term's repeated [mult] lines is held to the same limit: the line whose
+  sum crosses it is the error (`summed mult coefficient exceeds the limit
+  of 1000 digits`), where the sum used to be exported as a literal that
+  did not read back. A rational
   value in [kvalgebra] or [form] takes every form Fraction(text) accepts
   on Python 3.11 and later (3/4, -2, 1.5, 1e3, 1_000), on every
   supported Python, and its numerator and
@@ -119,11 +137,18 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .exactmath import MAX_LITERAL_DIGITS, Poly, PolyParseError, grlex_key, parse_poly
+from .exactmath import (
+    MAX_LITERAL_DIGITS,
+    Poly,
+    PolyParseError,
+    over_digit_limit,
+    parse_poly,
+)
 from .funmodel import (
     AlgebroidStructure,
     AnchorMap,
@@ -169,11 +194,13 @@ _HEAD_LIMITS = {"dim": MAX_KV_DIM, "rank": MAX_RANK, "base_dim": MAX_BASE_DIM}
 # rational. In a `symmetric` section (i, j) is also (j, i); repeats of an
 # entry add up if `adds`, else they are an error that names the entry by
 # `noun`. `what` names an index out of range. A section holds at most
-# `terms` distinct entries, if set.
+# `terms` distinct entries, if set. An `optional` section's header alone is
+# the zero object, and without it the part is absent, so it is written with
+# no entries too.
 _Section = namedtuple(
     "_Section",
-    "kind keys usage bounds multi order poly symmetric adds noun what terms",
-    defaults=((), None, (), 0, None, False, False, False, "", "", None),
+    "kind keys usage bounds multi order poly symmetric adds noun what terms optional",
+    defaults=((), None, (), 0, None, False, False, False, "", "", None, False),
 )
 _SECTIONS = {
     "structure": _Section("structure", keys=("name", "base_dim", "rank", "skew")),
@@ -187,11 +214,11 @@ _SECTIONS = {
     ),
     "pairing": _Section(
         "structure", usage="i j coeff", bounds=("rank", "rank"), poly=True, symmetric=True,
-        noun="pairing", what="pairing index",
+        noun="pairing", what="pairing index", optional=True,
     ),
     "dcochain": _Section(
         "structure", usage="k alpha coeff", bounds=("rank",), multi=1, order=1, poly=True,
-        noun="dcochain", what="dcochain component",
+        noun="dcochain", what="dcochain component", optional=True,
     ),
     "kvalgebra": _Section(
         "kvalgebra", keys=("name", "dim"), usage="k i j value", bounds=("dim",) * 3,
@@ -199,7 +226,7 @@ _SECTIONS = {
     ),
     "form": _Section(
         "kvalgebra", usage="i j value", bounds=("dim", "dim"), symmetric=True, noun="form",
-        what="form index",
+        what="form index", optional=True,
     ),
 }
 
@@ -388,7 +415,7 @@ def _read_entry(row: _Section, line: str, raw: str, lineno: int, head: dict, lim
     an error. `line` is the content of `raw`. `limits` is (base_dim, the
     bound of each index) or None, looked up here at a section's first data
     line; it is returned for the next line."""
-    _, _, usage, bound_keys, multi, order, _, symmetric, adds, noun, _, terms = row
+    _, _, usage, bound_keys, multi, order, _, symmetric, adds, noun, _, terms, _ = row
     count = len(bound_keys)
     parts = line.split(None, count + multi)
     if len(parts) != count + multi + 1:
@@ -412,6 +439,11 @@ def _read_entry(row: _Section, line: str, raw: str, lineno: int, head: dict, lim
             raise FormatError(f"distinct {noun} terms exceed the limit {terms}", lineno)
     elif adds:
         value = old + value
+        if over_digit_limit(value):
+            raise FormatError(
+                f"summed {noun} coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits",
+                lineno,
+            )
     else:
         raise _repeated(row, idx, old, value, lineno, tuple(parts[count:-1]))
     store[key] = value
@@ -440,7 +472,11 @@ def _read_value(row: _Section, line: str, raw: str, lineno: int, head: dict, lim
     return limits
 
 
-def parse_document(text: str) -> ParsedDocument:
+def _read(text: str) -> tuple:
+    """The reader: the document's kind, its checked header keys and its
+    section tables, {section: {entry key: value}}, keyed as `_write` and
+    the build steps read them; a section header with no entries has an
+    empty table."""
     lines = text.splitlines()
     kind = row = None
     head: dict = {}  # header key -> its checked value
@@ -478,11 +514,23 @@ def parse_document(text: str) -> ParsedDocument:
     for key in _SECTIONS[kind].keys:
         if key in _HEAD_LIMITS and key not in head:
             raise FormatError(f"missing required key {key!r}", len(lines))
+    return kind, head, entries
+
+
+def parse_document(text: str) -> ParsedDocument:
+    kind, head, entries = _read(text)
     name = head.get("name", "")
     if kind == "structure":
         return ParsedDocument(kind, name, structure=_build_structure(head, entries))
     algebra, form = _build_kvalgebra(head, entries)
     return ParsedDocument(kind, name, algebra=algebra, form=form)
+
+
+def canonical_text(text: str) -> str:
+    """The canonical text of the document `text`, what
+    `serialize_document(parse_document(text))` gives: the reader's tables
+    go straight to the writer, and no operator or algebra is built."""
+    return _write(*_read(text))
 
 
 def _build_structure(head: dict, entries: dict):
@@ -527,84 +575,140 @@ def _build_kvalgebra(head: dict, entries: dict):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_idx(alpha) -> str:
-    return ",".join(str(a) for a in alpha)
+_NUMBER_BOUND = 10**MAX_LITERAL_DIGITS  # the least number of too many digits
+
+
+@lru_cache(maxsize=1024)
+def _fmt_idx(alpha: tuple) -> str:
+    return ",".join(map(str, alpha))
+
+
+def _write(kind: str, head: dict, tables: dict) -> str:
+    """The one writer: the canonical text of a document from its header
+    keys and its section tables, keyed as `_read` stores them ([mult]
+    (k, i, j, alpha, beta), [anchor] (a, j), [pairing] and [form] (i, j)
+    with i <= j, [dcochain] (k, alpha), [kvalgebra] (k, i, j)), with Poly
+    coefficients or rational values as reduced (numerator, denominator).
+    A section is written if its table is given, entries in sorted key
+    order (for [dcochain] that is D's grlex order, since a file holds
+    order at most 1) and zero ones left out; [mult] and [anchor] are left
+    out with no nonzero entry. What a file cannot hold, since the text
+    would not read back, raises ValueError naming the limit: a header
+    value over its limit, more entries than a section holds, a multi-index
+    of order over its section's, or a number of more than
+    MAX_LITERAL_DIGITS digits."""
+    for key, limit in _HEAD_LIMITS.items():
+        if head.get(key, 0) > limit:
+            raise ValueError(f"{key} {head[key]} exceeds the limit {limit} of a file")
+    lines = [f"[{kind}]"]
+    if head.get("name"):
+        lines.append(f"name {head['name']}")
+    if kind == "structure":
+        lines.append(f"base_dim {head['base_dim']}")
+        lines.append(f"rank {head['rank']}")
+        lines.append(f"skew {'true' if head.get('skew') else 'false'}")
+    else:
+        lines.append(f"dim {head['dim']}")
+    for section, row in _SECTIONS.items():
+        table = tables.get(section)
+        if table is None:
+            continue
+        if row.terms is not None and len(table) > row.terms:
+            raise ValueError(
+                f"[{section}] has {len(table)} distinct terms; a file holds at most {row.terms}"
+            )
+        count = len(row.bounds)
+        body = []
+        for key in sorted(table):
+            value = table[key]
+            if row.poly:
+                if not value:
+                    continue
+                over = over_digit_limit(value)
+            else:
+                n, d = value
+                if not n:
+                    continue
+                over = max(abs(n), d) >= _NUMBER_BOUND
+            if row.multi:
+                alphas = key[count:]
+                fields = " ".join([*map(str, key[:count]), *map(_fmt_idx, alphas)])
+                order = max(map(sum, alphas))
+                if order > row.order:
+                    raise ValueError(
+                        f"[{section}] term {fields} has a multi-index of order {order}; "
+                        f"a file holds order at most {row.order}"
+                    )
+            else:
+                fields = " ".join(map(str, key))
+            if over:
+                raise ValueError(
+                    f"[{section}] entry {fields} has a number of more than "
+                    f"{MAX_LITERAL_DIGITS} digits; a file holds at most that many"
+                )
+            text = str(value) if row.poly else f"{n}/{d}" if d != 1 else str(n)
+            body.append(f"{fields} {text}")
+        if body or row.optional:
+            if not row.keys:
+                lines.append(f"[{section}]")
+            lines.extend(body)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
-    """The canonical text of S. A structure built in code that a file
-    cannot hold, since the text would not read back, raises ValueError
-    naming the limit: base_dim or rank over its header limit, more [mult]
-    terms than the section holds, or a [mult] multi-index of order > 1."""
-    for key, value in (("base_dim", S.base_dim), ("rank", S.rank)):
-        if value > _HEAD_LIMITS[key]:
-            raise ValueError(f"{key} {value} exceeds the limit {_HEAD_LIMITS[key]} of a file")
-    lines = ["[structure]"]
-    if name:
-        lines.append(f"name {name}")
-    lines.append(f"base_dim {S.base_dim}")
-    lines.append(f"rank {S.rank}")
-    mult, anchor, pairing, d_cochain = S.mult, S.anchor, S.pairing, S.d_cochain
-    lines.append(f"skew {'true' if mult.skew else 'false'}")
-    if mult.terms:
-        terms = _SECTIONS["mult"].terms
-        if len(mult.terms) > terms:
-            raise ValueError(
-                f"[mult] has {len(mult.terms)} distinct terms; a file holds at most {terms}"
-            )
-        lines.append("[mult]")
-        limit = _SECTIONS["mult"].order
-        for (k, i, j, alpha, beta), coeff in mult.terms:
-            term = f"{k} {i} {j} {_fmt_idx(alpha)} {_fmt_idx(beta)}"
-            order = max(sum(alpha), sum(beta))
-            if order > limit:
-                raise ValueError(
-                    f"[mult] term {term} has a multi-index of order {order}; "
-                    f"a file holds order at most {limit}"
-                )
-            lines.append(f"{term} {coeff}")
-    anchor_lines = []
-    for a in range(S.base_dim):
-        for j in range(S.rank):
-            coeff = anchor.matrix[a][j]
-            if not coeff.is_zero():
-                anchor_lines.append(f"{a} {j} {coeff}")
-    if anchor_lines:
-        lines.append("[anchor]")
-        lines.extend(anchor_lines)
-    if pairing is not None:
-        lines.append("[pairing]")
-        for i in range(S.rank):
-            for j in range(i, S.rank):
-                coeff = pairing.matrix[i][j]
-                if not coeff.is_zero():
-                    lines.append(f"{i} {j} {coeff}")
-    if d_cochain is not None:
-        lines.append("[dcochain]")
-        for k, op in enumerate(d_cochain.components):
-            for alpha in sorted(op.terms, key=grlex_key):
-                lines.append(f"{k} {_fmt_idx(alpha)} {op.terms[alpha]}")
-    return "\n".join(lines) + "\n"
+    """The canonical text of S: its section tables from the views, then
+    `_write`, which raises ValueError for a structure built in code that a
+    file cannot hold."""
+    head = {"name": name, "base_dim": S.base_dim, "rank": S.rank, "skew": S.skew}
+    matrix = S.anchor.matrix
+    tables = {
+        "mult": dict(S.mult.terms),
+        "anchor": {(a, j): c for a, row in enumerate(matrix) for j, c in enumerate(row) if c},
+    }
+    if S.has("pairing"):
+        g = S.pairing.matrix
+        tables["pairing"] = {
+            (i, j): g[i][j] for i in range(S.rank) for j in range(i, S.rank) if g[i][j]
+        }
+    if S.has("D"):
+        tables["dcochain"] = {
+            (k, alpha): c
+            for k, op in enumerate(S.d_cochain.components)
+            for alpha, c in op.terms.items()
+        }
+    return _write("structure", head, tables)
+
+
+def _reduced(n: int, d: int) -> tuple:
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def serialize_kvalgebra(A: FinKVAlgebra, form: Optional[SymForm] = None, name: str = "") -> str:
-    lines = ["[kvalgebra]"]
-    if name:
-        lines.append(f"name {name}")
-    lines.append(f"dim {A.dim}")
-    for k in range(A.dim):
-        for i in range(A.dim):
-            for j in range(A.dim):
-                value = A.c[i][j][k]
-                if value:
-                    lines.append(f"{k} {i} {j} {value}")
+    """The canonical text of A and its form: the section tables from
+    `A.nz`/`A.den` and `form.num`/`form.den`, then `_write`. A form of
+    another dim than A's raises ValueError, as `_write` does for what a
+    file cannot hold."""
+    den = A.den
+    tables = {
+        "kvalgebra": {
+            (m, i, j): _reduced(n, den)
+            for i, plane in enumerate(A.nz)
+            for j, row in enumerate(plane)
+            for m, n in row
+        }
+    }
     if form is not None:
-        lines.append("[form]")
-        for i in range(form.dim):
-            for j in range(i, form.dim):
-                if form.matrix[i][j]:
-                    lines.append(f"{i} {j} {form.matrix[i][j]}")
-    return "\n".join(lines) + "\n"
+        if form.dim != A.dim:
+            raise ValueError(f"the form has dim {form.dim}, the algebra dim {A.dim}")
+        num, den = form.num, form.den
+        tables["form"] = {
+            (i, j): _reduced(num[i][j], den)
+            for i in range(form.dim)
+            for j in range(i, form.dim)
+            if num[i][j]
+        }
+    return _write("kvalgebra", {"name": name, "dim": A.dim}, tables)
 
 
 def serialize_document(doc: ParsedDocument) -> str:

@@ -16,7 +16,9 @@ sign, so its error column was one too far, and a [mult] section of more
 than 512 distinct terms, which was read. So are two more limits of the
 polynomial syntax, parentheses nested more than 100 deep and a power
 whose variable exponent would have more than 1000 digits, which exited
-3 (the recorded RecursionError text is Python 3.11's). Every other entry
+3 (the recorded RecursionError text is Python 3.11's), and repeated [mult]
+lines whose sum has more than 1000 digits, which was read and exported
+as a literal that does not read back. Every other entry
 gives that parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
@@ -208,6 +210,10 @@ FORMAT_CORPUS = (
          2, "error: line 5, column 16: bad polynomial: product of 561 by 561 terms exceeds the limit of 200000 term products\n"),
     Case("mult-terms-over-limit", mult_terms(512, "0 0 0 0 0 2", "7 7 7 1 0 x1"),
          2, "error: line 518: distinct mult terms exceed the limit 512\n",
+         was=(0, "")),
+    Case("mult-summed-coefficient-over-limit",
+         witt("0 0 0 0 1 1", "0 0 0 0 1 1\n0 0 0 0 1 " + "9" * 1000 + "\n0 0 0 0 1 -1/2"),
+         2, "error: line 8: summed mult coefficient exceeds the limit of 1000 digits\n",
          was=(0, "")),
     # [anchor]
     Case("anchor-short", witt("0 0 2*x1", "0 2*x1"),

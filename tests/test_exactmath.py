@@ -468,9 +468,26 @@ _PARSER_TOKENS = (
     "x1", "x2", "x3", "x٣", "2", "13", "0", "00", "1/2", "3/0", "٣", "²", "+", "-", "*",
     "^", "^2", "^3", "(", ")", " ", "\u00a0", "\u2003", "/", "x",
 )
+# Plain literals, which parse_poly reads without the token parser when
+# each integer has at most MAX_LITERAL_DIGITS characters and the
+# denominator is not 0: signs, leading zeros, ٣, integers of 1000 and 1001
+# characters, and n/0.
+_LITERAL_INTEGERS = st.one_of(
+    st.text(alphabet="0123456789٣", min_size=1, max_size=4),
+    st.sampled_from(["9" * 1000, "0" + "9" * 999, "9" * 1001, "0" * 1000 + "7", "0", "00"]),
+)
+plain_literals = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        _LITERAL_INTEGERS,
+        st.one_of(st.just(""), _LITERAL_INTEGERS.map("/".__add__)),
+    ),
+)
 parser_texts = st.one_of(
     st.text(alphabet=_PARSER_CHARS, max_size=24),
     st.lists(st.sampled_from(_PARSER_TOKENS), max_size=16).map("".join),
+    plain_literals,
 )
 
 

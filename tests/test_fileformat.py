@@ -1,4 +1,5 @@
 import ast
+import io
 import re
 import sys
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid.catalog import catalog_get, catalog_names, courant_standard, tangent_lie
-from algebroid.exactmath import MAX_LITERAL_DIGITS, Poly
+from algebroid import fileformat
+from algebroid.catalog import catalog_get, catalog_names, courant_standard, tangent_lie, witt_line
+from algebroid.cli import run
+from algebroid.exactmath import MAX_LITERAL_DIGITS, Poly, grlex_key
 from algebroid.fileformat import (
     MAX_BASE_DIM,
     MAX_KV_DIM,
@@ -18,12 +21,13 @@ from algebroid.fileformat import (
     _SECTIONS,
     FormatError,
     ParsedDocument,
+    canonical_text,
     parse_document,
     serialize_document,
     serialize_kvalgebra,
     serialize_structure,
 )
-from algebroid.funmodel import AlgebroidStructure, AnchorMap, BiDiffOp
+from algebroid.funmodel import AlgebroidStructure, AnchorMap, BiDiffOp, conjugate
 from algebroid.kvfin import FinKVAlgebra, SymForm
 from format_corpus import FORMAT_CORPUS, mismatches, mult_terms
 
@@ -718,3 +722,220 @@ def test_mult_term_limit():
         parse_document(mult_terms(512, "0 0 0 0 0 2", "0 0 0 1 0 1"))
     assert str(exc.value) == "line 518: distinct mult terms exceed the limit 512"
     assert len(courant_standard(8).mult.terms) <= MAX_MULT_TERMS
+
+
+# --- one writer over the reader's tables ----------------------------------------
+
+
+def summed(*coeffs):
+    """WITT with its first [mult] term on one line per coefficient."""
+    return WITT.replace("0 0 0 0 1 1\n", "".join(f"0 0 0 0 1 {c}\n" for c in coeffs))
+
+
+def test_summed_mult_entry_limit():
+    """Repeated [mult] lines add up within MAX_LITERAL_DIGITS: the line
+    whose sum crosses the limit is the error; a sum at the limit exports
+    to a literal that reads back."""
+    nines = "9" * MAX_LITERAL_DIGITS
+    for coeffs, line in (
+        ((nines, nines), 8),
+        (("1", "1", nines), 9),
+        ((f"1/{nines}", f"1/{'9' * (MAX_LITERAL_DIGITS - 1)}8"), 8),  # a denominator
+        (("x1", f"{nines}*x1", "1"), 8),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_document(summed(*coeffs))
+        assert str(exc.value) == (
+            f"line {line}: summed mult coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+        )
+    at_limit = summed(f"{'9' * (MAX_LITERAL_DIGITS - 1)}8", "1", f"-{nines}", nines)
+    text = canonical_text(at_limit)
+    assert f"0 0 0 0 1 {nines}\n" in text
+    assert canonical_text(text) == text == serialize_document(parse_document(at_limit))
+
+
+def test_writer_refuses_what_would_not_read_back():
+    """Either serializer raises ValueError naming the limit for what a file
+    cannot hold: a dim over MAX_KV_DIM, a form of another dim, a number
+    over MAX_LITERAL_DIGITS digits; the largest of each round-trips."""
+    over = 10**MAX_LITERAL_DIGITS
+    for A, form, message in (
+        (FinKVAlgebra.zero(MAX_KV_DIM + 1), None,
+         f"dim {MAX_KV_DIM + 1} exceeds the limit {MAX_KV_DIM} of a file"),
+        (FinKVAlgebra.zero(2), SymForm.from_entries(3, ()), "the form has dim 3, the algebra dim 2"),
+        (FinKVAlgebra.zero(3), SymForm.from_entries(2, ()), "the form has dim 2, the algebra dim 3"),
+        (FinKVAlgebra.from_entries(1, [(0, 0, 0, Fraction(over))]), None,
+         f"[kvalgebra] entry 0 0 0 has a number of more than {MAX_LITERAL_DIGITS} digits; "
+         "a file holds at most that many"),
+        (FinKVAlgebra.zero(2), SymForm.from_entries(2, [(0, 1, Fraction(1, over))]),
+         f"[form] entry 0 1 has a number of more than {MAX_LITERAL_DIGITS} digits; "
+         "a file holds at most that many"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            serialize_kvalgebra(A, form)
+        assert str(exc.value) == message
+    S = conjugate(witt_line(), [[Fraction(over + 7, 3)]])
+    with pytest.raises(ValueError) as exc:
+        serialize_structure(S)
+    assert str(exc.value) == (
+        f"[mult] entry 0 0 0 0 1 has a number of more than {MAX_LITERAL_DIGITS} digits; "
+        "a file holds at most that many"
+    )
+    largest = (
+        (FinKVAlgebra.from_entries(MAX_KV_DIM, [(0, 0, 0, Fraction(over - 1, over - 2))]),
+         SymForm.from_entries(MAX_KV_DIM, [(0, 5, Fraction(1 - over, over - 3))])),
+    )
+    for A, form in largest:
+        text = serialize_kvalgebra(A, form)
+        doc = parse_document(text)
+        assert (doc.algebra, doc.form) == (A, form) and canonical_text(text) == text
+    coeff = Poly.constant(1, Fraction(over - 1, over - 2))
+    mult = BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), coeff), (0, 0, 0, (1,), (0,), -coeff)])
+    S = AlgebroidStructure(1, 1, mult, AnchorMap(1, 1, [[coeff]]), skew=True)
+    text = serialize_structure(S)
+    assert parse_document(text).structure == S and canonical_text(text) == text
+
+
+def test_export_of_a_file_builds_no_operator(monkeypatch, tmp_path):
+    """`export FILE` goes from the reader's tables to the writer: no
+    structure, operator or algebra is built."""
+
+    def built(*args):
+        raise AssertionError("built")
+
+    for name in ("_build_structure", "_build_kvalgebra"):
+        monkeypatch.setattr(fileformat, name, built)
+    for text in (WITT, KV):
+        path = tmp_path / "doc.alg"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["export", str(path)], out, err) == 0, err.getvalue()
+        assert out.getvalue() == text
+
+
+# Values of random documents, some zero; the bad ones (an error, a literal
+# or a sum over the digit limit) are drawn for about one line in twelve.
+COEFFS = ("1", "-2/4", "0", "x1-x1", "0/3", "007", "٣", "x1", "x1^2 - 1/2", "(1+x1)^2",
+          "-x1*x1 + 3")
+VALUES = ("1", "0", "-3/6", "1.5", "2e1", "007", "٣", "-0/5")
+BAD_COEFFS = ("9" * 1000, "9" * 1001, "1/0", "x1+", "²", "x3")
+BAD_VALUES = ("1/0", "x", "9" * 1001, "1e1001")
+
+
+@st.composite
+def documents(draw) -> str:
+    """A [structure] or [kvalgebra] document with split and repeated lines,
+    comments, blank lines, zero entries and empty sections in any order;
+    some lines have an error, an index out of range or a repeat that does
+    not add up, and some [mult] sums cross the digit limit."""
+    lines = []
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        lines += ["[kvalgebra]", f"name {draw(st.sampled_from(['a', 'b c']))}", f"dim {dim}"]
+        sections = {"kvalgebra": (dim,) * 3, "form": (dim,) * 2}
+        base_dim = 0
+    else:
+        base_dim, rank = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        lines += ["[structure]", f"base_dim {base_dim}", f"rank {rank}"]
+        lines += draw(st.sampled_from([[], ["skew true"], ["skew false"], ["name s"]]))
+        sections = {
+            "mult": (rank,) * 3, "anchor": (base_dim, rank), "pairing": (rank,) * 2,
+            "dcochain": (rank,),
+        }
+    multi = {"mult": 2, "dcochain": 1}
+    # the [kvalgebra] products follow its header, the sections come in any order
+    for section in sorted(draw(st.permutations(list(sections))), key="kvalgebra".__ne__):
+        if section != "kvalgebra":
+            if not draw(st.integers(0, 3)):
+                continue  # no header
+            lines.append(f"[{section}]")
+        poly = section not in ("kvalgebra", "form")
+        # distinct entries: indices, then the variable each multi-index
+        # differentiates (base_dim for none); (i, j) is (j, i) in [pairing]
+        # and [form]
+        fields = [st.integers(0, bound - 1) for bound in sections[section]]
+        fields += [st.integers(0, base_dim)] * multi.get(section, 0)
+        symmetric = section in ("pairing", "form")
+        keys = draw(st.lists(
+            st.tuples(*fields), max_size=6,
+            unique_by=lambda key: tuple(sorted(key[:2])) if symmetric else key,
+        ))
+        for key in keys:
+            bad = draw(st.integers(0, 11)) == 0
+            count = len(sections[section])
+            idx = list(key[:count])
+            if bad and draw(st.booleans()):
+                idx[-1] = sections[section][-1]  # out of range
+            elif symmetric and draw(st.booleans()):
+                idx.reverse()
+            alphas = [
+                ",".join(str(int(a == v)) for a in range(base_dim)) for v in key[count:]
+            ]
+            pool = (BAD_COEFFS if poly else BAD_VALUES) if bad else (COEFFS if poly else VALUES)
+            line = " ".join([*map(str, idx), *alphas, draw(st.sampled_from(pool))])
+            # a [mult] line is split in two that add up; another repeat is an error
+            repeats = 1 + (draw(st.integers(0, 3 if section == "mult" else 40)) == 0)
+            for _ in range(repeats):
+                lines.append(line + draw(st.sampled_from(["", "  # c", "\t"])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def old_serialize(doc: ParsedDocument) -> str:
+    """The serializers before the one writer, kept as the oracle: each
+    section's lines built from the views of the structure, or from the
+    Fraction views of the algebra and its form."""
+    lines = [f"[{doc.kind}]"] + ([f"name {doc.name}"] if doc.name else [])
+    idx = lambda alpha: ",".join(map(str, alpha))  # noqa: E731
+    if doc.kind == "kvalgebra":
+        A, form = doc.algebra, doc.form
+        lines.append(f"dim {A.dim}")
+        lines += [
+            f"{k} {i} {j} {A.c[i][j][k]}"
+            for k in range(A.dim) for i in range(A.dim) for j in range(A.dim) if A.c[i][j][k]
+        ]
+        if form is not None:
+            lines.append("[form]")
+            lines += [
+                f"{i} {j} {form.matrix[i][j]}"
+                for i in range(form.dim) for j in range(i, form.dim) if form.matrix[i][j]
+            ]
+        return "\n".join(lines) + "\n"
+    S = doc.structure
+    lines += [f"base_dim {S.base_dim}", f"rank {S.rank}", f"skew {str(S.skew).lower()}"]
+    if S.mult.terms:
+        lines.append("[mult]")
+        lines += [f"{k} {i} {j} {idx(a)} {idx(b)} {c}" for (k, i, j, a, b), c in S.mult.terms]
+    anchor = [
+        f"{a} {j} {c}" for a, row in enumerate(S.anchor.matrix) for j, c in enumerate(row) if c
+    ]
+    if anchor:
+        lines += ["[anchor]"] + anchor
+    if S.pairing is not None:
+        g = S.pairing.matrix
+        lines.append("[pairing]")
+        lines += [f"{i} {j} {g[i][j]}" for i in range(S.rank) for j in range(i, S.rank) if g[i][j]]
+    if S.d_cochain is not None:
+        lines.append("[dcochain]")
+        for k, op in enumerate(S.d_cochain.components):
+            lines += [f"{k} {idx(a)} {op.terms[a]}" for a in sorted(op.terms, key=grlex_key)]
+    return "\n".join(lines) + "\n"
+
+
+def route(function, text):
+    try:
+        return ("text", function(text))
+    except FormatError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(documents())
+def test_canonical_text_is_the_old_route(text):
+    """`canonical_text`, the reader's tables written out, gives the text or
+    the error of parse, build and serialize, and of the serializers that
+    built each line from the views."""
+    got = route(canonical_text, text)
+    assert got == route(lambda t: serialize_document(parse_document(t)), text)
+    assert got == route(lambda t: old_serialize(parse_document(t)), text)
