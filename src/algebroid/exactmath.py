@@ -25,20 +25,22 @@ immutable after construction.
 into tokens, a run of decimal digits or one other non-space character,
 then by recursive descent over the token list; the atoms `n`, `n/m` and
 `xk` are built as canonical integer polynomials, with no Fraction. A
-token's column is worked out, by a second scan, only for an error. A
-plain literal, n or n/m with an optional sign, the most common
-coefficient, is read straight into its integer polynomial by one match
-when its integers are within the limit below and m is not 0; the token
-parser reads every other text and reports every error.
+token's column is worked out, by a second scan, only for an error.
+`plain_literal`, the one reader of a plain literal (n or n/m with an
+optional sign, in coefficients and file values alike), reads one into
+its reduced integers when they are within the limit below and m is not
+0; `parse_poly` builds such a literal straight into its integer
+polynomial, and the token parser reads every other text and reports
+every error.
 Number literals have at most MAX_LITERAL_DIGITS digits each, and so have
 the numerators and the denominator of every coefficient the parser
 computes: a sum, product or power over the limit is a parse error at its
 operator, and a power is checked before it is built, as is the largest
-variable exponent a power would give, which has at most that many digits
-too. Each product the parser computes, a `*` or a square or multiply
-inside a power, multiplies at most MAX_TERM_PRODUCTS pairs of terms,
-checked before the product is made. Parentheses nest at most MAX_NESTING
-deep, which bounds the parser's recursion.
+variable exponent a power or product would give, which has at most that
+many digits too. Each product the parser computes, a `*` or a square or
+multiply inside a power, multiplies at most MAX_TERM_PRODUCTS pairs of
+terms, checked before the product is made. Parentheses nest at most
+MAX_NESTING deep, which bounds the parser's recursion.
 """
 
 from __future__ import annotations
@@ -419,9 +421,7 @@ class _PolyParser:
                 self.coefficient_error(at)
             # nor one whose largest variable exponent would have more digits
             if max(map(max, num)) * exp >= _COEFF_BOUND:
-                self.error(
-                    f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits", at
-                )
+                self.exponent_error(at)
         # square-and-multiply: O(log exp) products instead of exp
         result = Poly._make(self.base_dim, {self.zero: 1}, 1)
         while exp:
@@ -434,14 +434,21 @@ class _PolyParser:
 
     def product(self, a: Poly, b: Poly, at: int) -> Poly:
         """a * b, when it multiplies at most MAX_TERM_PRODUCTS term pairs
-        (checked before it is made) and its coefficients are within the
-        digit limit; else an error at the operator, token `at`."""
+        and its largest variable exponent has at most MAX_LITERAL_DIGITS
+        digits (both checked before it is made), and its coefficients are
+        within the digit limit; else an error at the operator, token `at`."""
         if len(a.num) * len(b.num) > MAX_TERM_PRODUCTS:
             self.error(
                 f"product of {len(a.num)} by {len(b.num)} terms exceeds the limit "
                 f"of {MAX_TERM_PRODUCTS} term products",
                 at,
             )
+        if a.num and b.num and max(map(max, a.num)) + max(map(max, b.num)) >= _COEFF_BOUND:
+            # x_v's top exponent in a * b is the sum of its top exponents in
+            # a and b, since the product of their top parts is not zero
+            tops = zip(map(max, zip(*a.num)), map(max, zip(*b.num)))
+            if max(map(sum, tops)) >= _COEFF_BOUND:
+                self.exponent_error(at)
         return self.checked(a * b, at)
 
     def checked(self, p: Poly, at: int) -> Poly:
@@ -454,6 +461,9 @@ class _PolyParser:
 
     def coefficient_error(self, at: int):
         self.error(f"coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits", at)
+
+    def exponent_error(self, at: int):
+        self.error(f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits", at)
 
     def integer(self) -> int:
         """The integer literal at the next token."""
@@ -500,23 +510,41 @@ class _PolyParser:
         self.error("expected polynomial atom", at)
 
 
-# A plain literal: n or n/m, with an optional sign, in the digits `\d` takes.
-_LITERAL = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+# A plain literal: n or n/m, with an optional sign, in the digits `\d` takes,
+# of at most MAX_LITERAL_DIGITS characters each.
+_LITERAL = re.compile(r"([-+]?\d{1,%d})(?:/(\d{1,%d}))?" % (MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS))
+
+
+def reduced(n: int, d: int) -> tuple:
+    """n/d, d > 0, as (numerator, denominator) in lowest terms."""
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def plain_literal(text: str) -> Optional[tuple]:
+    """The plain literal `text`, n or n/m with an optional sign, as (n, m)
+    in lowest terms; None for any other text, for m = 0 and for an integer
+    of more than MAX_LITERAL_DIGITS characters, leading zeros counted as
+    the token parser counts them. A caller reads what this passes on by
+    its own grammar, which gives the same value or the error."""
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        return None
+    num, den = match.groups()
+    if den is None:
+        return int(num), 1
+    d = int(den)
+    return reduced(int(num), d) if d else None
 
 
 def parse_poly(text: str, base_dim: int) -> Poly:
     """Parse the polynomial text syntax (`2*x1^2*x2 - 1/3`). A plain
-    literal whose integers have at most MAX_LITERAL_DIGITS characters each,
-    leading zeros counted as the token parser counts them, and whose
-    denominator is not 0 is read straight into its integer Poly; any other
-    text, and every error, goes through the token parser."""
-    match = _LITERAL.fullmatch(text)
-    if match is not None:
-        sign, num, den = match.groups()
-        if len(num) <= MAX_LITERAL_DIGITS and (den is None or len(den) <= MAX_LITERAL_DIGITS):
-            n, d = int(sign + num), 1 if den is None else int(den)
-            if d:
-                return Poly._make(base_dim, {(0,) * base_dim: n} if n else {}, d)
+    literal (`plain_literal`) is built straight into its integer Poly; any
+    other text, and every error, goes through the token parser."""
+    value = plain_literal(text)
+    if value is not None:
+        n, d = value
+        return Poly._make(base_dim, {(0,) * base_dim: n} if n else {}, d)
     return _PolyParser(text, base_dim).parse()
 
 

@@ -43,23 +43,27 @@ the reader's tables straight to the writer, so `export FILE` builds no
 operator and no algebra. The writer raises ValueError for what a file
 cannot hold, since the text would not read back: a header value over its
 limit, more [mult] terms than the section holds, a multi-index of order
-over 1, a number of more than MAX_LITERAL_DIGITS digits, or a form of
-another dim than its algebra.
+over 1, a number (a coefficient's numerator or denominator, or a variable
+exponent) of more than MAX_LITERAL_DIGITS digits, or a form of another
+dim than its algebra.
 
 The opening section holds the header keys, and only those listed above
 for its kind: `name`, `base_dim`, `rank`, `skew` in [structure], `name`
 and `dim` in [kvalgebra]. A key line is one that does not start with a
 digit, `+` or `-`. Each section appears at most once, and a data line
 needs the keys it reads (base_dim, rank or dim) above it. `_SECTIONS` is
-the table of sections. A data line is checked completely when it is read
-(field count, indices, multi-indices, the value, then the index ranges),
-so the error reported is the first in line order: `_read_entry` reads the
-rows with a polynomial value, `_read_value` the rational rows ([kvalgebra],
-[form]) in the same order of checks. A rational value is stored as its
-reduced integer numerator and denominator, and the checked store of each
-rational section goes straight to the `kvfin` table step, which checks no
-entry again. A missing required key is reported at the first data line
-that reads it, or at the last line of a file that has none.
+the table of sections. One row reader, `_read_row`, checks every data
+line completely when it is read (field count, indices, multi-indices, the
+value, then the index ranges), so the error reported is the first in line
+order; its section's row picks the value parser, `parse_poly` for a
+coefficient or `_parse_rational` for a [kvalgebra] or [form] value. A
+plain n or n/m is read as integers by `exactmath.plain_literal` in both.
+A rational value is stored as its reduced integer numerator and
+denominator, and the store of each rational section goes straight to the
+`kvfin` table step, which checks no entry again: the reader is the one
+place that checks a file's entries. A missing required key is reported
+at the first data line that reads it, or at the last line of a file that
+has none.
 
 An optional section ([pairing], [dcochain], [form]) whose header is
 present with no entries, or only zero ones, is the zero pairing, D or
@@ -108,24 +112,26 @@ Limits, each a parse error with its line (and column for a literal):
   higher order, but `serialize_structure` refuses it with a ValueError
   that names the term, since its file would not read back.
 - A number literal has at most MAX_LITERAL_DIGITS (1000) digits. In a
-  polynomial that holds for each integer (the digits of a constant, a
-  denominator, a variable index or an exponent), and for the numerators
-  and the denominator of every coefficient the polynomial parser computes:
-  a sum, product or power over the limit is an error at the column of its
-  operator, and a power such as 2^99999999999 is refused before it is
-  built, as is one that would give a variable an exponent of more than
-  that many digits, such as (x1^E)^E for E of 999 digits. The sum of a
-  term's repeated [mult] lines is held to the same limit: the line whose
-  sum crosses it is the error (`summed mult coefficient exceeds the limit
-  of 1000 digits`), where the sum used to be exported as a literal that
-  did not read back. A rational
-  value in [kvalgebra] or [form] takes every form Fraction(text) accepts
-  on Python 3.11 and later (3/4, -2, 1.5, 1e3, 1_000), on every
-  supported Python, and its numerator and
-  denominator, written out before reduction, have at most that many
-  significant digits: 1e999 is at the limit, 1e1000 and 1e-1000 are over
-  it. So a value prints without reaching Python's 4300-digit limit on
-  int-to-str conversion.
+  polynomial that holds for each integer, leading zeros counted (the
+  digits of a constant, a denominator, a variable index or an exponent),
+  and for the numerators and the denominator of every coefficient the
+  polynomial parser computes: a sum, product or power over the limit is
+  an error at the column of its operator, and a power such as
+  2^99999999999 is refused before it is built, as is a power or product
+  that would give a variable an exponent of more than that many digits,
+  such as (x1^E)^E for E of 999 digits or x1^E*x1^E for E of 1000 nines.
+  The sum of a term's repeated [mult] lines is held to the same limit:
+  the line whose sum crosses it is the error (`summed mult coefficient
+  exceeds the limit of 1000 digits`), where the sum used to be exported
+  as a literal that did not read back. A rational value in [kvalgebra]
+  or [form] takes every form Fraction(text) accepts on Python 3.11 and
+  later (3/4, -2, 1.5, 1e3, 1_000), on every supported Python, and its
+  numerator and denominator, written out before reduction, have at most
+  that many significant digits: 1e999 is at the limit, 1e1000 and
+  1e-1000 are over it. So a value prints without reaching Python's
+  4300-digit limit on int-to-str conversion. The two grammars differ only
+  there: a polynomial counts leading zeros and takes no decimal, exponent
+  or `_` form.
 - Each product the polynomial parser computes multiplies at most
   MAX_TERM_PRODUCTS (200,000) pairs of terms, checked before it is made,
   so (1+x1+x2)^3000 is an error at the column of its ^.
@@ -139,7 +145,6 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .exactmath import (
@@ -148,6 +153,8 @@ from .exactmath import (
     PolyParseError,
     over_digit_limit,
     parse_poly,
+    plain_literal,
+    reduced,
 )
 from .funmodel import (
     AlgebroidStructure,
@@ -302,40 +309,24 @@ def _parse_rational(text: str, lineno: int, raw: str, line: str) -> tuple:
     """The rational literal `text`, the last field of `line`, as (numerator,
     denominator) in lowest terms with denominator > 0: every form
     `Fraction(text)` accepts on Python 3.11 and later, within
-    MAX_LITERAL_DIGITS. n and n/m, the common forms, are read as integers
-    with no regular expression and no Fraction."""
-    num, slash, den = text.partition("/")
-    body = num[1:] if num[:1] in "+-" else num
-    match = None
-    if body.isdecimal() and (den.isdecimal() or not slash):
-        digits = max(len(body), len(den))
-        if digits > MAX_LITERAL_DIGITS:  # leading zeros do not count
-            digits = max(len(body.lstrip("0")), len(den.lstrip("0")))
-    else:
-        match = re.fullmatch(_RATIONAL, text)
-        if match is None:
+    MAX_LITERAL_DIGITS. A plain n or n/m is read as integers by
+    `plain_literal`; what that passes on goes through `_RATIONAL` and
+    Fraction, which give the same value or the error."""
+    value = plain_literal(text)
+    if value is not None:
+        return value
+    match = re.fullmatch(_RATIONAL, text)
+    if match is not None:
+        if _literal_digits(match) > MAX_LITERAL_DIGITS:
             raise FormatError(
-                f"bad rational literal {text!r}", lineno, _value_column(raw, line, text)
+                f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits",
+                lineno, _value_column(raw, line, text),
             )
-        digits = _literal_digits(match)
-    if digits > MAX_LITERAL_DIGITS:
-        raise FormatError(
-            f"rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits",
-            lineno, _value_column(raw, line, text),
-        )
-    if match is None:
-        try:  # Python's 4300-digit int limit counts leading zeros too
-            n, d = int(num), int(den) if slash else 1
-        except ValueError:
-            pass
-        else:
-            if d:
-                g = gcd(n, d)
-                return n // g, d // g
-    else:
         try:
             # the expression has placed every '_' between digits, where
-            # Python 3.11 and later accept it; 3.10 reads the same
+            # Python 3.11 and later accept it, so 3.10 reads the same; an
+            # integer of more than 4300 characters, leading zeros counted,
+            # is over Python's limit on str-to-int conversion
             value = Fraction(text.replace("_", ""))
         except (ValueError, ZeroDivisionError):
             pass
@@ -408,66 +399,51 @@ def _repeated(row: _Section, idx: tuple, old, value, lineno: int, shown=()) -> F
     return FormatError(f"duplicate {row.noun} entry " + " ".join(map(str, idx + shown)), lineno)
 
 
-def _read_entry(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
-    """Check a data line of a polynomial row completely, in the order
-    syntax, indices, the header keys it reads, multi-indices, the value and
-    the index ranges, then store it, where a repeated entry adds up or is
-    an error. `line` is the content of `raw`. `limits` is (base_dim, the
-    bound of each index) or None, looked up here at a section's first data
-    line; it is returned for the next line."""
-    _, _, usage, bound_keys, multi, order, _, symmetric, adds, noun, _, terms, _ = row
-    count = len(bound_keys)
-    parts = line.split(None, count + multi)
+def _read_row(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
+    """Check a data line of `row` completely, in the order syntax, indices,
+    the header keys it reads, multi-indices, the value and the index
+    ranges, then store it, where a repeated entry adds up or is an error.
+    `line` is the content of `raw`. A polynomial value (`row.poly`) is
+    stored as a Poly, a rational one as (numerator, denominator) in lowest
+    terms, the checked input of the `kvfin` table step. `limits` is
+    (base_dim, the bound of each index) or None, looked up here at a
+    section's first data line; it is returned for the next line."""
+    count, multi, poly = len(row.bounds), row.multi, row.poly
+    # a coefficient may hold spaces, so the line splits before it; a
+    # rational value holds none, so its line splits at every space
+    parts = line.split(None, count + multi) if poly else line.split()
     if len(parts) != count + multi + 1:
-        raise FormatError(f"expected: {usage}", lineno)
-    idx = _parse_indices(parts[:count], lineno)
+        raise FormatError(f"expected: {row.usage}", lineno)
+    text = parts.pop()
+    idx = _parse_indices(parts[:count] if multi else parts, lineno)
     if limits is None:
         limits = _limits(row, head, lineno)
     base_dim, bounds = limits
     if multi:
         alphas = tuple(
-            _parse_multi_index(text, base_dim, order, lineno) for text in parts[count:-1]
+            _parse_multi_index(alpha, base_dim, row.order, lineno) for alpha in parts[count:]
         )
-    value = _parse_coeff(parts[-1], base_dim, lineno, raw, line)
-    key = idx[::-1] if symmetric and idx[0] > idx[1] else idx
+    if poly:
+        value = _parse_coeff(text, base_dim, lineno, raw, line)
+    else:
+        value = _parse_rational(text, lineno, raw, line)
+    key = idx[::-1] if row.symmetric and idx[0] > idx[1] else idx
     _check_ranges(row, key, bounds, lineno)
     if multi:
         key += alphas
     old = store.get(key)
     if old is None:
-        if terms is not None and len(store) == terms:
-            raise FormatError(f"distinct {noun} terms exceed the limit {terms}", lineno)
-    elif adds:
+        if row.terms is not None and len(store) == row.terms:
+            raise FormatError(f"distinct {row.noun} terms exceed the limit {row.terms}", lineno)
+    elif row.adds:
         value = old + value
         if over_digit_limit(value):
             raise FormatError(
-                f"summed {noun} coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits",
+                f"summed {row.noun} coefficient exceeds the limit of {MAX_LITERAL_DIGITS} digits",
                 lineno,
             )
     else:
-        raise _repeated(row, idx, old, value, lineno, tuple(parts[count:-1]))
-    store[key] = value
-    return limits
-
-
-def _read_value(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
-    """`_read_entry` for a rational row ([kvalgebra], [form]): the same
-    checks in the same order, with no multi-indices and no adding up. The
-    value is stored as (numerator, denominator) in lowest terms, the
-    checked input of the `kvfin` table step."""
-    fields = line.split()
-    text = fields.pop()
-    if len(fields) != len(row.bounds):
-        raise FormatError(f"expected: {row.usage}", lineno)
-    idx = _parse_indices(fields, lineno)
-    if limits is None:
-        limits = _limits(row, head, lineno)
-    value = _parse_rational(text, lineno, raw, line)
-    key = idx[::-1] if row.symmetric and idx[0] > idx[1] else idx
-    _check_ranges(row, key, limits[1], lineno)
-    old = store.get(key)
-    if old is not None:
-        raise _repeated(row, idx, old, value, lineno)
+        raise _repeated(row, idx, old, value, lineno, tuple(parts[count:]))
     store[key] = value
     return limits
 
@@ -498,7 +474,6 @@ def _read(text: str) -> tuple:
                 raise FormatError(f"repeated section [{section}]", lineno)
             store = entries[section] = {}
             limits = None
-            read = _read_entry if row.poly else _read_value
             continue
         if row is None:
             raise FormatError("content before the first section header", lineno)
@@ -507,7 +482,7 @@ def _read(text: str) -> tuple:
         elif row.usage is None:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
         else:
-            limits = read(row, line, raw, lineno, head, limits, store)
+            limits = _read_row(row, line, raw, lineno, head, limits, store)
 
     if kind is None:
         raise FormatError("empty document", max(len(lines), 1))
@@ -624,7 +599,7 @@ def _write(kind: str, head: dict, tables: dict) -> str:
             if row.poly:
                 if not value:
                     continue
-                over = over_digit_limit(value)
+                over = over_digit_limit(value) or max(map(max, value.num)) >= _NUMBER_BOUND
             else:
                 n, d = value
                 if not n:
@@ -679,11 +654,6 @@ def serialize_structure(S: AlgebroidStructure, name: str = "") -> str:
     return _write("structure", head, tables)
 
 
-def _reduced(n: int, d: int) -> tuple:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def serialize_kvalgebra(A: FinKVAlgebra, form: Optional[SymForm] = None, name: str = "") -> str:
     """The canonical text of A and its form: the section tables from
     `A.nz`/`A.den` and `form.num`/`form.den`, then `_write`. A form of
@@ -692,7 +662,7 @@ def serialize_kvalgebra(A: FinKVAlgebra, form: Optional[SymForm] = None, name: s
     den = A.den
     tables = {
         "kvalgebra": {
-            (m, i, j): _reduced(n, den)
+            (m, i, j): reduced(n, den)
             for i, plane in enumerate(A.nz)
             for j, row in enumerate(plane)
             for m, n in row
@@ -703,7 +673,7 @@ def serialize_kvalgebra(A: FinKVAlgebra, form: Optional[SymForm] = None, name: s
             raise ValueError(f"the form has dim {form.dim}, the algebra dim {A.dim}")
         num, den = form.num, form.den
         tables["form"] = {
-            (i, j): _reduced(num[i][j], den)
+            (i, j): reduced(num[i][j], den)
             for i in range(form.dim)
             for j in range(i, form.dim)
             if num[i][j]

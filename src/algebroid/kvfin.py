@@ -19,25 +19,24 @@ KV_{mu+nu} = KV_mu - d(nu) + KV_nu.
 
 Every reader works on one table built with the algebra: nz[i][j] lists the
 nonzero structure constants of e_i e_j as (m, num) pairs, integer
-numerators over the one positive common denominator A.den. It is built
-in two steps. The check step, `from_entries`, raises ValueError for an
-index out of range or a repeated entry. The table step, `_table`, takes
-checked values {(k, i, j): (num, den)} in lowest terms and checks
-nothing. The dense constructor, whose entries are in range and distinct
-by their place, and the file reader (`fileformat`), which checks each
-entry as it reads its line and stores it keyed and reduced this way, go
-to the table step straight; code that builds from entries, such as
-`commutator_bracket`, goes through the check step. A form is built in
-the same two steps, keyed by (i, j) with i <= j. A.c and beta.matrix are
-Fraction views made on first read. The KV defect, the Jacobi check of
-the commutator, the residual table of a form and the coboundary all read
-the table, so their inner loops multiply Python ints and turn a result
-into Fractions only once, when it is a witness. The KV anomaly is
-written once, in `_kv_anomalies`, scattered from the chained pairs of
-nonzero constants one basis pair i < j at a time, since it is skew in
-i, j: `kv_defect_fin` stops at the first pair, whose least nonzero triple
-is the first witness in basis-triple order, and `kv_nu` reads all of
-them off the table of the product nu.
+numerators over the one positive common denominator A.den. The table
+step, `_table`, builds it from values {(k, i, j): (num, den)} in lowest
+terms and checks nothing: every caller hands it entries that are in
+range and distinct by construction. The dense constructor takes them
+from their places in c; the file reader (`fileformat`), the one place
+that checks a file's entries, stores them keyed and reduced this way as
+it reads each line; `commutator_bracket` and `kv_nu` read them off a
+table or a cochain's list. A form is built the same way, keyed by
+(i, j) with i <= j. A.c and beta.matrix are Fraction views made on first
+read. The KV defect, the Jacobi check of the commutator, the residual
+table of a form and the coboundary all read the table, so their inner
+loops multiply Python ints and turn a result into Fractions only once,
+when it is a witness. The KV anomaly is written once, in
+`_kv_anomalies`, scattered from the chained pairs of nonzero constants
+one basis pair i < j at a time, since it is skew in i, j:
+`kv_defect_fin` stops at the first pair, whose least nonzero triple is
+the first witness in basis-triple order, and `kv_nu` reads all of them
+off the table of the product nu.
 
 A cochain is one list of Fractions, its coords (basis tuples in
 lexicographic order, each with its coefficients in the module's basis).
@@ -77,7 +76,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import bareiss, echelon, integer_det, solve_linear
+from .exactmath import bareiss, echelon, integer_det, reduced, solve_linear
 
 COEFF_SELF = "self"
 COEFF_TRIVIAL = "trivial"
@@ -117,24 +116,6 @@ class FinKVAlgebra:
         })
 
     @classmethod
-    def from_entries(cls, dim: int, entries) -> "FinKVAlgebra":
-        """The algebra with e_i e_j = sum of value * e_k over its entries
-        (i, j, k, value); each (i, j, k) appears at most once and the
-        constants of the missing ones are 0. This is the check step: it
-        raises ValueError for a dim <= 0, an index out of range or a
-        repeat, then hands the entries to the table step."""
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        values = {}
-        for i, j, k, value in entries:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise ValueError(f"product index out of range: {i} {j} {k}")
-            if (k, i, j) in values:
-                raise ValueError(f"repeated product entry {i} {j} {k}")
-            values[k, i, j] = (value.numerator, value.denominator)
-        return cls._from_table(dim, values)
-
-    @classmethod
     def _from_table(cls, dim: int, values) -> "FinKVAlgebra":
         out = cls.__new__(cls)
         out._table(dim, values)
@@ -167,7 +148,9 @@ class FinKVAlgebra:
 
     @staticmethod
     def zero(dim: int) -> "FinKVAlgebra":
-        return FinKVAlgebra.from_entries(dim, ())
+        if dim <= 0:
+            raise ValueError("dim must be positive")
+        return FinKVAlgebra._from_table(dim, {})
 
     def product(self, u: Sequence[Fraction], v: Sequence[Fraction]):
         d, c = self.dim, self.c
@@ -271,7 +254,9 @@ def commutator_bracket(A: FinKVAlgebra) -> BracketReport:
         for m, x in A.nz[i][j]:
             b[i, j, m] = b.get((i, j, m), 0) + x
             b[j, i, m] = b.get((j, i, m), 0) - x
-    lie = FinKVAlgebra.from_entries(d, ((*key, Fraction(v, A.den)) for key, v in b.items()))
+    lie = FinKVAlgebra._from_table(
+        d, {(m, i, j): reduced(v, A.den) for (i, j, m), v in b.items() if v}
+    )
     for i, j, k in itertools.product(range(d), repeat=3):
         jac = [0] * d
         _add_left(jac, lie.nz, i, j, k, 1)
@@ -554,25 +539,6 @@ class SymForm:
         })
 
     @classmethod
-    def from_entries(cls, dim: int, entries) -> "SymForm":
-        """The form with beta(e_i, e_j) = beta(e_j, e_i) = value for its
-        entries (i, j, value); each pair {i, j} appears at most once and
-        the missing entries are 0. This is the check step: it raises
-        ValueError for a dim <= 0, an index out of range or a repeat, then
-        hands the entries to the table step."""
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        values = {}
-        for i, j, value in entries:
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"form index out of range: {i} {j}")
-            key = (i, j) if i <= j else (j, i)
-            if key in values:
-                raise ValueError(f"repeated form entry {i} {j}")
-            values[key] = (value.numerator, value.denominator)
-        return cls._from_table(dim, values)
-
-    @classmethod
     def _from_table(cls, dim: int, values) -> "SymForm":
         out = cls.__new__(cls)
         out._table(dim, values)
@@ -785,9 +751,11 @@ def kv_nu(A: FinKVAlgebra, nu: FinCochain) -> FinCochain:
     if nu.degree != 2 or nu.coefficients != COEFF_SELF or nu.dim != A.dim:
         raise ValueError("nu must be a degree-2 self-coefficient cochain")
     d = A.dim
-    N = FinKVAlgebra.from_entries(
-        d, ((*divmod(n // d, d), n % d, v) for n, v in enumerate(nu.coords) if v)
-    )
+    N = FinKVAlgebra._from_table(d, {
+        (n % d, *divmod(n // d, d)): (v.numerator, v.denominator)
+        for n, v in enumerate(nu.coords)
+        if v
+    })
     out = FinCochain(d, 3, COEFF_SELF)
     den2, block = N.den * N.den, d * d
     for i, j, acc in _kv_anomalies(N):

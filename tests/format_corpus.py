@@ -18,7 +18,8 @@ polynomial syntax, parentheses nested more than 100 deep and a power
 whose variable exponent would have more than 1000 digits, which exited
 3 (the recorded RecursionError text is Python 3.11's), and repeated [mult]
 lines whose sum has more than 1000 digits, which was read and exported
-as a literal that does not read back. Every other entry
+as a literal that does not read back, as was a product whose variable
+exponent has more than 1000 digits. Every other entry
 gives that parser's output byte for byte.
 
 `tests/test_fileformat.py` runs the corpus under pytest. Run it without
@@ -205,6 +206,11 @@ FORMAT_CORPUS = (
             "of 1000 digits\n",
          was=(3, "internal error: ValueError: Exceeds the limit (4300 digits) for integer "
                  "string conversion; use sys.set_int_max_str_digits() to increase the limit\n")),
+    Case("mult-product-exponent",
+         witt("0 0 0 1 0 -1", "0 0 0 1 0 " + "x1^E*x1^E".replace("E", "9" * 1000)),
+         2, "error: line 8, column 1014: bad polynomial: variable exponent exceeds the limit "
+            "of 1000 digits\n",
+         was=(0, "")),
     Case("term-product-limit",
          lines("[structure]", "base_dim 2", "rank 1", "[dcochain]", "0 0,0 (1+x1+x2)^3000"),
          2, "error: line 5, column 16: bad polynomial: product of 561 by 561 terms exceeds the limit of 200000 term products\n"),

@@ -3,8 +3,8 @@ recursive descent parser that builds each atom through `Fraction` and
 the public `Poly` constructors. It shares no code with the token parser
 of `exactmath.parse_poly` beyond `Poly` and the limits, and gives the same
 `Poly`, or the same `PolyParseError` (message and position), on every
-text: the same checks in the same order, the nesting and the variable
-exponent limit included.
+text: the same checks in the same order, the nesting limit and the
+variable exponent limit of powers and products included.
 """
 
 from fractions import Fraction
@@ -110,6 +110,15 @@ class _CharParser:
                 f"of {MAX_TERM_PRODUCTS} term products",
                 position,
             )
+        if a.num and b.num:
+            # the top exponent of each variable in a * b, taken variable by variable
+            top = max(
+                max(e[v] for e in a.num) + max(e[v] for e in b.num) for v in range(self.base_dim)
+            )
+            if top >= _COEFF_BOUND:
+                self.error(
+                    f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits", position
+                )
         return self.checked(a * b, position)
 
     def checked(self, p: Poly, position: int) -> Poly:

@@ -545,6 +545,32 @@ def test_variable_exponent_limit():
     assert parse_poly(f"1^{e}", 1) == Poly.constant(1, 1)
 
 
+def test_product_variable_exponent_limit():
+    """A product whose largest variable exponent would have more than
+    MAX_LITERAL_DIGITS digits is an error at its '*', before it is built,
+    as a power is at its '^' (x1^E*x1^E, E of 1000 nines, was read and
+    written as a text that did not read back). A variable's top exponent
+    in a product is the sum of its top exponents in the factors, so
+    x1^E*x2^E parses."""
+    message = f"variable exponent exceeds the limit of {MAX_LITERAL_DIGITS} digits"
+    e = "9" * MAX_LITERAL_DIGITS
+    text = f"x1^{e}*x1^{e}"
+    assert parse_error(text) == (message, text.index("*"))
+    assert parse_poly(f"x1^{e}*x2^{e}", 2).num == {(int(e), int(e)): 1}
+    # the boundary: 5*10^999 twice is 10^1000, of 1001 digits
+    half = 5 * 10 ** (MAX_LITERAL_DIGITS - 1)
+    text = f"x1^{half} * x1^{half}"
+    assert parse_error(text) == (message, text.index("*"))
+    assert parse_poly(f"x1^{half - 1}*x1^{half}", 1).num == {(2 * half - 1,): 1}
+    # in any term, after the operands are read, and the first '*' over the limit
+    text = f"(1 + x1*x2^{e})*(x2 + 2) * x1"
+    assert parse_error(text, 2) == (message, text.index(")*") + 1)
+    text = f"2*x1*x2^{e} * (x1 - 3)*(x2^{e})"
+    assert parse_error(text, 2) == (message, text.rindex("*"))
+    # a constant factor adds no exponent
+    assert parse_poly(f"x1^{e}*3", 1).num == {(int(e),): 3}
+
+
 def test_eval_matches_expansion():
     p = parse_poly("x1^2*x2 - 3*x2 + 1/2", 2)
     assert poly_eval(p, [Fraction(2), Fraction(3)]) == Fraction(4 * 3 - 9) + Fraction(1, 2)

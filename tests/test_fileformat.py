@@ -481,7 +481,7 @@ def test_bare_header_is_the_zero_object():
     assert parse_document(none).structure.pairing is None
     assert parse_document(none).structure.d_cochain is None
     form = parse_document("[kvalgebra]\ndim 2\n[form]\n").form
-    assert form == SymForm.from_entries(2, ()) and not form.nondegenerate()
+    assert form == SymForm([[0, 0], [0, 0]]) and not form.nondegenerate()
     assert parse_document("[kvalgebra]\ndim 2\n").form is None
 
 
@@ -576,9 +576,13 @@ RECORDED_LITERALS = {
     "1e1_0": "10000000000", "1/2_0": "1/20", "٣": "3", "٣/٦": "1/2",
     "9" * 1000: "9" * 1000, "0" * 5 + "9" * 1000: "9" * 1000, f"1/{'9' * 1000}": f"1/{'9' * 1000}",
     "1e999": "1" + "0" * 999,
+    # at and past the characters a plain literal may have, sign not counted
+    f"+{'9' * 1000}": "9" * 1000, f"-{'9' * 1000}/{'0' * 999}7": f"-{'9' * 1000}/7",
+    "0" * 1001 + "/2": "0", "0" * 1001 + "3/" + "0" * 1001 + "6": "1/2",
     **{text: f"line 4, column 7: bad rational literal {text!r}" for text in (
         "0/0", "1/0", "0/000", "1/-2", "1/+2", "-1/-2", "--1", "+-1", "/2", "2/", ".e3", "e3",
         "1e", "1__000", "_1", "1_", "1/٠", "nan", "inf", "0x10", "1/2/3", f"{'9' * 1000}/0",
+        "1/" + "0" * 1000, "1/" + "0" * 1001,
         f"{'9' * 1001}/-2",
         # Python's 4300-digit int limit counts leading zeros, the digit limit does not
         "0" * 4301 + "1", "1/" + "0" * 4301 + "1", "0" * 4301 + "1.5",
@@ -663,40 +667,25 @@ def test_plain_and_other_literals_agree_with_fraction(case):
         assert kv_value(text) == expected
 
 
-def test_plain_literals_build_the_from_entries_tables():
+def test_plain_literals_build_the_dense_tables():
     """2/4, +3, 007 and -0, read as integers, give the algebra and form
-    that `from_entries` gives on their Fractions: the same den, nz and num."""
+    that the dense constructors give on their Fractions: the same den, nz
+    and num."""
     text = (
         "[kvalgebra]\ndim 3\n0 0 0 2/4\n1 0 1 +3\n2 1 1 007\n0 2 2 -0\n"
         "[form]\n0 0 2/4\n0 1 +3\n1 1 007\n2 2 -0\n"
     )
     doc = parse_document(text)
-    A = FinKVAlgebra.from_entries(
-        3, [(0, 0, 0, Fraction(1, 2)), (0, 1, 1, Fraction(3)), (1, 1, 2, Fraction(7)),
-            (2, 2, 0, Fraction(0))]
-    )
-    beta = SymForm.from_entries(
-        3, [(0, 0, Fraction(1, 2)), (0, 1, Fraction(3)), (1, 1, Fraction(7)), (2, 2, Fraction(0))]
-    )
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][0][0], c[0][1][1], c[1][1][2] = Fraction(1, 2), Fraction(3), Fraction(7)
+    A = FinKVAlgebra(3, c)
+    beta = SymForm([[Fraction(1, 2), 3, 0], [3, 7, 0], [0, 0, 0]])
     assert (doc.algebra.den, doc.algebra.nz) == (A.den, A.nz) == (2, A.nz) and doc.algebra == A
     assert (doc.form.den, doc.form.num, doc.form.rows) == (beta.den, beta.num, beta.rows)
     assert doc.form == beta and doc.form.den == 2
     assert serialize_document(doc) == (
         "[kvalgebra]\ndim 3\n0 0 0 1/2\n1 0 1 3\n2 1 1 7\n[form]\n0 0 1/2\n0 1 3\n1 1 7\n"
     )
-
-
-def test_reader_goes_straight_to_the_table_step(monkeypatch):
-    """The reader checks each entry once: its stores go to the table step,
-    not through the checks of `from_entries`."""
-
-    def twice(cls, *args):
-        raise AssertionError("entries checked again")
-
-    monkeypatch.setattr(FinKVAlgebra, "from_entries", classmethod(twice))
-    monkeypatch.setattr(SymForm, "from_entries", classmethod(twice))
-    doc = parse_document(KV)
-    assert doc.algebra.c[0][0][1] == 1 and doc.form.matrix[1][1] == Fraction(3, 2)
 
 
 def test_form_repeats_compare_values():
@@ -754,20 +743,35 @@ def test_summed_mult_entry_limit():
     assert canonical_text(text) == text == serialize_document(parse_document(at_limit))
 
 
+def one_constant(dim, value):
+    """The dim-d algebra whose one nonzero constant is e_0 e_0 = value e_0."""
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    c[0][0][0] = value
+    return FinKVAlgebra(dim, c)
+
+
+def one_pair(dim, i, j, value):
+    """The dim-d form whose one nonzero pair is beta(e_i, e_j) = value."""
+    matrix = [[0] * dim for _ in range(dim)]
+    matrix[i][j] = matrix[j][i] = value
+    return SymForm(matrix)
+
+
 def test_writer_refuses_what_would_not_read_back():
     """Either serializer raises ValueError naming the limit for what a file
     cannot hold: a dim over MAX_KV_DIM, a form of another dim, a number
-    over MAX_LITERAL_DIGITS digits; the largest of each round-trips."""
+    over MAX_LITERAL_DIGITS digits, a coefficient's or a variable
+    exponent; the largest of each round-trips."""
     over = 10**MAX_LITERAL_DIGITS
     for A, form, message in (
         (FinKVAlgebra.zero(MAX_KV_DIM + 1), None,
          f"dim {MAX_KV_DIM + 1} exceeds the limit {MAX_KV_DIM} of a file"),
-        (FinKVAlgebra.zero(2), SymForm.from_entries(3, ()), "the form has dim 3, the algebra dim 2"),
-        (FinKVAlgebra.zero(3), SymForm.from_entries(2, ()), "the form has dim 2, the algebra dim 3"),
-        (FinKVAlgebra.from_entries(1, [(0, 0, 0, Fraction(over))]), None,
+        (FinKVAlgebra.zero(2), SymForm([[0] * 3] * 3), "the form has dim 3, the algebra dim 2"),
+        (FinKVAlgebra.zero(3), SymForm([[0] * 2] * 2), "the form has dim 2, the algebra dim 3"),
+        (one_constant(1, over), None,
          f"[kvalgebra] entry 0 0 0 has a number of more than {MAX_LITERAL_DIGITS} digits; "
          "a file holds at most that many"),
-        (FinKVAlgebra.zero(2), SymForm.from_entries(2, [(0, 1, Fraction(1, over))]),
+        (FinKVAlgebra.zero(2), one_pair(2, 0, 1, Fraction(1, over)),
          f"[form] entry 0 1 has a number of more than {MAX_LITERAL_DIGITS} digits; "
          "a file holds at most that many"),
     ):
@@ -781,17 +785,26 @@ def test_writer_refuses_what_would_not_read_back():
         f"[mult] entry 0 0 0 0 1 has a number of more than {MAX_LITERAL_DIGITS} digits; "
         "a file holds at most that many"
     )
-    largest = (
-        (FinKVAlgebra.from_entries(MAX_KV_DIM, [(0, 0, 0, Fraction(over - 1, over - 2))]),
-         SymForm.from_entries(MAX_KV_DIM, [(0, 5, Fraction(1 - over, over - 3))])),
+    mult = BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), Poly.constant(1, 1)),
+                           (0, 0, 0, (1,), (0,), Poly.constant(1, -1))])
+    with pytest.raises(ValueError) as exc:
+        serialize_structure(AlgebroidStructure(
+            1, 1, mult, AnchorMap(1, 1, [[Poly.monomial(1, (over,))]]), skew=True
+        ))
+    assert str(exc.value) == (
+        f"[anchor] entry 0 0 has a number of more than {MAX_LITERAL_DIGITS} digits; "
+        "a file holds at most that many"
     )
-    for A, form in largest:
-        text = serialize_kvalgebra(A, form)
-        doc = parse_document(text)
-        assert (doc.algebra, doc.form) == (A, form) and canonical_text(text) == text
+    A, form = one_constant(MAX_KV_DIM, Fraction(over - 1, over - 2)), one_pair(
+        MAX_KV_DIM, 0, 5, Fraction(1 - over, over - 3)
+    )
+    text = serialize_kvalgebra(A, form)
+    doc = parse_document(text)
+    assert (doc.algebra, doc.form) == (A, form) and canonical_text(text) == text
     coeff = Poly.constant(1, Fraction(over - 1, over - 2))
     mult = BiDiffOp(1, 1, [(0, 0, 0, (0,), (1,), coeff), (0, 0, 0, (1,), (0,), -coeff)])
-    S = AlgebroidStructure(1, 1, mult, AnchorMap(1, 1, [[coeff]]), skew=True)
+    anchor = AnchorMap(1, 1, [[coeff * Poly.monomial(1, (over - 1,))]])
+    S = AlgebroidStructure(1, 1, mult, anchor, skew=True)
     text = serialize_structure(S)
     assert parse_document(text).structure == S and canonical_text(text) == text
 
