@@ -5,23 +5,21 @@ Exit codes: 0 = all requested checks pass, 1 = an axiom/verdict fails,
 2 = parse or usage error, 3 = internal error. Output is deterministic;
 --format machine emits one JSON document with sorted keys.
 
-A call whose argv[0] names a verb parses the rest of argv with that verb's
-own parser alone, `_Parser(prog="algebroid VERB")` filled from the one
-table `_VERBS` (verb -> help, add_arguments, handler): 1 parser, or 3 for
-`catalog` with its `list` and `show`. That parser is the verb's subparser
-in the whole grammar, so its help, usage and errors are the same. Any
-other argv (empty, `-h`, an unknown verb, an option before the verb)
-parses with the whole grammar, `build_parser()`, 8 parsers. Every parser
-wraps help at a fixed 78 columns, what argparse picks with no terminal and
-no COLUMNS, so help bytes do not depend on either and building a parser
-asks for no terminal size. The `cohomology` parser takes about 0.1 ms
-to build and parses in about 0.02 ms; the whole grammar takes about
-0.65 ms to build and a two-level parse about 0.05 ms. A finite-KV call
-of the benchmark's `kv-cohomology` round takes about 0.31 ms in process,
-so the rest of its work (reading and parsing the file, the math and the
-output) is about 0.19 ms (Python 3.11.7, shared 2-core Xeon). No parser
-is cached (ROADMAP item 2 has the measurements). Only the first two
-paragraphs of this docstring are the `--help` description.
+`run` parses every argv with one whole grammar, `build_parser()`: the
+top-level parser and each verb's subparser, filled from the one table
+`_VERBS` (verb -> help, add_arguments, handler), 8 parsers. It is built
+on the first call in a process, in about 0.87 ms, and kept; nothing is
+built at import. Every parser wraps help at a fixed 78 columns, what
+argparse picks with no terminal and no COLUMNS, so help bytes do not
+depend on either and building a parser asks for no terminal size. A
+two-level parse takes about 0.04 ms, and a `cohomology --catalog clan-84
+--degree 1` call about 0.11 ms in process, against 0.22 ms when each
+call built its verb's own parser. A fresh `python -m algebroid.cli` of
+that call took a median 95.9 and 105.7 ms in two sets of 15 runs,
+alternating with a verb's own parser at 95.0 and 104.7 ms (Python
+3.11.7, shared 2-core Xeon, no bytecode cache): a one-call process pays
+about the build, within the spread of starting Python. Only the first
+two paragraphs of this docstring are the `--help` description.
 """
 
 from __future__ import annotations
@@ -103,13 +101,19 @@ _DESCRIPTION = "\n\n".join((__doc__ or "").split("\n\n")[:2]) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole argparse grammar: the top-level parser and every verb's
+    """A new whole argparse grammar: the top-level parser and every verb's
     subparser."""
     parser = _Parser(prog="algebroid", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_text, add_arguments, _) in _VERBS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+# the grammar `run` parses with, built on its first call and kept; argparse
+# changes no parser as it parses, and a handler must not change a default
+# it finds in args (the `--accept` list), which the next call gets too
+_grammar = functools.cache(build_parser)
 
 
 def _source_arguments(p):
@@ -506,15 +510,7 @@ _VERBS = {
 
 def run(argv, out: TextIO, err: TextIO) -> int:
     try:
-        verb = argv[0] if argv else None
-        if verb in _VERBS:
-            # the verb's own parser is its subparser in the whole grammar
-            parser = _Parser(prog="algebroid " + verb)
-            _VERBS[verb][1](parser)
-            args = parser.parse_args(argv[1:])
-            args.verb = verb
-        else:
-            args = build_parser().parse_args(argv)
+        args = _grammar().parse_args(argv)
         return _VERBS[args.verb][2](args, out)
     except _HelpRequested as exc:
         out.write(exc.args[0])

@@ -1,7 +1,9 @@
 """The grammar corpus: argv that `cli.run` must answer with the same exit
-code, stdout and stderr as parsing with the whole grammar. `run` parses a
-verb's argv with that verb's own parser, so the corpus covers help, errors,
-abbreviations, `--`, `=` values and options before the verb.
+code, stdout and stderr as a fresh whole grammar, `build_parser()`. `run`
+parses every argv with one grammar, built on its first call and kept. The
+corpus covers help, errors, abbreviations, `--`, `=` values and options
+before the verb, and runs twice through `run`, in order and then
+reversed, so that a call which sees what an earlier one parsed shows.
 `EMPTY_ARGUMENT_CASES` also pins the exit code and stderr of the argv
 with an empty file argument, with the earlier answer as `was`.
 
@@ -72,8 +74,8 @@ GRAMMAR_CORPUS += tuple(argv for argv, *_ in EMPTY_ARGUMENT_CASES)
 
 
 def whole_grammar_invoke(*argv):
-    """The oracle: parse argv with the whole grammar, then dispatch to the
-    verb's handler and map exceptions to exit codes as `run` does."""
+    """The oracle: parse argv with a fresh whole grammar, then dispatch to
+    the verb's handler and map exceptions to exit codes as `run` does."""
     out, err = io.StringIO(), io.StringIO()
     try:
         args = build_parser().parse_args(list(argv))
@@ -98,11 +100,14 @@ def invoke(*argv):
 
 def mismatches():
     """The corpus argv on which `run` and the oracle differ, and the empty
-    argument cases that do not give their exit code and stderr."""
-    bad = [argv for argv in GRAMMAR_CORPUS if invoke(*argv) != whole_grammar_invoke(*argv)]
-    return bad + [
-        argv for argv, code, err, _ in EMPTY_ARGUMENT_CASES if invoke(*argv) != (code, "", err)
-    ]
+    argument cases that do not give their exit code and stderr, in either
+    of two passes through `run`: in order, then reversed."""
+    cases = [(argv, whole_grammar_invoke(*argv)) for argv in GRAMMAR_CORPUS]
+    cases += [(argv, (code, "", err)) for argv, code, err, _ in EMPTY_ARGUMENT_CASES]
+    bad = []
+    for order in (cases, cases[::-1]):
+        bad += [argv for argv, want in order if invoke(*argv) != want and argv not in bad]
+    return bad
 
 
 if __name__ == "__main__":
@@ -110,5 +115,5 @@ if __name__ == "__main__":
     for argv in bad:
         print("mismatch:", argv)
     print(f"{len(GRAMMAR_CORPUS) - len(bad)} of {len(GRAMMAR_CORPUS)} argv match "
-          f"the whole grammar (Python {sys.version.split()[0]})")
+          f"a fresh grammar in both passes (Python {sys.version.split()[0]})")
     sys.exit(1 if bad else 0)

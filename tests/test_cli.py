@@ -11,7 +11,7 @@ from algebroid import cli
 from algebroid.catalog import catalog_names
 from algebroid.cli import build_parser, main, run
 from algebroid.fileformat import parse_document, serialize_document
-from grammar_corpus import EMPTY_ARGUMENT_CASES, mismatches
+from grammar_corpus import EMPTY_ARGUMENT_CASES, mismatches, whole_grammar_invoke
 
 
 def invoke(*argv):
@@ -662,19 +662,19 @@ def test_help_bytes_do_not_depend_on_columns(monkeypatch, capsys, columns):
 
 
 def test_parsers_never_ask_for_the_terminal_size(monkeypatch):
-    """Building any parser, and asking any of them for help, reads no
-    terminal size."""
+    """Building any parser, `run`'s grammar or a fresh one, and asking any
+    of them for help, reads no terminal size."""
 
     def no_probe(*args, **kwargs):
         raise AssertionError("shutil.get_terminal_size called")
 
     monkeypatch.setattr(shutil, "get_terminal_size", no_probe)
-    for name, (_, add_arguments, _) in cli._VERBS.items():
-        add_arguments(cli._Parser(prog="algebroid " + name))
-    parser = build_parser()
+    cli._grammar.cache_clear()
     for path in HELP_PATHS:
-        assert _subparser(parser, *path).format_help()
         assert invoke(*path, "--help")[0] == 0
+    for parser in (cli._grammar(), build_parser()):
+        for path in HELP_PATHS:
+            assert _subparser(parser, *path).format_help()
 
 
 def test_main_writes_help_to_stdout(capsys):
@@ -684,14 +684,28 @@ def test_main_writes_help_to_stdout(capsys):
     assert captured.err == ""
 
 
-def test_reduced_grammar_matches_whole_grammar():
+def test_shared_grammar_matches_fresh_grammar():
     """Every argv gives the same exit code, stdout and stderr through `run`,
-    which parses a verb's argv with that verb's own parser, as parsing with
-    the whole grammar, the oracle."""
+    which parses with one grammar kept from its first call, as parsing with
+    a fresh whole grammar, the oracle, in order and then reversed."""
     assert mismatches() == []
 
 
-def test_parsers_built_per_call(monkeypatch):
+def test_accept_default_is_not_carried_between_calls():
+    """`--accept` appends to a copy of its default: a call without it after
+    one with it answers as a fresh grammar does, and the default stays []."""
+    argv = ["check", "--catalog", "clan-84", "--profile", "clan"]
+    invoke(*argv, "--accept", "pseudo-clan")
+    assert invoke(*argv) == whole_grammar_invoke(*argv)
+    (accept,) = (
+        a for a in _subparser(cli._grammar(), "check")._actions if a.dest == "accept"
+    )
+    assert accept.default == []
+
+
+def test_grammar_built_once_per_process(monkeypatch):
+    """`run` builds its grammar's 8 parsers on its first call and none on
+    any call after it, whatever the argv."""
     built = []
     init = cli._Parser.__init__
 
@@ -700,19 +714,21 @@ def test_parsers_built_per_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cases = (
-        (["check", "--catalog", "witt-line", "--profile", "cc"], 1),
-        (["anomalies", "--catalog", "witt-line", "1", "x1", "x1"], 1),
-        (["cohomology", "--catalog", "clan-84", "--degree", "1"], 1),
-        (["export", "--catalog", "witt-line"], 1),
-        (["catalog", "list"], 3),
-        (["catalog", "show", "clan-84"], 3),
-        ([], 8),
-        (["--help"], 8),
-        (["frobnicate"], 8),
-        (["--format", "machine", "check"], 8),
-    )
-    for argv, count in cases:
+    cli._grammar.cache_clear()
+    invoke("cohomology", "--catalog", "clan-84", "--degree", "1")
+    assert len(built) == 8, built
+    for argv in (
+        ["check", "--catalog", "witt-line", "--profile", "cc"],
+        ["anomalies", "--catalog", "witt-line", "1", "x1", "x1"],
+        ["cohomology", "--catalog", "clan-84", "--degree", "1"],
+        ["export", "--catalog", "witt-line"],
+        ["catalog", "list"],
+        ["catalog", "show", "clan-84"],
+        [],
+        ["--help"],
+        ["frobnicate"],
+        ["--format", "machine", "check"],
+    ):
         built.clear()
         invoke(*argv)
-        assert len(built) == count, (argv, built)
+        assert built == [], (argv, built)
