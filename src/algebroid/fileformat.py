@@ -35,15 +35,18 @@ term add up; any other repeated entry is an error. Serialization is
 canonical (sorted term order), so parse -> serialize is bit-stable.
 
 The reader, `_read`, turns a text into its header keys and section
-tables; `parse_document` then builds the structure or the algebra from
-them. One writer, `_write`, turns section tables back into text:
-`serialize_structure` makes the tables from a structure's views and
-`serialize_kvalgebra` from the `kvfin` tables, and `canonical_text` hands
-the reader's tables straight to the writer, so `export FILE` builds no
-operator and no algebra. The writer raises ValueError for what a file
-cannot hold, since the text would not read back: a header value over its
-limit, more [mult] terms than the section holds, a multi-index of order
-over 1, a number (a coefficient's numerator or denominator, or a variable
+tables; `parse_document` then hands them to a table step, which builds
+the structure or the algebra from them. One writer, `_write`, turns
+section tables back into text: `serialize_structure` makes the tables
+from a structure's views and `serialize_kvalgebra` from the `kvfin`
+tables, and `canonical_text` hands the reader's tables straight to the
+writer, so `export FILE` builds no operator and no algebra. The writer
+writes a constant coefficient from its integer numerator and
+denominator, as it writes a rational value; only a non-constant one goes
+through `str(Poly)`. It raises ValueError for what a file cannot hold,
+since the text would not read back: a header value over its limit, more
+[mult] terms than the section holds, a multi-index of order over 1, a
+number (a coefficient's numerator or denominator, or a variable
 exponent) of more than MAX_LITERAL_DIGITS digits, or a form of another
 dim than its algebra.
 
@@ -58,12 +61,14 @@ value, then the index ranges), so the error reported is the first in line
 order; its section's row picks the value parser, `parse_poly` for a
 coefficient or `_parse_rational` for a [kvalgebra] or [form] value. A
 plain n or n/m is read as integers by `exactmath.plain_literal` in both.
-A rational value is stored as its reduced integer numerator and
-denominator, and the store of each rational section goes straight to the
-`kvfin` table step, which checks no entry again: the reader is the one
-place that checks a file's entries. A missing required key is reported
-at the first data line that reads it, or at the last line of a file that
-has none.
+Each distinct multi-index text is parsed once per document, its order
+checked at each use. A rational value is stored as its reduced integer
+numerator and denominator. The stores go straight to the table steps,
+`AlgebroidStructure._from_tables` for the four structure sections and
+the `kvfin` one for the rational sections, and neither checks an entry
+again: the reader is the one place that checks a file's entries. A
+missing required key is reported at the first data line that reads it,
+or at the last line of a file that has none.
 
 An optional section ([pairing], [dcochain], [form]) whose header is
 present with no entries, or only zero ones, is the zero pairing, D or
@@ -156,14 +161,7 @@ from .exactmath import (
     plain_literal,
     reduced,
 )
-from .funmodel import (
-    AlgebroidStructure,
-    AnchorMap,
-    BiDiffOp,
-    DCochain,
-    DiffOp,
-    Pairing,
-)
+from .funmodel import AlgebroidStructure
 from .kvfin import FinKVAlgebra, SymForm
 
 
@@ -238,19 +236,25 @@ _SECTIONS = {
 }
 
 
-def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: int):
-    parts = text.split(",")
-    if len(parts) != base_dim:
-        raise FormatError(
-            f"multi-index {text!r} has {len(parts)} entries, expected {base_dim}",
-            lineno,
-        )
-    try:
-        idx = tuple(map(int, parts))
-    except ValueError:
-        raise FormatError(f"bad multi-index {text!r}", lineno) from None
-    if min(idx) < 0:
-        raise FormatError(f"negative entry in multi-index {text!r}", lineno)
+def _parse_multi_index(text: str, base_dim: int, order: Optional[int], lineno: int, memo: dict):
+    """The multi-index `text` of a line of order at most `order`. `memo`
+    holds the texts of one document (so of one base_dim) already parsed,
+    and the order is checked at each use."""
+    idx = memo.get(text)
+    if idx is None:
+        parts = text.split(",")
+        if len(parts) != base_dim:
+            raise FormatError(
+                f"multi-index {text!r} has {len(parts)} entries, expected {base_dim}",
+                lineno,
+            )
+        try:
+            idx = tuple(map(int, parts))
+        except ValueError:
+            raise FormatError(f"bad multi-index {text!r}", lineno) from None
+        if min(idx) < 0:
+            raise FormatError(f"negative entry in multi-index {text!r}", lineno)
+        memo[text] = idx
     if order is not None and sum(idx) > order:
         raise FormatError(
             f"multi-index {text!r} has order {sum(idx)}, expected at most {order}", lineno
@@ -399,7 +403,9 @@ def _repeated(row: _Section, idx: tuple, old, value, lineno: int, shown=()) -> F
     return FormatError(f"duplicate {row.noun} entry " + " ".join(map(str, idx + shown)), lineno)
 
 
-def _read_row(row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict):
+def _read_row(
+    row: _Section, line: str, raw: str, lineno: int, head: dict, limits, store: dict, memo: dict
+):
     """Check a data line of `row` completely, in the order syntax, indices,
     the header keys it reads, multi-indices, the value and the index
     ranges, then store it, where a repeated entry adds up or is an error.
@@ -407,7 +413,8 @@ def _read_row(row: _Section, line: str, raw: str, lineno: int, head: dict, limit
     stored as a Poly, a rational one as (numerator, denominator) in lowest
     terms, the checked input of the `kvfin` table step. `limits` is
     (base_dim, the bound of each index) or None, looked up here at a
-    section's first data line; it is returned for the next line."""
+    section's first data line; it is returned for the next line. `memo`
+    holds the document's parsed multi-indices."""
     count, multi, poly = len(row.bounds), row.multi, row.poly
     # a coefficient may hold spaces, so the line splits before it; a
     # rational value holds none, so its line splits at every space
@@ -421,7 +428,7 @@ def _read_row(row: _Section, line: str, raw: str, lineno: int, head: dict, limit
     base_dim, bounds = limits
     if multi:
         alphas = tuple(
-            _parse_multi_index(alpha, base_dim, row.order, lineno) for alpha in parts[count:]
+            _parse_multi_index(alpha, base_dim, row.order, lineno, memo) for alpha in parts[count:]
         )
     if poly:
         value = _parse_coeff(text, base_dim, lineno, raw, line)
@@ -457,6 +464,7 @@ def _read(text: str) -> tuple:
     kind = row = None
     head: dict = {}  # header key -> its checked value
     entries: dict = {}  # section -> {entry key: value}; a header with no entries is the zero object
+    memo: dict = {}  # multi-index text -> its entries, for this document's base_dim
     for lineno, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -482,7 +490,7 @@ def _read(text: str) -> tuple:
         elif row.usage is None:
             raise FormatError(f"unexpected data line in [{section}]", lineno)
         else:
-            limits = _read_row(row, line, raw, lineno, head, limits, store)
+            limits = _read_row(row, line, raw, lineno, head, limits, store, memo)
 
     if kind is None:
         raise FormatError("empty document", max(len(lines), 1))
@@ -509,26 +517,12 @@ def canonical_text(text: str) -> str:
 
 
 def _build_structure(head: dict, entries: dict):
-    base_dim, rank = head["base_dim"], head["rank"]
-    mult = BiDiffOp(rank, base_dim, [key + (c,) for key, c in entries.get("mult", {}).items()])
-    anchor = entries.get("anchor", {})
-    anchor = AnchorMap(base_dim, rank, [
-        [anchor.get((a, j), Poly.zero(base_dim)) for j in range(rank)] for a in range(base_dim)
-    ])
-    pairing = entries.get("pairing")
-    if pairing is not None:
-        g = [[Poly.zero(base_dim) for _ in range(rank)] for _ in range(rank)]
-        for (i, j), coeff in pairing.items():
-            g[i][j] = g[j][i] = coeff
-        pairing = Pairing(rank, base_dim, g)
-    d_cochain = entries.get("dcochain")
-    if d_cochain is not None:
-        comps = [{} for _ in range(rank)]
-        for (k, alpha), coeff in d_cochain.items():
-            comps[k][alpha] = coeff
-        d_cochain = DCochain(rank, base_dim, [DiffOp(base_dim, c) for c in comps])
-    return AlgebroidStructure(
-        rank, base_dim, mult, anchor, pairing, d_cochain, skew=head.get("skew", False)
+    """The read tables go straight to the `funmodel` table step: the reader
+    has checked every index range, multi-index and repeat, and the stores
+    are keyed as that step reads them, [pairing] by (i, j) with i <= j."""
+    return AlgebroidStructure._from_tables(
+        head["rank"], head["base_dim"], entries.get("mult", {}), entries.get("anchor", {}),
+        entries.get("pairing"), entries.get("dcochain"), skew=head.get("skew", False),
     )
 
 
@@ -564,6 +558,9 @@ def _write(kind: str, head: dict, tables: dict) -> str:
     (k, i, j, alpha, beta), [anchor] (a, j), [pairing] and [form] (i, j)
     with i <= j, [dcochain] (k, alpha), [kvalgebra] (k, i, j)), with Poly
     coefficients or rational values as reduced (numerator, denominator).
+    A constant coefficient is written from its numerator and `den` as a
+    rational value is, `n` or `n/d`, the text `str(Poly)` gives; any other
+    coefficient goes through `str(Poly)`.
     A section is written if its table is given, entries in sorted key
     order (for [dcochain] that is D's grlex order, since a file holds
     order at most 1) and zero ones left out; [mult] and [anchor] are left
@@ -584,6 +581,7 @@ def _write(kind: str, head: dict, tables: dict) -> str:
         lines.append(f"skew {'true' if head.get('skew') else 'false'}")
     else:
         lines.append(f"dim {head['dim']}")
+    zero = (0,) * head.get("base_dim", 0)  # a constant coefficient's exponent
     for section, row in _SECTIONS.items():
         table = tables.get(section)
         if table is None:
@@ -596,7 +594,11 @@ def _write(kind: str, head: dict, tables: dict) -> str:
         body = []
         for key in sorted(table):
             value = table[key]
-            if row.poly:
+            poly = row.poly
+            if poly and len(value.num) == 1 and zero in value.num:
+                # a constant: written from its integers, as a rational value is
+                value, poly = (value.num[zero], value.den), False
+            if poly:
                 if not value:
                     continue
                 over = over_digit_limit(value) or max(map(max, value.num)) >= _NUMBER_BOUND
@@ -621,7 +623,7 @@ def _write(kind: str, head: dict, tables: dict) -> str:
                     f"[{section}] entry {fields} has a number of more than "
                     f"{MAX_LITERAL_DIGITS} digits; a file holds at most that many"
                 )
-            text = str(value) if row.poly else f"{n}/{d}" if d != 1 else str(n)
+            text = str(value) if poly else f"{n}/{d}" if d != 1 else str(n)
             body.append(f"{fields} {text}")
         if body or row.optional:
             if not row.keys:

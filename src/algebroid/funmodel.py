@@ -20,7 +20,11 @@ heuristic.
 A structure (:class:`AlgebroidStructure`) is its `skew` flag and four
 canonical operators, for mult, anchor, pairing and D, and nothing else.
 The part names `BiDiffOp`, `AnchorMap`, `Pairing` and `DCochain` are
-constructors: each checks its frame-term input and returns the operator.
+constructors for code: each checks its frame-term input and returns the
+operator. A structure file goes through the table step,
+`AlgebroidStructure._from_tables`, instead: the file reader has checked
+every entry, and the step wraps its tables as the four operators with no
+second check and no normalising pass.
 `S.mult`, `S.anchor`, `S.pairing` and `S.d_cochain` are read-only views
 in frame terms, decoded from the operators for the serializer;
 `S.has(part)` tells whether a pairing or D is present without one. A frame
@@ -564,7 +568,8 @@ class AlgebroidStructure:
     D f -> D(f) consumed by the axiom profiles.
 
     The operators come from the part constructors (BiDiffOp, AnchorMap,
-    Pairing, DCochain) or from `compose` on theirs. The skew flag is a
+    Pairing, DCochain), from the table step `_from_tables` on a file's
+    checked tables, or from `compose` on theirs. The skew flag is a
     declaration; checkers verify it, never assume it. `mult`, `anchor`,
     `pairing` and `d_cochain` are views in frame terms, decoded on each
     access; `pairing` and `d_cochain` are None when the part is absent."""
@@ -665,6 +670,45 @@ class AlgebroidStructure:
             and (self._mult, self._anchor, self._pairing, self._d)
             == (other._mult, other._anchor, other._pairing, other._d)
         )
+
+    @classmethod
+    def _from_tables(cls, rank, base_dim, mult, anchor, pairing=None, d=None, skew=False):
+        """The table step, on checked frame-term tables: mult
+        {(k, i, j, alpha, beta): coeff}, anchor {(a, j): coeff}, pairing
+        {(i, j): coeff} with i <= j and d {(k, alpha): coeff}, each entry
+        once, every index in range, every multi-index of base_dim entries
+        >= 0 and every coeff a Poly over base_dim; pairing and d are None
+        when absent. Each table is keyed as its operator's terms as it is,
+        zero values dropped, in the term order of the part constructors,
+        and wrapped with no normalising pass."""
+        zero = (0,) * base_dim
+        units = [tuple(int(i == a) for i in range(base_dim)) for a in range(base_dim)]
+        anchor = sorted(anchor.items())  # by (a, j), as AnchorMap takes them
+        terms = [
+            {(k, ((i, alpha), (j, beta))): c for (k, i, j, alpha, beta), c in mult.items() if c},
+            {(None, ((j, zero), (None, units[a]))): c for (a, j), c in anchor if c},
+            None,
+            None,
+        ]
+        if pairing is not None:
+            g = {}
+            for (i, j), c in pairing.items():
+                if c:
+                    g[i, j] = g[j, i] = c
+            terms[2] = {(None, ((i, zero), (j, zero))): c for (i, j), c in sorted(g.items())}
+        if d is not None:
+            d = sorted(d.items(), key=lambda item: item[0][0])  # by k, as DCochain takes them
+            terms[3] = {(k, ((None, alpha),)): c for (k, alpha), c in d if c}
+        ops = []
+        for t, (_, slots, output) in zip(terms, _SIGNATURES):
+            op = None
+            if t is not None:
+                op = MultiDiffOp.__new__(MultiDiffOp)
+                op.rank, op.base_dim, op.slots, op.output, op.terms = (
+                    rank, base_dim, slots, output, t
+                )
+            ops.append(op)
+        return cls(rank, base_dim, *ops, skew=skew)
 
 
 def _check_sections(S: AlgebroidStructure, *sections: Section) -> None:

@@ -27,7 +27,15 @@ from algebroid.fileformat import (
     serialize_kvalgebra,
     serialize_structure,
 )
-from algebroid.funmodel import AlgebroidStructure, AnchorMap, BiDiffOp, conjugate
+from algebroid.funmodel import (
+    AlgebroidStructure,
+    AnchorMap,
+    BiDiffOp,
+    DCochain,
+    DiffOp,
+    Pairing,
+    conjugate,
+)
 from algebroid.kvfin import FinKVAlgebra, SymForm
 from format_corpus import FORMAT_CORPUS, mismatches, mult_terms
 
@@ -952,3 +960,181 @@ def test_canonical_text_is_the_old_route(text):
     got = route(canonical_text, text)
     assert got == route(lambda t: serialize_document(parse_document(t)), text)
     assert got == route(lambda t: old_serialize(parse_document(t)), text)
+
+
+# --- the table step: a file's tables wrapped as the four operators --------------
+
+
+def constructor_route(head: dict, tables: dict) -> AlgebroidStructure:
+    """The structure built through the part constructors from the reader's
+    tables, kept as the oracle of the table step: every entry checked again
+    and every operator normalised."""
+    base_dim, rank = head["base_dim"], head["rank"]
+    mult = BiDiffOp(rank, base_dim, [key + (c,) for key, c in tables.get("mult", {}).items()])
+    anchor = tables.get("anchor", {})
+    anchor = AnchorMap(base_dim, rank, [
+        [anchor.get((a, j), Poly.zero(base_dim)) for j in range(rank)] for a in range(base_dim)
+    ])
+    pairing = tables.get("pairing")
+    if pairing is not None:
+        g = [[Poly.zero(base_dim) for _ in range(rank)] for _ in range(rank)]
+        for (i, j), coeff in pairing.items():
+            g[i][j] = g[j][i] = coeff
+        pairing = Pairing(rank, base_dim, g)
+    d_cochain = tables.get("dcochain")
+    if d_cochain is not None:
+        comps = [{} for _ in range(rank)]
+        for (k, alpha), coeff in d_cochain.items():
+            comps[k][alpha] = coeff
+        d_cochain = DCochain(rank, base_dim, [DiffOp(base_dim, c) for c in comps])
+    return AlgebroidStructure(
+        rank, base_dim, mult, anchor, pairing, d_cochain, skew=head.get("skew", False)
+    )
+
+
+# coefficients over x1..xn, n the base_dim: constants (some zero) and
+# polynomials (one of them zero)
+TABLE_COEFFS = ("1", "-3", "2/3", "-5/7", "0", "0/4", "x1", "xn^2 - 1/2", "(1+x1)^2",
+                "-x1*xn + 3", "x1 - x1", "-2/9*x1")
+
+
+@st.composite
+def structure_files(draw) -> str:
+    """A [structure] file over base_dim 1-3 and rank 1-4 whose [mult] lines
+    repeat, some pairs summing to zero, with pairing entries written (j, i)
+    and [pairing] and [dcochain] each absent, a bare header or with entries."""
+    base_dim, rank = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    coeff = st.sampled_from(TABLE_COEFFS).map(lambda c: c.replace("xn", f"x{base_dim}"))
+    alpha = st.integers(0, base_dim).map(
+        lambda v: ",".join(str(int(a == v)) for a in range(base_dim))
+    )
+    index = st.integers(0, rank - 1)
+    lines = ["[structure]", f"base_dim {base_dim}", f"rank {rank}"]
+    lines += draw(st.sampled_from([[], ["skew true"], ["skew false"]]))
+    lines.append("[mult]")
+    for key in draw(st.lists(st.tuples(index, index, index, alpha, alpha), max_size=8,
+                             unique=True)):
+        c = draw(coeff)
+        lines.append(" ".join([*map(str, key), c]))
+        repeat = draw(st.sampled_from(["", "cancel", "add"]))
+        if repeat == "cancel":
+            lines.append(" ".join([*map(str, key), f"-({c})"]))
+        elif repeat == "add":
+            lines.append(" ".join([*map(str, key), draw(coeff)]))
+    lines.append("[anchor]")
+    for a, j in draw(st.lists(st.tuples(st.integers(0, base_dim - 1), index), max_size=6,
+                              unique=True)):
+        lines.append(f"{a} {j} {draw(coeff)}")
+    pairing = draw(st.sampled_from(["absent", "header", "entries"]))
+    if pairing != "absent":
+        lines.append("[pairing]")
+    if pairing == "entries":
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=6,
+                                  unique_by=lambda key: tuple(sorted(key)))):
+            i, j = sorted((i, j), reverse=draw(st.booleans()))  # (j, i) or (i, j)
+            lines.append(f"{i} {j} {draw(coeff)}")
+    dcochain = draw(st.sampled_from(["absent", "header", "entries"]))
+    if dcochain != "absent":
+        lines.append("[dcochain]")
+    if dcochain == "entries":
+        for k, a in draw(st.lists(st.tuples(index, alpha), max_size=6, unique=True)):
+            lines.append(f"{k} {a} {draw(coeff)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(structure_files())
+def test_table_step_is_the_constructor_route(text):
+    """The structure `parse_document` builds through the table step equals
+    the one the part constructors build from the same reader tables, term
+    for term and in the same term order, and it serializes to the same
+    bytes."""
+    kind, head, tables = fileformat._read(text)
+    S, want = parse_document(text).structure, constructor_route(head, tables)
+    assert S == want
+    for got_op, want_op in zip(
+        (S._mult, S._anchor, S._pairing, S._d), (want._mult, want._anchor, want._pairing, want._d)
+    ):
+        assert (got_op is None) == (want_op is None)
+        if got_op is not None:
+            assert list(got_op.terms.items()) == list(want_op.terms.items())
+    assert serialize_structure(S, "s") == serialize_structure(want, "s")
+    assert serialize_structure(S) == canonical_text(text)
+
+
+def test_catalog_and_frame_changed_copies_read_back():
+    """Every function-model catalog entry, and a copy changed by a frame
+    with a polynomial entry, reads back from its text as itself."""
+    for name in catalog_names():
+        entry = catalog_get(name)
+        if entry.kind != "function-model":
+            continue
+        S = entry.structure
+        r, x1 = S.rank, Poly.variable(S.base_dim, 0)
+        frame = [[Fraction(-2, 3) if i == j == 0 else int(i == j) for j in range(r)]
+                 for i in range(r)]
+        if r > 1:
+            frame[0][r - 1] = x1 + Poly.constant(S.base_dim, 2)
+        for T in (S, conjugate(S, frame)):
+            text = serialize_structure(T, name)
+            assert parse_document(text).structure == T, name
+            assert canonical_text(text) == text
+
+
+def test_constants_are_written_as_str_gives_them():
+    """Each poly section writes a constant coefficient from its integers,
+    the text `str(Poly)` gives: signs, denominators and numbers at the
+    digit limit; one digit more is refused as before."""
+    nines = 10**MAX_LITERAL_DIGITS - 1
+    values = (1, -1, 7, -12, Fraction(2, 3), Fraction(-5, 4), nines, -nines,
+              Fraction(1, nines), Fraction(-nines, nines - 1))
+    head = {"base_dim": 2, "rank": 2}
+    keys = {
+        "mult": (1, 0, 1, (0, 1), (0, 0)), "anchor": (1, 0), "pairing": (0, 1),
+        "dcochain": (1, (1, 0)),
+    }
+    for section, key in keys.items():
+        for value in values:
+            c = Poly.constant(2, value)
+            text = fileformat._write("structure", head, {section: {key: c}})
+            assert text.splitlines()[-1].rsplit(" ", 1)[1] == str(c)
+            assert canonical_text(text) == text
+        for value in (nines + 1, Fraction(-1, nines + 1)):
+            with pytest.raises(ValueError) as exc:
+                fileformat._write("structure", head, {section: {key: Poly.constant(2, value)}})
+            assert str(exc.value).endswith(
+                f"has a number of more than {MAX_LITERAL_DIGITS} digits; "
+                "a file holds at most that many"
+            )
+    S = conjugate(witt_line(), [[Fraction(-3, 7)]])
+    lines = serialize_structure(S).splitlines()
+    assert lines[4:] == [
+        "[mult]", "0 0 0 0 1 -3/7", "0 0 0 1 0 3/7", "[anchor]", "0 0 -6/7", "[pairing]",
+        "0 0 9/49", "[dcochain]", "0 1 -7/3",
+    ]
+
+
+def test_multi_index_memo_is_per_document():
+    """A multi-index text read in one document is checked again in the
+    next: `1,0` valid at base_dim 2 is refused at base_dim 1 and 3 with the
+    message and line it always had, in [mult] and in [dcochain]."""
+    head = "[structure]\nbase_dim {}\nrank 1\nskew false\n"
+    mult = head + "[mult]\n0 0 0 0,1 1,0 1\n0 0 0 1,0 0,0 2\n"
+    dcochain = head + "[dcochain]\n0 0,0 1\n0 1,0 2\n"
+    for _ in range(2):
+        for text in (mult, dcochain):
+            assert canonical_text(text.format(2)).endswith(" 2\n")
+            parse_document(text.format(2))
+        assert error_of(mult.format(3)) == "line 6: multi-index '0,1' has 2 entries, expected 3"
+        assert error_of(mult.format(1)) == "line 6: multi-index '0,1' has 2 entries, expected 1"
+        assert error_of(dcochain.format(3)) == (
+            "line 6: multi-index '0,0' has 2 entries, expected 3"
+        )
+        assert error_of(dcochain.format(2).replace("0 1,0 2", "0 1,1 2")) == (
+            "line 7: multi-index '1,1' has order 2, expected at most 1"
+        )
+    # a text first read after others is checked in full
+    repeated = mult.format(2) + "0 0 0 1,0 1,0 3\n0 0 0 2,0 0,0 1\n"
+    assert error_of(repeated) == "line 9: multi-index '2,0' has order 2, expected at most 1"
+    assert error_of(head.format(2) + "[mult]\n0 0 0 1,0 0,0 1\n0 0 0 1,0 0,0 1\n[dcochain]\n"
+                    "0 1,0 1\n0 1,0 2\n") == "line 10: duplicate dcochain entry 0 1,0"
